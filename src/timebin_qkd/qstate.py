@@ -124,6 +124,23 @@ def born_sample(s: ModeState, rng: np.random.Generator):
     return s.basis[min(idx, s.dim - 1)]
 
 
+def born_sample_batch(amps: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Batched born_sample: one basis index per column of the d×n amplitude matrix.
+
+    Column k is sampled by inverse CDF from the uniform draw u[k] ∈ [0, 1),
+    after born_sample's normalization check on every column.
+    """
+    p = amps.real**2 + amps.imag**2
+    total = p.sum(axis=0)
+    off = np.abs(total - 1.0)
+    if not off.max(initial=0.0) <= SAMPLE_NORM_TOL:  # a NaN column fails too
+        norm = float(np.sqrt(total[np.argmax(off)]))
+        raise UnnormalizedStateError(f"cannot sample an unnormalized state (norm={norm})")
+    # index = how many CDF entries lie at or below u·total (searchsorted, side="right")
+    idx = np.count_nonzero(np.cumsum(p, axis=0) <= u * total, axis=0)
+    return np.minimum(idx, len(p) - 1)
+
+
 def equal_up_to_global_phase(s1: ModeState, s2: ModeState, tol: float = NORM_TOL) -> bool:
     """True iff s1 = c·s2 for some unit-modulus scalar c, componentwise within tol."""
     if s1.basis != s2.basis:

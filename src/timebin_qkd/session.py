@@ -1,15 +1,24 @@
 """Monte-Carlo key-distribution sessions.
 
 A session runs `trials` independent rounds: Alice draws a uniform signal
-index, the state crosses an optional noise channel (and optionally an
-intercept-resend eavesdropper), Bob's interferometer and detectors sample an
-outcome, both parties announce bases over an in-process classical channel,
-and matched conclusive rounds enter the sifted key.
+index, the state crosses an optional intercept-resend eavesdropper and an
+optional noise channel, Bob's interferometer and detectors sample an
+outcome, and matched conclusive rounds enter the sifted key.
 
-Determinism contract: every trial owns a Philox counter-based stream keyed
-by (seed, trial index), so results are bit-identical regardless of how many
-workers evaluate the trials. The classical exchange and all aggregation run
-in trial order.
+The rounds run as a batched kernel over chunks of CHUNK_TRIALS trials. A
+chunk makes its random draws, then runs a few array operations on its
+scheme's tables (`protocols.scheme_tables`) in small blocks of trials,
+and each trial leaves one small integer code
+that fixes Alice's index, Bob's modulator setting and the outcome ("lost"
+included). The statistics, the records and the trace are derived from the
+codes. The scalar ModeState path (signal_state, apply_channel,
+intercept_resend, mzi_single/mzi_pair, born_sample, classify_*) stays as
+the reference the kernel is tested against.
+
+Determinism contract: chunk k draws from its own Philox counter-based
+stream keyed by (seed, k), in the style of Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3" (SC'11). One config therefore gives
+byte-identical stats and traces, whatever the worker count.
 """
 from __future__ import annotations
 
@@ -17,31 +26,48 @@ import csv
 import io
 import json
 import math
-from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import lru_cache
 
 import numpy as np
 
 from . import __version__
-from .dfs import collective_dephase, dephase_single, independent_dephase
-from .optics import TWO_PI, mzi_pair, mzi_single, phase_modulator
+from .dfs import collective_dephase, dephase_single, dephasing_diagonal, independent_dephase
+from .optics import TWO_PI, mzi_pair, mzi_batch, mzi_single, phase_modulator
 from .protocols import (
     INDEX_FOR,
     OWA_BETAS,
     ClassifiedOutcome,
+    Scheme,
     SchemeId,
-    SignalState,
     classify_combined,
     classify_fig1,
     classify_owa,
+    scheme_tables,
     sift,
     signal_state,
 )
-from .qstate import ModeState, born_sample
+from .qstate import ModeState, born_sample, born_sample_batch
 
-RNG_IDENTITY = "numpy-philox4x64 keyed (seed, trial)"
+#: Trials per chunk; each chunk owns one Philox stream, so this is part of
+#: the RNG identity: changing it changes every sampled number.
+CHUNK_TRIALS = 4096
+
+#: Detection amplitudes per block of a chunk's arithmetic (72 kB of
+#: complex128): a block holds BLOCK_AMPLITUDES // len(outcomes) trials, 128
+#: for a pair and 768 for fig1. Blocks change no draw. They keep the kernel's
+#: arrays below the C allocator's 128 kB mmap threshold, so that their memory
+#: is reused rather than mapped and page-faulted in afresh for every chunk,
+#: and its matrix products small enough that BLAS runs them on the calling
+#: thread rather than waking its worker threads.
+BLOCK_AMPLITUDES = 4608
+
+RNG_IDENTITY = f"numpy-philox4x64 keyed (seed, chunk), {CHUNK_TRIALS}-trial chunks"
+
+#: Seeds are Philox key words: integers in [0, 2**64).
+SEED_LIMIT = 2**64
 
 PHASE_RANDOM = "random"
 
@@ -96,6 +122,8 @@ class SessionConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}") from None
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if isinstance(self.phase, str):
             if self.phase != PHASE_RANDOM:
                 raise ConfigError(f"phase must be a number or 'random', got {self.phase!r}")
@@ -153,64 +181,7 @@ class SessionStats:
         return self.errors / self.sifted if self.sifted else 0.0
 
 
-class ClassicalMessage(NamedTuple):
-    round_id: int
-    direction: str  # "alice->bob" or "bob->alice"
-    payload: str
-
-
-class ChannelClosedError(RuntimeError):
-    """The classical channel was used after the session closed it."""
-
-
-class ChannelEndpoint:
-    def __init__(self, channel: "DuplexChannel", name: str, peer_queue: deque, own_queue: deque):
-        self._channel = channel
-        self._name = name
-        self._peer_queue = peer_queue
-        self._own_queue = own_queue
-
-    def send(self, round_id: int, payload: str) -> None:
-        if self._channel.closed:
-            raise ChannelClosedError("send on a closed channel")
-        other = "bob" if self._name == "alice" else "alice"
-        msg = ClassicalMessage(round_id, f"{self._name}->{other}", payload)
-        self._channel.transcript.append(msg)
-        self._peer_queue.append(msg)
-
-    def recv(self) -> ClassicalMessage:
-        if self._channel.closed:
-            raise ChannelClosedError("recv on a closed channel")
-        return self._own_queue.popleft()
-
-
-class DuplexChannel:
-    """Ordered, reliable, in-process duplex channel with a full transcript."""
-
-    def __init__(self):
-        self.transcript: list[ClassicalMessage] = []
-        self.closed = False
-        to_alice: deque = deque()
-        to_bob: deque = deque()
-        self.alice = ChannelEndpoint(self, "alice", to_bob, to_alice)
-        self.bob = ChannelEndpoint(self, "bob", to_alice, to_bob)
-
-    def close(self) -> None:
-        self.closed = True
-
-
-def channel_pair() -> DuplexChannel:
-    return DuplexChannel()
-
-
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _two_photon(scheme: SchemeId) -> bool:
-    return scheme is not SchemeId.FIG1_SINGLE_PHOTON
-
+# --- scalar reference path -----------------------------------------------------
 
 def apply_channel(
     state: ModeState, channel: ChannelSpec, rng: np.random.Generator, two_photon: bool
@@ -266,99 +237,217 @@ def intercept_resend(
     return signal_state(scheme, index).state
 
 
-class _RawTrial(NamedTuple):
-    trial: int
-    alice_index: int
-    outcome_label: str
-    verdict: ClassifiedOutcome | None  # None when the trial was lost
+# --- batched kernel ------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _CodeTable:
+    """Lookup tables over a scheme's trial codes.
+
+    code = (alice·S + setting)·(O + 1) + outcome, with alice = index − 1, S
+    Bob's modulator settings, O outcomes and outcome O meaning "lost"; so
+    code counts reshape to a 4 × S × (O + 1) grid.
+    """
+
+    scheme: Scheme
+    fields: tuple[tuple, ...]  # per code: the TrialRecord fields after `trial`
+    rows: tuple[str, ...]  # per code: its trace CSV row after "trial,"
+    kept: np.ndarray  # 4 × S × (O + 1) bool
+    error: np.ndarray  # 4 × S × (O + 1) bool: kept with bit_alice != bit_bob
 
 
-def _simulate_trial(config: SessionConfig, trial: int) -> _RawTrial:
-    rng = _trial_rng(config.seed, trial)
-    scheme = SchemeId(config.scheme)
-    alice_index = int(rng.integers(1, 5))
-    state = signal_state(scheme, alice_index).state
+def _trace_fields(r: TrialRecord) -> list:
+    return [
+        r.trial,
+        r.alice_index,
+        r.outcome_label,
+        r.verdict,
+        r.basis,
+        "" if r.bit_alice is None else r.bit_alice,
+        "" if r.bit_bob is None else r.bit_bob,
+        int(r.kept),
+    ]
 
+
+def _csv_line(fields: list) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
+@lru_cache(maxsize=None)
+def _code_table(scheme_id: SchemeId) -> _CodeTable:
+    """Built once per scheme from its Scheme record and `sift`."""
+    scheme = scheme_tables(scheme_id)
+    fields = []
+    for index in (1, 2, 3, 4):
+        alice = signal_state(scheme.id, index)
+        for verdicts in scheme.verdicts:
+            for outcome, verdict in zip(scheme.outcomes, verdicts):
+                result = sift(alice, verdict)
+                fields.append((
+                    index, outcome.label, verdict.conclusive, verdict.basis or "",
+                    result.bit_alice, result.bit_bob, result.kept,
+                ))
+            fields.append((index, "lost", False, "", None, None, False))
+    shape = (4, len(scheme.betas), len(scheme.outcomes) + 1)
+    kept = np.array([f[6] for f in fields]).reshape(shape)
+    error = np.array([f[6] and f[4] != f[5] for f in fields]).reshape(shape)
+    rows = tuple(_csv_line(_trace_fields(TrialRecord(0, *f))[1:]) for f in fields)
+    return _CodeTable(scheme, tuple(fields), rows, kept, error)
+
+
+def detection_amplitudes(
+    scheme: Scheme, sent: np.ndarray, setting: np.ndarray, diagonal: np.ndarray | None, phi
+) -> np.ndarray:
+    """Amplitudes over scheme.outcomes, one column per trial.
+
+    Trial k sends signal sent[k] + 1 through the channel's diagonal[:, k]
+    (None: no dephasing) and Bob's modulator at setting[k], into the
+    interferometer at phase phi, or phi[k] when phi is an array.
+    """
+    amps = scheme.signals[sent, setting].T
+    if diagonal is not None:
+        amps = amps * diagonal
+    return mzi_batch(amps, phi)
+
+
+def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
+
+
+def _settings(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """Uniform modulator settings; no draw when there is only one."""
+    return rng.integers(0, count, n) if count > 1 else np.zeros(n, dtype=np.intp)
+
+
+def _channel_draws(
+    channel: ChannelSpec, photons: int, rng: np.random.Generator, n: int
+) -> tuple[np.ndarray | None, tuple[np.ndarray, ...] | None]:
+    """(lost mask, dephasing phase per photon), each None when the channel has none."""
+    if channel.kind == "none":
+        return None, None
+    if channel.kind == "loss":
+        return (rng.random((n, photons)) < channel.loss).any(axis=1), None
+    if channel.kind == "collective" and channel.phi is not None:
+        phi1 = np.full(n, float(channel.phi))
+    else:
+        phi1 = rng.uniform(0.0, TWO_PI, n)
+    if photons == 1:
+        return None, (phi1,)
+    phi2 = phi1 if channel.kind == "collective" else rng.uniform(0.0, TWO_PI, n)
+    return None, (phi1, phi2)
+
+
+def _run_chunk(config: SessionConfig, table: _CodeTable, chunk: int) -> np.ndarray:
+    """The trial codes of one chunk of the session.
+
+    The chunk's draws are all made first, in a fixed order; the amplitudes
+    and samples are then computed a block of trials at a time.
+    """
+    rng = _chunk_rng(config.seed, chunk)
+    n = min(CHUNK_TRIALS, config.trials - chunk * CHUNK_TRIALS)
+    scheme = table.scheme
+    n_settings, n_outcomes = len(scheme.betas), len(scheme.outcomes)
+
+    alice = rng.integers(0, 4, n)  # signal index - 1
+    eve = None
     if config.eavesdropper == "intercept_resend":
-        state = intercept_resend(state, scheme, rng)
+        # Her setting and uniform draw, and the index she resends when inconclusive.
+        eve = (_settings(rng, n_settings, n), rng.random(n), rng.integers(0, 4, n))
+    lost, phases = _channel_draws(config.channel, scheme.photons, rng, n)
+    phi = rng.uniform(0.0, TWO_PI, n) if config.phase == PHASE_RANDOM else float(config.phase)
+    setting = _settings(rng, n_settings, n)
+    u = rng.random(n)
 
-    state = apply_channel(state, config.channel, rng, _two_photon(scheme))
-    if state is None:
-        return _RawTrial(trial, alice_index, "lost", None)
+    outcome = np.empty(n, dtype=np.intp)
+    block = BLOCK_AMPLITUDES // n_outcomes
+    for start in range(0, n, block):
+        b = slice(start, start + block)
+        sent = alice[b]
+        if eve is not None:
+            # Bob's apparatus at φ = 0; resend the named state, or a uniform one.
+            eve_setting, eve_u, fallback = (a[b] for a in eve)
+            amps = detection_amplitudes(scheme, sent, eve_setting, None, 0.0)
+            named = scheme.announced[eve_setting, born_sample_batch(amps, eve_u)]
+            sent = np.where(named > 0, named - 1, fallback)
+        diagonal = None if phases is None else dephasing_diagonal(*(p[b] for p in phases))
+        amps = detection_amplitudes(
+            scheme, sent, setting[b], diagonal, phi if np.ndim(phi) == 0 else phi[b]
+        )
+        outcome[b] = born_sample_batch(amps, u[b])
+    if lost is not None:
+        outcome[lost] = n_outcomes
+    return ((alice * n_settings + setting) * (n_outcomes + 1) + outcome).astype(np.uint16)
 
-    phi = rng.uniform(0.0, TWO_PI) if config.phase == PHASE_RANDOM else float(config.phase)
-    beta = float(rng.choice(OWA_BETAS)) if scheme is SchemeId.OWA_FOUR_PHASE else None
-    verdict, label = _measure(scheme, state, phi, beta, rng)
-    return _RawTrial(trial, alice_index, label, verdict)
+
+class TrialRecords(Sequence):
+    """A session's trials, one TrialRecord each, built from its code when read."""
+
+    def __init__(self, table: _CodeTable, codes: np.ndarray):
+        self._table = table
+        self._codes = codes
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[t] for t in range(len(self))[i]]
+        trial = range(len(self))[i]  # negative indices, and IndexError past the end
+        return TrialRecord(trial, *self._table.fields[self._codes[trial]])
+
+    def __iter__(self):
+        fields = self._table.fields
+        for trial, code in enumerate(self._codes.tolist()):
+            yield TrialRecord(trial, *fields[code])
+
+    def csv_rows(self) -> str:
+        """The trace CSV body: one row per trial, without the header."""
+        rows = self._table.rows
+        return "".join([f"{t},{rows[c]}" for t, c in enumerate(self._codes.tolist())])
 
 
 def run_session(
     config: SessionConfig, workers: int = 1
-) -> tuple[SessionStats, list[TrialRecord]]:
-    """Run a full session; deterministic for a given config, any worker count."""
+) -> tuple[SessionStats, TrialRecords]:
+    """Run a full session; deterministic for a given config, any worker count.
+
+    workers > 1 runs the chunks on that many threads; the results do not change.
+    """
     config.validate()
-    scheme = SchemeId(config.scheme)
+    if not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+    table = _code_table(SchemeId(config.scheme))
+    chunks = range(-(-config.trials // CHUNK_TRIALS))
 
-    if workers <= 1:
-        raws = [_simulate_trial(config, t) for t in range(config.trials)]
+    def run(chunk: int) -> np.ndarray:
+        return _run_chunk(config, table, chunk)
+
+    if workers == 1 or len(chunks) == 1:
+        parts = [run(k) for k in chunks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            raws = list(pool.map(lambda t: _simulate_trial(config, t), range(config.trials)))
-    raws.sort(key=lambda r: r.trial)
+        from concurrent.futures import ThreadPoolExecutor
 
-    channel = channel_pair()
-    records: list[TrialRecord] = []
-    histogram: Counter = Counter()
-    signal_sent: Counter = Counter()
-    signal_kept: Counter = Counter()
-    sifted = errors = 0
+        with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            parts = list(pool.map(run, chunks))
+    codes = np.concatenate(parts)
 
-    for raw in raws:
-        histogram[raw.outcome_label] += 1
-        signal_sent[raw.alice_index] += 1
-        alice = signal_state(scheme, raw.alice_index)
-        if raw.verdict is None:
-            records.append(
-                TrialRecord(raw.trial, raw.alice_index, "lost", False, "", None, None, False)
-            )
-            continue
-        channel.alice.send(raw.trial, f"basis={alice.basis}")
-        channel.bob.send(
-            raw.trial,
-            f"basis={raw.verdict.basis}" if raw.verdict.conclusive else "inconclusive",
-        )
-        channel.alice.recv()
-        channel.bob.recv()
-        result = sift(alice, raw.verdict)
-        if result.kept:
-            sifted += 1
-            signal_kept[raw.alice_index] += 1
-            if result.bit_alice != result.bit_bob:
-                errors += 1
-        records.append(
-            TrialRecord(
-                raw.trial,
-                raw.alice_index,
-                raw.outcome_label,
-                raw.verdict.conclusive,
-                raw.verdict.basis or "",
-                result.bit_alice,
-                result.bit_bob,
-                result.kept,
-            )
-        )
-    channel.close()
-
+    counts = np.bincount(codes, minlength=table.kept.size).reshape(table.kept.shape)
+    labels = [o.label for o in table.scheme.outcomes] + ["lost"]
+    sent = counts.sum(axis=(1, 2))
+    kept = (counts * table.kept).sum(axis=(1, 2))
     stats = SessionStats(
         config=config,
         trials=config.trials,
-        sifted=sifted,
-        errors=errors,
-        histogram=dict(histogram),
-        signal_sent=dict(signal_sent),
-        signal_kept=dict(signal_kept),
+        sifted=int(kept.sum()),
+        errors=int(counts[table.error].sum()),
+        histogram={
+            labels[o]: int(c) for o, c in enumerate(counts.sum(axis=(0, 1))) if c
+        },
+        signal_sent={i + 1: int(c) for i, c in enumerate(sent) if c},
+        signal_kept={i + 1: int(c) for i, c in enumerate(kept) if c},
     )
-    return stats, records
+    return stats, TrialRecords(table, codes)
 
 
 # --- serialization -----------------------------------------------------------
@@ -412,24 +501,9 @@ TRACE_COLUMNS = (
 )
 
 
-def trace_csv(records: list[TrialRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [
-                r.trial,
-                r.alice_index,
-                r.outcome_label,
-                r.verdict,
-                r.basis,
-                "" if r.bit_alice is None else r.bit_alice,
-                "" if r.bit_bob is None else r.bit_bob,
-                int(r.kept),
-            ]
-        )
-    return buf.getvalue()
+def trace_csv(records: TrialRecords) -> str:
+    """The per-trial CSV trace of a session: a header, then one row per trial."""
+    return _csv_line(list(TRACE_COLUMNS)) + records.csv_rows()
 
 
 def config_from_dict(doc: dict) -> SessionConfig:

@@ -89,6 +89,45 @@ class TestRun:
         assert out.startswith("key,value\n")
         assert "sifted_rate," in out
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551617"])
+    def test_seed_outside_philox_key_range_exits_2(self, capsys, seed):
+        code, out, err = run_cli(
+            capsys, "run", "--protocol", "combined", "--trials", "10", "--seed", seed,
+        )
+        assert code == 2
+        assert out == "" and "seed" in err and "Traceback" not in err
+
+    def test_seed_range_in_config_file_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "session.json"
+        cfg.write_text(json.dumps({"scheme": "owa", "trials": 10, "seed": -5}))
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2 and "seed" in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_workers_below_one_exits_2(self, capsys, command):
+        args = {
+            "run": ["run", "--protocol", "fig1", "--trials", "10", "--seed", "1"],
+            "sweep": ["sweep", "--protocol", "fig1", "--phase-grid", "0,1", "--trials", "10"],
+        }[command]
+        code, out, err = run_cli(capsys, *args, "--workers", "0")
+        assert code == 2
+        assert out == "" and "workers" in err
+
+    def test_sweep_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--protocol", "fig1", "--phase-grid", "0,1", "--seed", "-1",
+        )
+        assert code == 2 and out == "" and "seed" in err
+
+    def test_trace_file_has_a_row_per_trial(self, capsys, tmp_path):
+        trace = tmp_path / "trace.csv"
+        code, _, _ = run_cli(
+            capsys, "run", "--protocol", "owa", "--trials", "5000", "--seed", "4",
+            "--channel", "loss=0.1", "--eve", "--trace", str(trace), "--workers", "2",
+        )
+        assert code == 0
+        assert len(trace.read_text().splitlines()) == 5001
+
     def test_unwritable_out_path(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--protocol", "combined", "--trials", "10", "--seed", "1",

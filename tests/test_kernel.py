@@ -1,0 +1,242 @@
+"""The batched session kernel against the scalar ModeState reference path."""
+import csv
+import io
+import math
+
+import numpy as np
+import pytest
+
+import oracles
+from timebin_qkd.dfs import (
+    collective_dephase,
+    dephase_single,
+    dephasing_diagonal,
+    independent_dephase,
+)
+from timebin_qkd.optics import (
+    JOINT_BASIS,
+    mzi_pair,
+    mzi_single,
+    outcome_distribution,
+    phase_modulator,
+)
+from timebin_qkd.protocols import (
+    INDEX_FOR,
+    SchemeId,
+    classify_combined,
+    classify_fig1,
+    classify_owa,
+    scheme_tables,
+    signal_state,
+)
+from timebin_qkd.qstate import ModeState, UnnormalizedStateError, born_sample, born_sample_batch
+from timebin_qkd.session import (
+    TRACE_COLUMNS,
+    ChannelSpec,
+    SessionConfig,
+    detection_amplitudes,
+    run_session,
+    trace_csv,
+)
+
+PHI_GRID = [0.0, 0.7, math.pi / 2, 2.1, math.pi]
+# (photon 1, photon 2) late-bin phases; None is the noiseless channel.
+CHANNEL_PHASES = [None, (0.0, 0.0), (0.9, 0.9), (0.4, 2.3), (3.0, 5.5)]
+SCHEMES = list(SchemeId)
+
+
+def scalar_distribution(scheme, index, channel, beta, phi):
+    """outcome_distribution on the ModeState path: signal, channel, modulator, MZI."""
+    state = signal_state(scheme, index).state
+    single = scheme is SchemeId.FIG1_SINGLE_PHOTON
+    if channel is not None:
+        phi1, phi2 = channel
+        if single:
+            state = dephase_single(state, phi1)
+        elif phi1 == phi2:
+            state = collective_dephase(state, phi1)
+        else:
+            state = independent_dephase(state, phi1, phi2)
+    if scheme is SchemeId.OWA_FOUR_PHASE:
+        state = phase_modulator(state, beta, photon=1, bin="L")
+    return outcome_distribution(mzi_single(state, phi) if single else mzi_pair(state, phi))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_born_tables_equal_scalar_path(scheme):
+    table = scheme_tables(scheme)
+    single = scheme is SchemeId.FIG1_SINGLE_PHOTON
+    cases = [
+        (index, channel, setting, phi)
+        for index in (1, 2, 3, 4)
+        for channel in CHANNEL_PHASES
+        for setting in range(len(table.betas))
+        for phi in PHI_GRID
+    ]
+    expected = np.array([
+        scalar_distribution(scheme, i, ch, table.betas[s], phi) for i, ch, s, phi in cases
+    ]).T
+    sent = np.array([i - 1 for i, _, _, _ in cases])
+    setting = np.array([s for _, _, s, _ in cases])
+    phases = np.array([ch or (0.0, 0.0) for _, ch, _, _ in cases]).T
+    diagonal = dephasing_diagonal(phases[0]) if single else dephasing_diagonal(*phases)
+    phi = np.array([p for _, _, _, p in cases])
+
+    # A phase per trial: the interferometer as a polynomial in e^{iφ}.
+    amps = detection_amplitudes(table, sent, setting, diagonal, phi)
+    np.testing.assert_allclose(np.abs(amps) ** 2, expected, rtol=0, atol=1e-12)
+    # One phase for the whole batch: the cached matrix, and no channel at all.
+    for p in PHI_GRID:
+        at = phi == p
+        amps = detection_amplitudes(table, sent[at], setting[at], diagonal[:, at], p)
+        np.testing.assert_allclose(np.abs(amps) ** 2, expected[:, at], rtol=0, atol=1e-12)
+        clean = np.array([ch is None for _, ch, _, _ in cases]) & at
+        amps = detection_amplitudes(table, sent[clean], setting[clean], None, p)
+        np.testing.assert_allclose(np.abs(amps) ** 2, expected[:, clean], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_verdict_and_resend_tables_equal_classify(scheme):
+    table = scheme_tables(scheme)
+    for s, beta in enumerate(table.betas):
+        for o, outcome in enumerate(table.outcomes):
+            if scheme is SchemeId.FIG1_SINGLE_PHOTON:
+                verdict = classify_fig1(outcome)
+            elif scheme is SchemeId.COMBINED:
+                verdict = classify_combined(outcome)
+            else:
+                verdict = classify_owa(outcome, beta)
+            assert table.verdicts[s][o] == verdict
+            named = INDEX_FOR[(verdict.basis, verdict.bit)] if verdict.conclusive else 0
+            assert table.announced[s, o] == named
+
+
+def test_born_sample_batch_equals_born_sample(rng):
+    for k in range(200):
+        amps = rng.normal(size=36) + 1j * rng.normal(size=36)
+        amps[rng.random(36) < 0.3] = 0.0  # zero-probability outcomes too
+        amps /= np.linalg.norm(amps)
+        u = np.random.default_rng(k).random(1)
+        label = born_sample(ModeState(JOINT_BASIS, amps), np.random.default_rng(k))
+        assert born_sample_batch(amps[:, None], u)[0] == JOINT_BASIS.index(label)
+    # u = 0 must still skip leading zero-probability outcomes, as side="right" does.
+    edge = np.array([[0.0, 0.0], [1.0, 0.6], [0.0, 0.8]], dtype=complex)
+    assert born_sample_batch(edge, np.array([0.0, 0.0])).tolist() == [1, 1]
+
+
+def test_born_sample_batch_rejects_unnormalized_columns():
+    amps = np.array([[1.0, 0.6], [0.0, 0.6]], dtype=complex)  # second column has norm² 0.72
+    with pytest.raises(UnnormalizedStateError):
+        born_sample_batch(amps, np.array([0.5, 0.5]))
+    with pytest.raises(UnnormalizedStateError):
+        born_sample_batch(np.array([[np.nan], [0.0]], dtype=complex), np.array([0.5]))
+
+
+# --- sampled sessions against the exact expectation ----------------------------
+
+TRIALS = 100_000
+FIXED_PHASE = {SchemeId.FIG1_SINGLE_PHOTON: 0.7, SchemeId.COMBINED: 1.3, SchemeId.OWA_FOUR_PHASE: 2.2}
+CHANNELS = {
+    "none": ChannelSpec("none"),
+    "collective=random": ChannelSpec("collective", phi=None),
+    "independent": ChannelSpec("independent"),
+    "loss=0.2": ChannelSpec("loss", loss=0.2),
+}
+
+
+def within_5se(count: int, n: int, p: float) -> bool:
+    if p < 1e-12:
+        return count == 0
+    return abs(count - n * p) <= 5 * math.sqrt(n * p * (1 - p))
+
+
+def test_expectation_oracle_spot_values():
+    clean = {SchemeId.FIG1_SINGLE_PHOTON: 0.5, SchemeId.COMBINED: 0.25, SchemeId.OWA_FOUR_PHASE: 0.125}
+    eve_qber = {SchemeId.FIG1_SINGLE_PHOTON: 1 / 4, SchemeId.COMBINED: 3 / 8, SchemeId.OWA_FOUR_PHASE: 7 / 16}
+    for scheme in SCHEMES:
+        sifted, errors = oracles.session_expectation(scheme, 0.0, ChannelSpec(), False)
+        assert sifted == pytest.approx(clean[scheme]) and errors == pytest.approx(0.0)
+        sifted, errors = oracles.session_expectation(scheme, 0.0, ChannelSpec(), True)
+        assert errors / sifted == pytest.approx(eve_qber[scheme])
+    _, errors = oracles.session_expectation(SchemeId.FIG1_SINGLE_PHOTON, 0.7, ChannelSpec(), False)
+    assert errors == pytest.approx(math.sin(0.35) ** 2 / 4)
+
+
+@pytest.mark.parametrize("eve", [False, True], ids=["eve-off", "eve-on"])
+@pytest.mark.parametrize("channel", list(CHANNELS))
+@pytest.mark.parametrize("phase", ["fixed", "random"])
+@pytest.mark.parametrize("scheme", SCHEMES, ids=[s.value for s in SCHEMES])
+def test_sampled_session_matches_exact_expectation(scheme, phase, channel, eve):
+    phase = FIXED_PHASE[scheme] if phase == "fixed" else "random"
+    spec = CHANNELS[channel]
+    cfg = SessionConfig(
+        scheme, trials=TRIALS, seed=2024, phase=phase, channel=spec,
+        eavesdropper="intercept_resend" if eve else "off",
+    )
+    stats, _ = run_session(cfg)
+    p_sifted, p_error = oracles.session_expectation(scheme, phase, spec, eve)
+    assert within_5se(stats.sifted, TRIALS, p_sifted), (stats.sifted, TRIALS * p_sifted)
+    assert within_5se(stats.errors, TRIALS, p_error), (stats.errors, TRIALS * p_error)
+
+
+@pytest.mark.parametrize("eve", ["off", "intercept_resend"])
+@pytest.mark.parametrize("scheme", SCHEMES, ids=[s.value for s in SCHEMES])
+def test_total_loss_leaves_only_lost(scheme, eve):
+    cfg = SessionConfig(
+        scheme, trials=3000, seed=3, phase="random", channel=ChannelSpec("loss", loss=1.0),
+        eavesdropper=eve,
+    )
+    stats, _ = run_session(cfg)
+    assert stats.sifted == stats.errors == 0
+    assert stats.histogram == {"lost": 3000}
+
+
+# --- records and trace ----------------------------------------------------------
+
+def reference_trace_csv(records) -> str:
+    """The trace as csv.writer rendered a list of TrialRecords, row by row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRACE_COLUMNS)
+    for r in records:
+        writer.writerow([
+            r.trial, r.alice_index, r.outcome_label, r.verdict, r.basis,
+            "" if r.bit_alice is None else r.bit_alice,
+            "" if r.bit_bob is None else r.bit_bob,
+            int(r.kept),
+        ])
+    return buf.getvalue()
+
+
+TRACE_CONFIGS = {
+    "fig1-eve-loss": SessionConfig(
+        SchemeId.FIG1_SINGLE_PHOTON, trials=9000, seed=8, phase=0.3,
+        channel=ChannelSpec("loss", loss=0.3), eavesdropper="intercept_resend",
+    ),
+    "owa": SessionConfig(SchemeId.OWA_FOUR_PHASE, trials=9000, seed=8, phase="random"),
+}
+
+
+@pytest.mark.parametrize("name", list(TRACE_CONFIGS))
+def test_trace_equals_csv_writer_rendering(name):
+    cfg = TRACE_CONFIGS[name]
+    stats, records = run_session(cfg)
+    listed = list(records)
+    assert trace_csv(records) == reference_trace_csv(listed)
+    assert len(records) == len(listed) == cfg.trials
+    assert sum(r.kept for r in listed) == stats.sifted
+    verdicts = {r.verdict for r in listed}
+    assert verdicts == ({"lost", "conclusive"} if name == "fig1-eve-loss" else {"conclusive", "inconclusive"})
+
+
+def test_records_index_like_a_list():
+    _, records = run_session(TRACE_CONFIGS["owa"])
+    listed = list(records)
+    for i in (0, 1, 4095, 4096, len(listed) - 1, -1, -len(listed)):
+        assert records[i] == listed[i]
+    assert records[10:20] == listed[10:20]
+    assert records[::-997] == listed[::-997]
+    with pytest.raises(IndexError):
+        records[len(listed)]
+    with pytest.raises(IndexError):
+        records[-len(listed) - 1]

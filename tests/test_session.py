@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from timebin_qkd import session
 from timebin_qkd.optics import JOINT_BASIS, mzi_pair, outcome_distribution
 from timebin_qkd.protocols import INDEX_FOR, SchemeId, classify_combined, signal_state
 from timebin_qkd.session import (
-    ChannelClosedError,
+    CHUNK_TRIALS,
     ChannelSpec,
     ConfigError,
     SessionConfig,
     apply_channel,
-    channel_pair,
     config_from_dict,
     run_session,
     stats_document,
@@ -44,6 +44,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             make_config(channel=ChannelSpec("loss", loss=1.5)).validate()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, 1.5, "7"])
+    def test_seed_outside_philox_key_range(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            make_config(seed=seed).validate()
+
+    def test_seed_range_ends_accepted(self):
+        for seed in (0, 2**64 - 1):
+            stats, _ = run_session(make_config(seed=seed, trials=10))
+            assert stats.config.seed == seed
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            run_session(make_config(trials=10), workers=workers)
+
     def test_round_trip_through_dict(self):
         cfg = make_config(channel=ChannelSpec("collective", phi=None), phase="random")
         doc = {
@@ -70,6 +85,32 @@ class TestDeterminism:
         s4, r4 = run_session(cfg, workers=4)
         assert stats_json(s1) == stats_json(s4)
         assert trace_csv(r1) == trace_csv(r4)
+
+    def test_invariant_to_workers_over_many_chunks(self):
+        cfg = make_config(
+            scheme=SchemeId.OWA_FOUR_PHASE, trials=5 * CHUNK_TRIALS + 17, phase="random",
+            channel=ChannelSpec("independent"), eavesdropper="intercept_resend",
+        )
+        outputs = set()
+        for workers in (1, 2, 4):
+            stats, records = run_session(cfg, workers=workers)
+            outputs.add((stats_json(stats), trace_csv(records)))
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_invariant_to_block_size(self, scheme, monkeypatch):
+        # Blocks split a chunk's arithmetic, not its draws: one block per
+        # chunk, or blocks that do not divide it, give the same session.
+        cfg = make_config(
+            scheme=scheme, trials=CHUNK_TRIALS + 300, phase="random",
+            channel=ChannelSpec("independent"), eavesdropper="intercept_resend",
+        )
+        outputs = set()
+        for amplitudes in (session.BLOCK_AMPLITUDES, 36 * 97, 36 * CHUNK_TRIALS):
+            monkeypatch.setattr(session, "BLOCK_AMPLITUDES", amplitudes)
+            stats, records = run_session(cfg)
+            outputs.add((stats_json(stats), trace_csv(records)))
+        assert len(outputs) == 1
 
     def test_different_seeds_differ(self):
         s1, _ = run_session(make_config(seed=1, trials=2000))
@@ -195,33 +236,6 @@ class TestInterceptResend:
         stats, _ = run_session(cfg)
         sigma = math.sqrt(target * (1 - target) / stats.sifted)
         assert abs(stats.qber - target) <= 5 * sigma
-
-
-class TestClassicalChannel:
-    def test_round_trip_preserves_payload(self):
-        ch = channel_pair()
-        ch.alice.send(0, "basis=time")
-        msg = ch.bob.recv()
-        assert msg.payload == "basis=time"
-        assert msg.direction == "alice->bob"
-
-    def test_transcript_counts_both_directions(self):
-        cfg = make_config(trials=200)
-        stats, records = run_session(cfg)
-        # transcript is internal to run_session; check via a manual exchange
-        ch = channel_pair()
-        for i in range(5):
-            ch.alice.send(i, "basis=time")
-            ch.bob.send(i, "basis=phase")
-            ch.bob.recv()
-            ch.alice.recv()
-        assert len(ch.transcript) == 10
-
-    def test_use_after_close_raises(self):
-        ch = channel_pair()
-        ch.close()
-        with pytest.raises(ChannelClosedError):
-            ch.alice.send(0, "basis=time")
 
 
 class TestStats:
