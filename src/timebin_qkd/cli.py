@@ -95,7 +95,11 @@ def _stats_csv(doc: dict) -> str:
 def cmd_run(args: argparse.Namespace) -> int:
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
-            config = config_from_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise ConfigError(f"{args.config}: JSON nested too deeply") from None
+        config = config_from_dict(doc)
     else:
         config = SessionConfig(
             scheme=SchemeId(args.protocol),

@@ -18,6 +18,12 @@ NORM_TOL = 1e-12
 #: Looser tolerance used when sampling; guards against caller bugs, not roundoff.
 SAMPLE_NORM_TOL = 1e-9
 
+#: Equal intervals of the uniform draw u in a BornTable's guide.
+GUIDE_BUCKETS = 1024
+
+#: Guide entry of a bucket that holds a CDF step: its outcome depends on u.
+_STEP = 255
+
 
 class BasisMismatchError(ValueError):
     """Raised when two states over different bases are combined."""
@@ -124,21 +130,83 @@ def born_sample(s: ModeState, rng: np.random.Generator):
     return s.basis[min(idx, s.dim - 1)]
 
 
+def born_cdf(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(CDF, total) of the Born probabilities of each column of a d×n amplitude matrix.
+
+    The CDF is d×n, cumulative down each column; total is its last row, the
+    column sums as born_sample takes them, whatever the memory layout of
+    `amps`. Runs born_sample's normalization check on every column first.
+    """
+    p = amps.real**2 + amps.imag**2
+    cdf = np.cumsum(p, axis=0)
+    total = cdf[-1]
+    off = np.abs(total - 1.0)
+    if not off.max(initial=0.0) <= SAMPLE_NORM_TOL:  # a NaN column fails too
+        norm = float(np.sqrt(total[np.argmax(off)]))
+        raise UnnormalizedStateError(f"cannot sample an unnormalized state (norm={norm})")
+    return cdf, total
+
+
 def born_sample_batch(amps: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Batched born_sample: one basis index per column of the d×n amplitude matrix.
 
     Column k is sampled by inverse CDF from the uniform draw u[k] ∈ [0, 1),
     after born_sample's normalization check on every column.
     """
-    p = amps.real**2 + amps.imag**2
-    total = p.sum(axis=0)
-    off = np.abs(total - 1.0)
-    if not off.max(initial=0.0) <= SAMPLE_NORM_TOL:  # a NaN column fails too
-        norm = float(np.sqrt(total[np.argmax(off)]))
-        raise UnnormalizedStateError(f"cannot sample an unnormalized state (norm={norm})")
+    cdf, total = born_cdf(amps)
     # index = how many CDF entries lie at or below u·total (searchsorted, side="right")
-    idx = np.count_nonzero(np.cumsum(p, axis=0) <= u * total, axis=0)
-    return np.minimum(idx, len(p) - 1)
+    idx = np.count_nonzero(cdf <= u * total, axis=0)
+    return np.minimum(idx, len(cdf) - 1)
+
+
+@dataclass(frozen=True)
+class BornTable:
+    """born_sample_batch for a fixed set of amplitude columns, by table lookup.
+
+    Row r holds born_cdf of column r. Sampling is Chen & Asau's indexed
+    search: [0, 1) is cut into GUIDE_BUCKETS equal intervals of u, and
+    guide[r·GUIDE_BUCKETS + b] is the outcome of row r for every u in
+    bucket b, or _STEP where a CDF step falls inside the bucket and the
+    outcome is found by comparing u·total[r] with the row's CDF. Since u·t
+    rounds monotonically in u, a bucket whose two ends give one outcome
+    gives it for all u between them, so the lookup returns exactly what
+    born_sample_batch returns.
+    """
+
+    cdf: np.ndarray  # rows × outcomes
+    total: np.ndarray  # rows
+    guide: np.ndarray  # rows · GUIDE_BUCKETS, uint8
+
+    @classmethod
+    def from_amplitudes(cls, amps: np.ndarray) -> "BornTable":
+        """The table of the columns of a d×rows amplitude matrix (born_cdf checks them)."""
+        cdf, total = born_cdf(amps)
+        cdf = np.ascontiguousarray(cdf.T)
+        last = cdf.shape[1] - 1
+        if last >= _STEP:
+            raise ValueError(f"a guide of uint8 holds at most {_STEP} outcomes, not {last + 1}")
+        bucket = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
+        bucket_end = np.nextafter(bucket + 1 / GUIDE_BUCKETS, 0.0)  # the largest u inside
+        guide = []
+        for row, t in zip(cdf, total):
+            lo = np.minimum(np.searchsorted(row, bucket * t, side="right"), last)
+            hi = np.minimum(np.searchsorted(row, bucket_end * t, side="right"), last)
+            guide.append(np.where(lo == hi, lo, _STEP))
+        arrays = cdf, total.copy(), np.concatenate(guide).astype(np.uint8)
+        for a in arrays:  # shared by every caller of a cache
+            a.setflags(write=False)
+        return cls(*arrays)
+
+    def sample(self, row: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """born_sample_batch of columns row[k] with draws u[k] ∈ [0, 1), without the columns."""
+        idx = self.guide[row * GUIDE_BUCKETS + (u * GUIDE_BUCKETS).astype(np.intp)]
+        step = np.flatnonzero(idx == _STEP)
+        idx = idx.astype(np.intp)
+        if len(step):
+            rows = row[step]
+            at = np.count_nonzero(self.cdf[rows] <= (u[step] * self.total[rows])[:, None], axis=1)
+            idx[step] = np.minimum(at, self.cdf.shape[1] - 1)
+        return idx
 
 
 def equal_up_to_global_phase(s1: ModeState, s2: ModeState, tol: float = NORM_TOL) -> bool:

@@ -7,11 +7,20 @@ outcome, and matched conclusive rounds enter the sifted key.
 
 The rounds run as a batched kernel over chunks of CHUNK_TRIALS trials. A
 chunk makes its random draws, then runs a few array operations on its
-scheme's tables (`protocols.scheme_tables`) in small blocks of trials,
-and each trial leaves one small integer code
-that fixes Alice's index, Bob's modulator setting and the outcome ("lost"
-included). The statistics, the records and the trace are derived from the
-codes. The scalar ModeState path (signal_state, apply_channel,
+scheme's tables (`protocols.scheme_tables`), and each trial leaves one
+small integer code that fixes Alice's index, Bob's modulator setting and
+the outcome ("lost" included). The statistics, the records and the trace
+are derived from the codes.
+
+A trial's outcome is sampled one of two ways. Where its detection
+amplitudes are one of the scheme's 4 × S fixed columns (Eve's measurement
+at φ = 0, and Bob's at a fixed φ behind no channel, loss, or collective
+dephasing at a fixed phase), it is looked up in a cached `born_table` of
+those columns' outcome CDFs. Where they depend on the trial (a random φ,
+random collective or independent dephasing), they are computed in small
+blocks of trials and sampled by `born_sample_batch`. Both paths make the
+same comparison of u·total with the same CDF, so they give identical
+numbers. The scalar ModeState path (signal_state, apply_channel,
 intercept_resend, mzi_single/mzi_pair, born_sample, classify_*) stays as
 the reference the kernel is tested against.
 
@@ -35,7 +44,7 @@ import numpy as np
 
 from . import __version__
 from .dfs import collective_dephase, dephase_single, dephasing_diagonal, independent_dephase
-from .optics import TWO_PI, mzi_pair, mzi_batch, mzi_single, phase_modulator
+from .optics import TWO_PI, mzi_pair, mzi_batch, mzi_single, phase_modulator, wrap_phase
 from .protocols import (
     INDEX_FOR,
     OWA_BETAS,
@@ -49,19 +58,21 @@ from .protocols import (
     sift,
     signal_state,
 )
-from .qstate import ModeState, born_sample, born_sample_batch
+from .qstate import BornTable, ModeState, born_sample, born_sample_batch
 
 #: Trials per chunk; each chunk owns one Philox stream, so this is part of
 #: the RNG identity: changing it changes every sampled number.
 CHUNK_TRIALS = 4096
 
-#: Detection amplitudes per block of a chunk's arithmetic (72 kB of
-#: complex128): a block holds BLOCK_AMPLITUDES // len(outcomes) trials, 128
-#: for a pair and 768 for fig1. Blocks change no draw. They keep the kernel's
-#: arrays below the C allocator's 128 kB mmap threshold, so that their memory
-#: is reused rather than mapped and page-faulted in afresh for every chunk,
-#: and its matrix products small enough that BLAS runs them on the calling
-#: thread rather than waking its worker threads.
+#: Detection amplitudes per block of a chunk's per-trial arithmetic (72 kB
+#: of complex128): a block holds BLOCK_AMPLITUDES // len(outcomes) trials,
+#: 128 for a pair and 768 for fig1. Blocks change no draw. They keep the
+#: kernel's arrays below the C allocator's 128 kB mmap threshold, so that
+#: their memory is reused rather than mapped and page-faulted in afresh for
+#: every chunk, and its matrix products small enough that BLAS runs them on
+#: the calling thread rather than waking its worker threads. The Born-table
+#: path keeps the same rule: its arrays are one entry per trial, except for
+#: the few trials whose draw falls in a guide bucket that holds a CDF step.
 BLOCK_AMPLITUDES = 4608
 
 RNG_IDENTITY = f"numpy-philox4x64 keyed (seed, chunk), {CHUNK_TRIALS}-trial chunks"
@@ -70,10 +81,28 @@ RNG_IDENTITY = f"numpy-philox4x64 keyed (seed, chunk), {CHUNK_TRIALS}-trial chun
 SEED_LIMIT = 2**64
 
 PHASE_RANDOM = "random"
+EXPECTED_PHASE = f"a number or {PHASE_RANDOM!r}"
 
 
 class ConfigError(ValueError):
     """A session configuration failed validation."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+#: The fields of each channel kind, in its config document and its ChannelSpec.
+CHANNEL_FIELDS = {
+    "none": ("kind",),
+    "collective": ("kind", "phi"),
+    "independent": ("kind",),
+    "loss": ("kind", "loss"),
+}
 
 
 @dataclass(frozen=True)
@@ -81,7 +110,8 @@ class ChannelSpec:
     """Quantum-channel noise between Alice and Bob.
 
     kind: "none" | "collective" | "independent" | "loss".
-    phi: fixed collective dephasing phase, or None for uniform per trial.
+    phi: fixed collective dephasing phase, or None for uniform per trial
+         (kind == "collective" only).
     loss: per-photon loss probability (kind == "loss" only).
     """
 
@@ -90,12 +120,21 @@ class ChannelSpec:
     loss: float = 0.0
 
     def validate(self) -> None:
-        if self.kind not in ("none", "collective", "independent", "loss"):
+        fields = CHANNEL_FIELDS.get(self.kind) if isinstance(self.kind, str) else None
+        if fields is None:
             raise ConfigError(f"unknown channel kind {self.kind!r}")
-        if self.kind == "loss" and not 0.0 <= self.loss <= 1.0:
-            raise ConfigError(f"loss probability must be in [0, 1], got {self.loss}")
-        if self.phi is not None and not math.isfinite(self.phi):
-            raise ConfigError("channel phi must be finite")
+        if self.phi is not None:
+            if "phi" not in fields:
+                raise ConfigError(f"channel phi applies to kind 'collective', not {self.kind!r}")
+            if not _is_real(self.phi) or not math.isfinite(self.phi):
+                raise ConfigError(f"channel phi must be a finite number, got {self.phi!r}")
+        if not _is_real(self.loss):
+            raise ConfigError(f"loss probability must be a number, got {self.loss!r}")
+        if "loss" in fields:
+            if not 0.0 <= self.loss <= 1.0:
+                raise ConfigError(f"loss probability must be in [0, 1], got {self.loss}")
+        elif self.loss != 0.0:
+            raise ConfigError(f"channel loss applies to kind 'loss', not {self.kind!r}")
 
     def describe(self) -> dict:
         doc: dict = {"kind": self.kind}
@@ -118,19 +157,21 @@ class SessionConfig:
     def validate(self) -> None:
         try:
             SchemeId(self.scheme)
-        except ValueError:
+        except (ValueError, TypeError):
             raise ConfigError(f"unknown scheme {self.scheme!r}") from None
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < SEED_LIMIT:
+        if not _is_int(self.trials) or self.trials < 1:
+            raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not _is_int(self.seed) or not 0 <= self.seed < SEED_LIMIT:
             raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if isinstance(self.phase, str):
-            if self.phase != PHASE_RANDOM:
-                raise ConfigError(f"phase must be a number or 'random', got {self.phase!r}")
-        elif not math.isfinite(self.phase):
-            raise ConfigError("phase must be finite")
+        if self.phase != PHASE_RANDOM:
+            if not _is_real(self.phase):
+                raise ConfigError(f"phase must be {EXPECTED_PHASE}, got {self.phase!r}")
+            if not math.isfinite(self.phase):
+                raise ConfigError("phase must be finite")
         if self.eavesdropper not in ("off", "intercept_resend"):
             raise ConfigError(f"unknown eavesdropper mode {self.eavesdropper!r}")
+        if not isinstance(self.channel, ChannelSpec):
+            raise ConfigError(f"channel must be a ChannelSpec, got {self.channel!r}")
         self.channel.validate()
 
     def describe(self) -> dict:
@@ -311,6 +352,31 @@ def detection_amplitudes(
     return mzi_batch(amps, phi)
 
 
+def _fixed_diagonal(photons: int, channel_phi: float) -> np.ndarray:
+    """The dephasing diagonal of a collective channel at one phase, as a d×1 column."""
+    phi = np.array([channel_phi])
+    return dephasing_diagonal(*[phi] * photons)
+
+
+def born_table(scheme_id: SchemeId, phi: float, channel_phi: float | None = None) -> BornTable:
+    """The Born table of a scheme's 4 × S signal rows at interferometer phase phi.
+
+    Row (index − 1)·S + setting is signal `index` through a collective channel
+    at phase channel_phi (None: no dephasing) and Bob's modulator at `setting`.
+    Tables are cached per (scheme, wrapped phi, channel_phi).
+    """
+    return _born_table(SchemeId(scheme_id), wrap_phase(float(phi)), channel_phi)
+
+
+@lru_cache(maxsize=128)
+def _born_table(scheme_id: SchemeId, phi: float, channel_phi: float | None) -> BornTable:
+    scheme = scheme_tables(scheme_id)
+    n_settings = len(scheme.betas)
+    sent, setting = np.divmod(np.arange(4 * n_settings), n_settings)
+    diagonal = None if channel_phi is None else _fixed_diagonal(scheme.photons, channel_phi)
+    return BornTable.from_amplitudes(detection_amplitudes(scheme, sent, setting, diagonal, phi))
+
+
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
 
@@ -323,15 +389,12 @@ def _settings(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
 def _channel_draws(
     channel: ChannelSpec, photons: int, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray | None, tuple[np.ndarray, ...] | None]:
-    """(lost mask, dephasing phase per photon), each None when the channel has none."""
-    if channel.kind == "none":
+    """(lost mask, dephasing phase per photon), each None when the channel draws none."""
+    if channel.kind == "none" or channel.phi is not None:  # phi: a fixed collective phase
         return None, None
     if channel.kind == "loss":
         return (rng.random((n, photons)) < channel.loss).any(axis=1), None
-    if channel.kind == "collective" and channel.phi is not None:
-        phi1 = np.full(n, float(channel.phi))
-    else:
-        phi1 = rng.uniform(0.0, TWO_PI, n)
+    phi1 = rng.uniform(0.0, TWO_PI, n)
     if photons == 1:
         return None, (phi1,)
     phi2 = phi1 if channel.kind == "collective" else rng.uniform(0.0, TWO_PI, n)
@@ -341,40 +404,49 @@ def _channel_draws(
 def _run_chunk(config: SessionConfig, table: _CodeTable, chunk: int) -> np.ndarray:
     """The trial codes of one chunk of the session.
 
-    The chunk's draws are all made first, in a fixed order; the amplitudes
-    and samples are then computed a block of trials at a time.
+    The chunk's draws are all made first, in a fixed order. Trials whose
+    amplitudes are fixed (Eve's, and Bob's at a fixed φ behind a channel
+    with no random phase) are sampled from Born tables; the rest have their
+    amplitudes computed a block of trials at a time.
     """
     rng = _chunk_rng(config.seed, chunk)
     n = min(CHUNK_TRIALS, config.trials - chunk * CHUNK_TRIALS)
     scheme = table.scheme
     n_settings, n_outcomes = len(scheme.betas), len(scheme.outcomes)
+    channel = config.channel
 
     alice = rng.integers(0, 4, n)  # signal index - 1
     eve = None
     if config.eavesdropper == "intercept_resend":
         # Her setting and uniform draw, and the index she resends when inconclusive.
         eve = (_settings(rng, n_settings, n), rng.random(n), rng.integers(0, 4, n))
-    lost, phases = _channel_draws(config.channel, scheme.photons, rng, n)
+    lost, phases = _channel_draws(channel, scheme.photons, rng, n)
     phi = rng.uniform(0.0, TWO_PI, n) if config.phase == PHASE_RANDOM else float(config.phase)
     setting = _settings(rng, n_settings, n)
     u = rng.random(n)
 
-    outcome = np.empty(n, dtype=np.intp)
-    block = BLOCK_AMPLITUDES // n_outcomes
-    for start in range(0, n, block):
-        b = slice(start, start + block)
-        sent = alice[b]
-        if eve is not None:
-            # Bob's apparatus at φ = 0; resend the named state, or a uniform one.
-            eve_setting, eve_u, fallback = (a[b] for a in eve)
-            amps = detection_amplitudes(scheme, sent, eve_setting, None, 0.0)
-            named = scheme.announced[eve_setting, born_sample_batch(amps, eve_u)]
-            sent = np.where(named > 0, named - 1, fallback)
-        diagonal = None if phases is None else dephasing_diagonal(*(p[b] for p in phases))
-        amps = detection_amplitudes(
-            scheme, sent, setting[b], diagonal, phi if np.ndim(phi) == 0 else phi[b]
-        )
-        outcome[b] = born_sample_batch(amps, u[b])
+    sent = alice
+    if eve is not None:
+        # Bob's apparatus at φ = 0; resend the named state, or a uniform one.
+        eve_setting, eve_u, fallback = eve
+        eve_outcome = born_table(scheme.id, 0.0).sample(alice * n_settings + eve_setting, eve_u)
+        named = scheme.announced[eve_setting, eve_outcome]
+        sent = np.where(named > 0, named - 1, fallback)
+    channel_phi = None if channel.phi is None else float(channel.phi)  # fixed collective
+    if phases is None and np.ndim(phi) == 0:
+        bob = born_table(scheme.id, phi, channel_phi)
+        outcome = bob.sample(sent * n_settings + setting, u)
+    else:
+        fixed = None if channel_phi is None else _fixed_diagonal(scheme.photons, channel_phi)
+        outcome = np.empty(n, dtype=np.intp)
+        block = BLOCK_AMPLITUDES // n_outcomes
+        for start in range(0, n, block):
+            b = slice(start, start + block)
+            diagonal = fixed if phases is None else dephasing_diagonal(*(p[b] for p in phases))
+            amps = detection_amplitudes(
+                scheme, sent[b], setting[b], diagonal, phi if np.ndim(phi) == 0 else phi[b]
+            )
+            outcome[b] = born_sample_batch(amps, u[b])
     if lost is not None:
         outcome[lost] = n_outcomes
     return ((alice * n_settings + setting) * (n_outcomes + 1) + outcome).astype(np.uint16)
@@ -506,23 +578,70 @@ def trace_csv(records: TrialRecords) -> str:
     return _csv_line(list(TRACE_COLUMNS)) + records.csv_rows()
 
 
-def config_from_dict(doc: dict) -> SessionConfig:
-    """Build a SessionConfig from a parsed JSON document (the CLI --config format)."""
+#: The keys of a config document: the required ones, then the optional ones.
+REQUIRED_KEYS = ("scheme", "trials", "seed")
+CONFIG_KEYS = REQUIRED_KEYS + ("phase", "channel", "eavesdropper")
+
+
+def _check_keys(doc: dict, allowed: tuple[str, ...], where: str) -> None:
+    unknown = [k for k in doc if k not in allowed]
+    if unknown:
+        raise ConfigError(
+            f"unknown {where} key(s) {', '.join(map(repr, unknown))}; expected {', '.join(allowed)}"
+        )
+
+
+def _number(value, what: str, expected: str = "a number") -> float:
+    if not _is_real(value):
+        raise ConfigError(f"{what} must be {expected}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} is out of range") from None
+
+
+def config_from_dict(doc) -> SessionConfig:
+    """Build a SessionConfig from a parsed JSON document (the CLI --config format).
+
+    Raises ConfigError for anything but an object with the required keys,
+    known keys only, the fields of its channel's kind, and values of the
+    right types; the SessionConfig's validate() then checks their ranges.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a config must be a JSON object, got {type(doc).__name__}")
+    _check_keys(doc, CONFIG_KEYS, "config")
+    missing = [k for k in REQUIRED_KEYS if k not in doc]
+    if missing:
+        raise ConfigError(f"config is missing {', '.join(missing)}")
+    try:
+        scheme = SchemeId(doc["scheme"])
+    except (ValueError, TypeError):
+        raise ConfigError(f"unknown scheme {doc['scheme']!r}") from None
+    for key in ("trials", "seed"):
+        if not _is_int(doc[key]):
+            raise ConfigError(f"{key} must be an integer, got {doc[key]!r}")
+
     channel_doc = doc.get("channel", {"kind": "none"})
     if isinstance(channel_doc, str):
         channel_doc = {"kind": channel_doc}
+    if not isinstance(channel_doc, dict):
+        raise ConfigError(f"channel must be an object or a kind name, got {channel_doc!r}")
+    kind = channel_doc.get("kind", "none")
+    if not isinstance(kind, str) or kind not in CHANNEL_FIELDS:
+        raise ConfigError(f"unknown channel kind {kind!r}")
+    _check_keys(channel_doc, CHANNEL_FIELDS[kind], f"{kind!r} channel")
     phi = channel_doc.get("phi")
     channel = ChannelSpec(
-        kind=channel_doc.get("kind", "none"),
-        phi=None if phi in (None, "random") else float(phi),
-        loss=float(channel_doc.get("loss", 0.0)),
+        kind=kind,
+        phi=None if phi in (None, PHASE_RANDOM) else _number(phi, "channel phi", EXPECTED_PHASE),
+        loss=_number(channel_doc.get("loss", 0.0), "channel loss"),
     )
     phase = doc.get("phase", 0.0)
     return SessionConfig(
-        scheme=SchemeId(doc["scheme"]),
-        trials=int(doc["trials"]),
-        seed=int(doc["seed"]),
-        phase=phase if phase == PHASE_RANDOM else float(phase),
+        scheme=scheme,
+        trials=doc["trials"],
+        seed=doc["seed"],
+        phase=phase if phase == PHASE_RANDOM else _number(phase, "phase", EXPECTED_PHASE),
         channel=channel,
         eavesdropper=doc.get("eavesdropper", "off"),
     )

@@ -1,0 +1,237 @@
+"""Config documents: strict parsing, exit code 2 on bad input, and a fuzz guard."""
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from timebin_qkd.cli import main
+from timebin_qkd.protocols import SchemeId
+from timebin_qkd.session import ChannelSpec, ConfigError, SessionConfig, config_from_dict
+
+VALID = {"scheme": "fig1", "trials": 10, "seed": 1}
+
+BAD_DOCUMENTS = {
+    "missing scheme": {"trials": 10, "seed": 1},
+    "missing trials": {"scheme": "fig1", "seed": 1},
+    "missing seed": {"scheme": "fig1", "trials": 10},
+    "a list": [1, 2],
+    "a number": 5,
+    "a string": "fig1",
+    "null": None,
+    "unknown scheme": {**VALID, "scheme": "bb84"},
+    "scheme a list": {**VALID, "scheme": ["fig1"]},
+    "fractional trials": {**VALID, "trials": 10.7},
+    "float trials": {**VALID, "trials": 10.0},
+    "string trials": {**VALID, "trials": "10"},
+    "bool trials": {**VALID, "trials": True},
+    "zero trials": {**VALID, "trials": 0},
+    "fractional seed": {**VALID, "seed": 1.9},
+    "bool seed": {**VALID, "seed": False},
+    "negative seed": {**VALID, "seed": -1},
+    "phase a list": {**VALID, "phase": [1]},
+    "phase a bool": {**VALID, "phase": True},
+    "phase an unknown word": {**VALID, "phase": "sometimes"},
+    "phase beyond a float": {**VALID, "phase": 10**400},
+    "phase infinite": {**VALID, "phase": float("inf")},
+    "unknown key trails": {**VALID, "trails": 10},
+    "unknown key chanel": {**VALID, "chanel": "none"},
+    "channel a number": {**VALID, "channel": 5},
+    "channel a list": {**VALID, "channel": ["none"]},
+    "channel null": {**VALID, "channel": None},
+    "unknown channel kind": {**VALID, "channel": "fog"},
+    "channel kind a list": {**VALID, "channel": {"kind": ["none"]}},
+    "unknown channel key": {**VALID, "channel": {"kind": "loss", "loss": 0.1, "chanel": 1}},
+    "phi on none": {**VALID, "channel": {"kind": "none", "phi": 3}},
+    "phi on independent": {**VALID, "channel": {"kind": "independent", "phi": "random"}},
+    "phi on loss": {**VALID, "channel": {"kind": "loss", "loss": 0.1, "phi": 1}},
+    "loss on none": {**VALID, "channel": {"kind": "none", "loss": 0.0}},
+    "loss on collective": {**VALID, "channel": {"kind": "collective", "loss": 0.2}},
+    "phi a word": {**VALID, "channel": {"kind": "collective", "phi": "fast"}},
+    "phi a bool": {**VALID, "channel": {"kind": "collective", "phi": False}},
+    "phi infinite": {**VALID, "channel": {"kind": "collective", "phi": float("nan")}},
+    "loss a string": {**VALID, "channel": {"kind": "loss", "loss": "0.1"}},
+    "loss above one": {**VALID, "channel": {"kind": "loss", "loss": 1.5}},
+    "unknown eavesdropper": {**VALID, "eavesdropper": "passive"},
+    "eavesdropper a bool": {**VALID, "eavesdropper": True},
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_DOCUMENTS))
+def test_bad_document_raises_config_error(name):
+    with pytest.raises(ConfigError):
+        config_from_dict(BAD_DOCUMENTS[name]).validate()
+
+
+def run_config(path, doc) -> tuple[int, str, str]:
+    """`timebin-qkd run --config` on a document; (exit code, stdout, stderr)."""
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", list(BAD_DOCUMENTS))
+def test_bad_document_exits_2_with_a_message(name, tmp_path):
+    code, out, err = run_config(tmp_path / "session.json", BAD_DOCUMENTS[name])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"scheme": ', "\ufeff{}"])
+def test_unparsable_config_file_exits_2_with_a_message(text, tmp_path):
+    path = tmp_path / "session.json"
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(path)])
+    assert code == 2 and err.getvalue().startswith("error: ")
+
+
+@pytest.mark.parametrize("spec", [
+    ChannelSpec("none", phi=3.0),
+    ChannelSpec("independent", phi=0.5),
+    ChannelSpec("loss", loss=0.1, phi=1.0),
+    ChannelSpec("independent", loss=0.5),
+    ChannelSpec("collective", phi=1.0, loss=0.1),
+    ChannelSpec("collective", phi="1.0"),
+    ChannelSpec("loss", loss="0.1"),
+    ChannelSpec(["none"]),
+])
+def test_channel_spec_rejects_fields_of_another_kind_or_type(spec):
+    with pytest.raises(ConfigError):
+        spec.validate()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("trials", True), ("trials", 10.0), ("trials", "10"),
+    ("seed", True), ("phase", [1]), ("phase", False), ("channel", "none"),
+])
+def test_session_config_rejects_wrong_types(field, value):
+    fields = {"scheme": SchemeId.COMBINED, "trials": 10, "seed": 1, field: value}
+    with pytest.raises(ConfigError):
+        SessionConfig(**fields).validate()
+
+
+# --- round trip ------------------------------------------------------------------
+
+CHANNELS = [
+    ChannelSpec("none"),
+    ChannelSpec("collective", phi=None),
+    ChannelSpec("collective", phi=1.1),
+    ChannelSpec("collective", phi=-7.5),
+    ChannelSpec("independent"),
+    ChannelSpec("loss", loss=0.0),
+    ChannelSpec("loss", loss=0.2),
+    ChannelSpec("loss", loss=1.0),
+]
+
+
+@pytest.mark.parametrize("channel", CHANNELS, ids=lambda c: json.dumps(c.describe()))
+def test_describe_round_trips_every_config_kind(channel):
+    for scheme in SchemeId:
+        for phase in (0.0, 1.3, -20.0, "random"):
+            for eve in ("off", "intercept_resend"):
+                config = SessionConfig(scheme, 17, 2**64 - 1, phase, channel, eve)
+                config.validate()
+                doc = json.loads(json.dumps(config.describe()))
+                assert config_from_dict(doc) == config
+
+
+def test_shorthand_and_minimal_documents():
+    assert config_from_dict(VALID) == SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 10, 1)
+    for kind in ("none", "independent", "collective"):
+        doc = {**VALID, "channel": kind}
+        assert config_from_dict(doc).channel == ChannelSpec(kind)
+    assert config_from_dict({**VALID, "channel": {}}).channel == ChannelSpec("none")
+
+
+# --- fuzz guard ------------------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=12), children, max_size=4),
+    max_leaves=12,
+)
+
+channel_specs = st.one_of(
+    st.sampled_from([ChannelSpec("none"), ChannelSpec("independent")]),
+    st.builds(
+        ChannelSpec, st.just("collective"),
+        phi=st.none() | st.floats(-100, 100, allow_nan=False),
+    ),
+    st.builds(ChannelSpec, st.just("loss"), loss=st.floats(0.0, 1.0)),
+)
+
+valid_configs = st.builds(
+    SessionConfig,
+    scheme=st.sampled_from(list(SchemeId)),
+    trials=st.integers(1, 40),
+    seed=st.integers(0, 2**64 - 1),
+    phase=st.just("random") | st.floats(-100, 100, allow_nan=False),
+    channel=channel_specs,
+    eavesdropper=st.sampled_from(["off", "intercept_resend"]),
+)
+
+KEYS = ["scheme", "trials", "seed", "phase", "channel", "eavesdropper", "kind", "phi", "loss"]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid config's document with one key deleted, replaced or added."""
+    doc = draw(valid_configs).describe()
+    target = draw(st.sampled_from([doc, doc["channel"]]))
+    op = draw(st.sampled_from(["delete", "replace", "add", "channel shorthand"]))
+    if op == "delete":
+        del target[draw(st.sampled_from(sorted(target)))]
+    elif op == "replace":
+        target[draw(st.sampled_from(sorted(target)))] = draw(json_values)
+    elif op == "add":
+        target[draw(st.sampled_from(KEYS) | st.text(max_size=8))] = draw(json_values)
+    else:
+        doc["channel"] = draw(st.sampled_from(KEYS) | json_values)
+    return doc
+
+
+documents = json_values | mutated_documents()
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=documents)
+def test_config_from_dict_raises_only_config_error(doc):
+    try:
+        config_from_dict(doc).validate()
+    except ConfigError:
+        pass
+
+
+@given(config=valid_configs)
+def test_valid_configs_round_trip(config):
+    config.validate()
+    assert config_from_dict(json.loads(json.dumps(config.describe()))) == config
+
+
+#: Trials of a fuzzed document that is actually run, at most.
+RUN_TRIALS = 40
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "session.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=documents)
+def test_cli_run_config_exits_0_or_2_without_traceback(doc, config_path):
+    if isinstance(doc, dict) and type(doc.get("trials")) is int and doc["trials"] > RUN_TRIALS:
+        doc["trials"] = RUN_TRIALS
+    code, out, err = run_config(config_path, doc)
+    assert "Traceback" not in err
+    if code == 0:
+        assert json.loads(out)["trials"] == doc["trials"]
+    else:
+        assert code == 2 and err.startswith("error: ") and out == ""

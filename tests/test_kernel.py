@@ -29,11 +29,20 @@ from timebin_qkd.protocols import (
     scheme_tables,
     signal_state,
 )
-from timebin_qkd.qstate import ModeState, UnnormalizedStateError, born_sample, born_sample_batch
+from timebin_qkd.optics import TWO_PI, wrap_phase
+from timebin_qkd.qstate import (
+    BornTable,
+    ModeState,
+    UnnormalizedStateError,
+    born_sample,
+    born_sample_batch,
+)
 from timebin_qkd.session import (
     TRACE_COLUMNS,
     ChannelSpec,
     SessionConfig,
+    _born_table,
+    born_table,
     detection_amplitudes,
     run_session,
     trace_csv,
@@ -124,12 +133,126 @@ def test_born_sample_batch_equals_born_sample(rng):
     assert born_sample_batch(edge, np.array([0.0, 0.0])).tolist() == [1, 1]
 
 
+def test_born_sample_batch_ignores_memory_layout(rng):
+    # The totals are the CDF's last row, so a column's sample does not depend
+    # on whether its sums run down a contiguous or a strided axis.
+    amps = rng.normal(size=(36, 500)) + 1j * rng.normal(size=(36, 500))
+    amps /= np.linalg.norm(amps, axis=0)
+    u = rng.random(500)
+    c_order = born_sample_batch(np.ascontiguousarray(amps), u)
+    np.testing.assert_array_equal(born_sample_batch(np.asfortranarray(amps), u), c_order)
+    for k in range(0, 500, 50):
+        cdf = np.cumsum(amps[:, k].real ** 2 + amps[:, k].imag ** 2)
+        assert c_order[k] == min(np.searchsorted(cdf, u[k] * cdf[-1], side="right"), 35)
+
+
 def test_born_sample_batch_rejects_unnormalized_columns():
     amps = np.array([[1.0, 0.6], [0.0, 0.6]], dtype=complex)  # second column has norm² 0.72
     with pytest.raises(UnnormalizedStateError):
         born_sample_batch(amps, np.array([0.5, 0.5]))
     with pytest.raises(UnnormalizedStateError):
         born_sample_batch(np.array([[np.nan], [0.0]], dtype=complex), np.array([0.5]))
+
+
+# --- Born tables: the fixed-amplitude sampling path -----------------------------
+
+TABLE_CHANNEL_PHASES = [None, 0.0, 0.9, 3.0, 5.5]  # fixed collective phase; None: no channel
+
+
+def table_columns(scheme, phi, channel_phi):
+    """The table's rows as detection amplitude columns, built trial-style."""
+    table = scheme_tables(scheme)
+    n_settings = len(table.betas)
+    rows = np.arange(4 * n_settings)
+    diagonal = None
+    if channel_phi is not None:
+        phases = [np.full(len(rows), channel_phi)] * table.photons
+        diagonal = dephasing_diagonal(*phases)
+    return detection_amplitudes(table, rows // n_settings, rows % n_settings, diagonal, phi)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_born_table_rows_are_scalar_cdfs(scheme):
+    table = scheme_tables(scheme)
+    n_settings = len(table.betas)
+    for phi in PHI_GRID:
+        for channel_phi in TABLE_CHANNEL_PHASES:
+            born = born_table(scheme, phi, channel_phi)
+            assert born.cdf.shape == (4 * n_settings, len(table.outcomes))
+            channel = None if channel_phi is None else (channel_phi, channel_phi)
+            for index in (1, 2, 3, 4):
+                for setting, beta in enumerate(table.betas):
+                    p = scalar_distribution(scheme, index, channel, beta, phi)
+                    row = (index - 1) * n_settings + setting
+                    np.testing.assert_allclose(born.cdf[row], np.cumsum(p), rtol=0, atol=1e-12)
+                    assert born.total[row] == pytest.approx(1.0, abs=1e-12)
+
+
+def step_draws(table: BornTable) -> tuple[np.ndarray, np.ndarray]:
+    """(row, u) pairs with u on every CDF step of every row, and one float either side."""
+    rows, draws = [], []
+    for r, (cdf, total) in enumerate(zip(table.cdf, table.total)):
+        on_step = cdf / total
+        for u in np.concatenate([on_step, np.nextafter(on_step, 0.0), np.nextafter(on_step, 1.0)]):
+            if 0.0 <= u < 1.0:
+                rows.append(r)
+                draws.append(u)
+    return np.array(rows), np.array(draws)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_born_table_sampler_equals_born_sample_batch(scheme, rng):
+    for phi in PHI_GRID:
+        for channel_phi in TABLE_CHANNEL_PHASES:
+            born = born_table(scheme, phi, channel_phi)
+            columns = table_columns(scheme, phi, channel_phi)
+            n_rows = len(born.cdf)
+            random_rows = rng.integers(0, n_rows, 3000)
+            step_rows, step_u = step_draws(born)
+            for row, u in [
+                (random_rows, rng.random(3000)),  # random draws
+                (np.arange(n_rows), np.zeros(n_rows)),  # u = 0
+                (step_rows, step_u),  # u exactly on, and either side of, each CDF step
+            ]:
+                expected = born_sample_batch(columns[:, row], u)
+                np.testing.assert_array_equal(born.sample(row, u), expected)
+
+
+def test_born_table_sampler_on_arbitrary_columns(rng):
+    # Zero-probability outcomes make repeated CDF values, and many steps fall
+    # inside one guide bucket; the lookup must still match the inverse CDF.
+    for outcomes in (2, 6, 36):
+        amps = rng.normal(size=(outcomes, 9)) + 1j * rng.normal(size=(outcomes, 9))
+        amps[rng.random(amps.shape) < 0.3] = 0.0
+        amps[:, 0] = 0.0
+        amps[0, 0] = 1.0  # a deterministic column
+        amps[:, 1] = 0.0
+        amps[-1, 1] = 1.0  # a column whose only outcome is the last
+        amps /= np.linalg.norm(amps, axis=0)
+        table = BornTable.from_amplitudes(amps)
+        rows = np.concatenate([rng.integers(0, 9, 5000), step_draws(table)[0]])
+        u = np.concatenate([rng.random(5000), step_draws(table)[1]])
+        np.testing.assert_array_equal(table.sample(rows, u), born_sample_batch(amps[:, rows], u))
+
+
+def test_born_table_rejects_unnormalized_rows():
+    amps = np.array([[1.0, 0.6], [0.0, 0.6]], dtype=complex)  # second column has norm² 0.72
+    with pytest.raises(UnnormalizedStateError):
+        BornTable.from_amplitudes(amps)
+    with pytest.raises(UnnormalizedStateError):
+        BornTable.from_amplitudes(np.array([[np.nan], [0.0]], dtype=complex))
+
+
+def test_phi_and_phi_plus_two_pi_share_one_table():
+    phi = 0.5  # 0.5 + 2π is exact in binary, so it wraps back to 0.5 itself
+    assert wrap_phase(phi + TWO_PI) == phi
+    for scheme in SCHEMES:
+        first = born_table(scheme, phi)
+        size = _born_table.cache_info().currsize
+        assert born_table(scheme, phi + TWO_PI) is first
+        assert born_table(scheme, phi - TWO_PI) is first
+        assert _born_table.cache_info().currsize == size
+        assert born_table(scheme, phi, 1.1) is not first
 
 
 # --- sampled sessions against the exact expectation ----------------------------

@@ -112,6 +112,24 @@ class TestDeterminism:
             outputs.add((stats_json(stats), trace_csv(records)))
         assert len(outputs) == 1
 
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_table_path_invariant_to_workers_and_block_size(self, scheme, monkeypatch):
+        # Fixed φ behind a fixed collective phase, with Eve: every trial is
+        # sampled from Born tables, which neither blocks nor workers split.
+        cfg = make_config(
+            scheme=scheme, trials=3 * CHUNK_TRIALS + 5, phase=0.7,
+            channel=ChannelSpec("collective", phi=1.1), eavesdropper="intercept_resend",
+        )
+        outputs = set()
+        for workers in (1, 2, 4):
+            stats, records = run_session(cfg, workers=workers)
+            outputs.add((stats_json(stats), trace_csv(records)))
+        for amplitudes in (36 * 97, 36 * CHUNK_TRIALS):
+            monkeypatch.setattr(session, "BLOCK_AMPLITUDES", amplitudes)
+            stats, records = run_session(cfg)
+            outputs.add((stats_json(stats), trace_csv(records)))
+        assert len(outputs) == 1
+
     def test_different_seeds_differ(self):
         s1, _ = run_session(make_config(seed=1, trials=2000))
         s2, _ = run_session(make_config(seed=2, trials=2000))
