@@ -24,6 +24,7 @@ from .session import (
 )
 
 SCHEME_CHOICES = [s.value for s in SchemeId]
+WORKERS_HELP = "an integer >= 1; chunks run one after another, and results do not depend on it"
 
 
 def _parse_phase(text: str):
@@ -92,42 +93,30 @@ def _stats_csv(doc: dict) -> str:
     return buf.getvalue()
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _run_config(args: argparse.Namespace) -> SessionConfig:
+    """The session of `run`: the --config document with the given flags merged over it."""
+    doc = {}
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
             except RecursionError:
                 raise ConfigError(f"{args.config}: JSON nested too deeply") from None
-        config = config_from_dict(doc)
-    else:
-        config = SessionConfig(
-            scheme=SchemeId(args.protocol),
-            trials=args.trials,
-            seed=args.seed,
-            phase=args.phase,
-        )
-    # Flags override the config file.
-    overrides = {}
-    if args.config is not None:
-        if args.protocol is not None:
-            overrides["scheme"] = SchemeId(args.protocol)
-        if args.trials is not None:
-            overrides["trials"] = args.trials
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.phase is not None:
-            overrides["phase"] = args.phase
-    if args.channel is not None:
-        overrides["channel"] = args.channel
-    if args.eve:
-        overrides["eavesdropper"] = "intercept_resend"
-    if overrides:
-        from dataclasses import replace
+    flags = {
+        "scheme": args.protocol,
+        "trials": args.trials,
+        "seed": args.seed,
+        "phase": args.phase,
+        "channel": None if args.channel is None else args.channel.describe(),
+        "eavesdropper": "intercept_resend" if args.eve else None,
+    }
+    if isinstance(doc, dict):  # anything else is rejected by config_from_dict
+        doc = {**doc, **{k: v for k, v in flags.items() if v is not None}}
+    return config_from_dict(doc)
 
-        config = replace(config, **overrides)
-    config.validate()
 
+def cmd_run(args: argparse.Namespace) -> int:
+    config = _run_config(args)
     stats, records = run_session(config, workers=args.workers)
     doc = stats_document(stats)
     out = _stats_csv(doc) if args.format == "csv" else stats_json(stats)
@@ -171,8 +160,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["phi", "sifted_rate", "qber"])
     for phi in grid:
-        config = SessionConfig(
-            scheme=SchemeId(args.protocol), trials=args.trials, seed=args.seed, phase=phi
+        config = config_from_dict(
+            {"scheme": args.protocol, "trials": args.trials, "seed": args.seed, "phase": phi}
         )
         stats, _ = run_session(config, workers=args.workers)
         writer.writerow([_fmt(phi), _fmt(stats.sifted_rate), _fmt(stats.qber)])
@@ -198,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", metavar="PATH")
     run.add_argument("--trace", metavar="PATH", help="write per-trial CSV trace")
     run.add_argument("--format", choices=["json", "csv"], default="json")
-    run.add_argument("--workers", type=int, default=1)
+    run.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     run.set_defaults(func=cmd_run)
 
     chart = sub.add_parser("chart", help="emit the derived consistency chart")
@@ -218,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=int, default=10000)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--out", metavar="PATH")
-    sweep.add_argument("--workers", type=int, default=1)
+    sweep.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     sweep.set_defaults(func=cmd_sweep)
 
     return parser
@@ -241,8 +230,6 @@ def main(argv: list[str] | None = None) -> int:
             if missing:
                 print(f"error: missing required flags: {', '.join(missing)}", file=sys.stderr)
                 return 2
-            if args.phase is None:
-                args.phase = 0.0
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

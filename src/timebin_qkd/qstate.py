@@ -209,6 +209,68 @@ class BornTable:
         return idx
 
 
+@dataclass(frozen=True)
+class PhaseWindow:
+    """born_sample_batch of the columns x·e^{iθ} + y, for one phase θ per trial.
+
+    Only the outcomes where x and y both carry amplitude interfere, so only
+    they move with θ; lo..hi is the contiguous window that holds them. A
+    trial is first looked up in the table of the columns at θ = 0. Outside
+    the window its CDF is that table's row, so a trial the table places
+    outside lo..hi keeps the table's outcome. For one it places inside, the
+    window's own CDF steps lo..hi−1 are computed at its θ, as
+    a + b·cos θ + c·sin θ, and compared with u·total. The window's ends are
+    the table's own CDF entries, so the table decides exactly which trials
+    enter it. The steps differ from a CDF summed from the amplitudes at θ
+    only by roundoff. Every array it makes holds one entry per trial.
+    """
+
+    table: BornTable  # the columns at θ = 0
+    lo: int  # first outcome of the window
+    hi: int  # last outcome of the window
+    steps: np.ndarray  # 3 × (hi − lo) × rows: a, b, c of CDF entries lo..hi−1
+
+    @classmethod
+    def from_amplitudes(cls, at_zero: np.ndarray, at_pi: np.ndarray) -> "PhaseWindow":
+        """The window of the d×rows columns x + y (at_zero) and −x + y (at_pi).
+
+        born_cdf checks the columns at θ = 0. A column's total at θ is
+        Σ |x|² + |y|² + 2·Re(e^{iθ}·Σ x·ȳ), so one whose Σ x·ȳ is not 0
+        would leave normalization at some θ (π included): it raises
+        UnnormalizedStateError, and so does one with a NaN.
+        """
+        table = BornTable.from_amplitudes(at_zero)
+        x, y = (at_zero - at_pi) / 2, (at_zero + at_pi) / 2
+        cross = x * y.conj()  # p(θ) = |x|² + |y|² + 2·Re(e^{iθ}·x·ȳ)
+        drift = 2 * np.abs(cross.sum(axis=0))
+        if not drift.max(initial=0.0) <= SAMPLE_NORM_TOL:
+            raise UnnormalizedStateError(
+                f"a column's norm² moves with θ by up to {float(drift.max()):.3g}"
+            )
+        moving = np.flatnonzero(np.abs(cross).max(axis=1, initial=0.0) > 0.0)
+        lo, hi = (int(moving[0]), int(moving[-1])) if len(moving) else (0, 0)
+        before = table.cdf[:, lo - 1] if lo else np.zeros(len(table.cdf))
+        mean = np.cumsum(np.abs(x[lo:hi]) ** 2 + np.abs(y[lo:hi]) ** 2, axis=0)
+        swing = 2 * np.cumsum(cross[lo:hi], axis=0)
+        steps = np.stack([before + mean, swing.real, -swing.imag])
+        steps.setflags(write=False)
+        return cls(table, lo, hi, steps)
+
+    def sample(self, row: np.ndarray, theta: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """born_sample_batch of columns row[k] at phase theta[k] with draws u[k] ∈ [0, 1)."""
+        idx = self.table.sample(row, u)
+        inside = np.flatnonzero((idx >= self.lo) & (idx <= self.hi))
+        if len(inside):
+            r, t = row[inside], theta[inside]
+            cos, sin = np.cos(t), np.sin(t)
+            at = u[inside] * self.table.total[r]
+            count = np.full(len(inside), self.lo)
+            for a, b, c in zip(*self.steps):  # one CDF entry of the window at a time
+                count += a[r] + b[r] * cos + c[r] * sin <= at
+            idx[inside] = count
+        return idx
+
+
 def equal_up_to_global_phase(s1: ModeState, s2: ModeState, tol: float = NORM_TOL) -> bool:
     """True iff s1 = c·s2 for some unit-modulus scalar c, componentwise within tol."""
     if s1.basis != s2.basis:

@@ -12,22 +12,41 @@ small integer code that fixes Alice's index, Bob's modulator setting and
 the outcome ("lost" included). The statistics, the records and the trace
 are derived from the codes.
 
-A trial's outcome is sampled one of two ways. Where its detection
-amplitudes are one of the scheme's 4 × S fixed columns (Eve's measurement
-at φ = 0, and Bob's at a fixed φ behind no channel, loss, or collective
-dephasing at a fixed phase), it is looked up in a cached `born_table` of
-those columns' outcome CDFs. Where they depend on the trial (a random φ,
-random collective or independent dephasing), they are computed in small
-blocks of trials and sampled by `born_sample_batch`. Both paths make the
-same comparison of u·total with the same CDF, so they give identical
-numbers. The scalar ModeState path (signal_state, apply_channel,
-intercept_resend, mzi_single/mzi_pair, born_sample, classify_*) stays as
-the reference the kernel is tested against.
+Outcomes are sampled from cached tables of the scheme's 4 × S signal rows
+(S modulator settings), along one of two paths:
+
+* `born_table`: the rows' outcome CDFs at one interferometer phase φ and
+  one collective phase, sampled by lookup. Every `owa` and `combined`
+  signal, and every state Eve resends, lies in span{|EL⟩, |LE⟩}. In that
+  decoherence-free subspace φ and a collective phase multiply |EL⟩ and
+  |LE⟩ alike, so they are a global phase and drop out of every outcome
+  probability. A pair scheme behind no channel, loss, or collective
+  dephasing (fixed or random) is therefore sampled from the one table at
+  φ = 0, whatever its φ. Eve's measurements use that table too, and `fig1`
+  at a fixed φ behind a channel with no random phase uses the table at
+  its φ.
+* `phase_window`: the rows as x·e^{iθ} + y, for trials whose outcome law
+  depends on one relative phase θ alone. For a pair behind independent
+  dephasing, θ = φ₂ − φ₁ between the photons' late-bin phases; for `fig1`
+  at a random φ or behind a random channel phase, θ = φ_c − φ between the
+  channel's and the interferometer's. θ moves only the outcomes where x
+  and y interfere. The window lo..hi that holds them is 1..2 (the middle
+  slot) for `fig1`, and 7..14 for pairs, whose both-middle outcomes are
+  7, 8, 13 and 14. A trial is looked up in the θ = 0 table, and only a
+  trial that lands in the window has the window's CDF computed at its θ
+  (`qstate.PhaseWindow`).
+
+Both paths compare u·total with the trial's CDF, as `born_sample_batch`
+does on the trial's own detection amplitudes (`detection_amplitudes`), and
+their CDFs differ from that one only by roundoff; the tests hold them to
+it. The kernel as a whole is checked against the scalar ModeState path
+through the exact session expectations of `tests/oracles.py`.
 
 Determinism contract: chunk k draws from its own Philox counter-based
 stream keyed by (seed, k), in the style of Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3" (SC'11). One config therefore gives
-byte-identical stats and traces, whatever the worker count.
+numbers: as easy as 1, 2, 3" (SC'11). Every chunk makes all of its draws,
+in a fixed order, whichever of them its sampling path reads. One config
+therefore gives byte-identical stats and traces.
 """
 from __future__ import annotations
 
@@ -43,37 +62,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from .dfs import collective_dephase, dephase_single, dephasing_diagonal, independent_dephase
-from .optics import TWO_PI, mzi_pair, mzi_batch, mzi_single, phase_modulator, wrap_phase
-from .protocols import (
-    INDEX_FOR,
-    OWA_BETAS,
-    ClassifiedOutcome,
-    Scheme,
-    SchemeId,
-    classify_combined,
-    classify_fig1,
-    classify_owa,
-    scheme_tables,
-    sift,
-    signal_state,
-)
-from .qstate import BornTable, ModeState, born_sample, born_sample_batch
+from .dfs import dephasing_diagonal
+from .optics import TWO_PI, mzi_batch, wrap_phase
+from .protocols import Scheme, SchemeId, scheme_tables, sift, signal_state
+from .qstate import BornTable, PhaseWindow
 
 #: Trials per chunk; each chunk owns one Philox stream, so this is part of
 #: the RNG identity: changing it changes every sampled number.
 CHUNK_TRIALS = 4096
-
-#: Detection amplitudes per block of a chunk's per-trial arithmetic (72 kB
-#: of complex128): a block holds BLOCK_AMPLITUDES // len(outcomes) trials,
-#: 128 for a pair and 768 for fig1. Blocks change no draw. They keep the
-#: kernel's arrays below the C allocator's 128 kB mmap threshold, so that
-#: their memory is reused rather than mapped and page-faulted in afresh for
-#: every chunk, and its matrix products small enough that BLAS runs them on
-#: the calling thread rather than waking its worker threads. The Born-table
-#: path keeps the same rule: its arrays are one entry per trial, except for
-#: the few trials whose draw falls in a guide bucket that holds a CDF step.
-BLOCK_AMPLITUDES = 4608
 
 RNG_IDENTITY = f"numpy-philox4x64 keyed (seed, chunk), {CHUNK_TRIALS}-trial chunks"
 
@@ -222,62 +218,6 @@ class SessionStats:
         return self.errors / self.sifted if self.sifted else 0.0
 
 
-# --- scalar reference path -----------------------------------------------------
-
-def apply_channel(
-    state: ModeState, channel: ChannelSpec, rng: np.random.Generator, two_photon: bool
-) -> ModeState | None:
-    """Pass a state through the configured channel; None means the trial is lost."""
-    if channel.kind == "none":
-        return state
-    if channel.kind == "loss":
-        n_photons = 2 if two_photon else 1
-        for _ in range(n_photons):
-            if rng.random() < channel.loss:
-                return None
-        return state
-    if channel.kind == "collective":
-        phi = rng.uniform(0.0, TWO_PI) if channel.phi is None else channel.phi
-        return collective_dephase(state, phi) if two_photon else dephase_single(state, phi)
-    # independent: a fresh uniform phase per photon
-    if two_photon:
-        return independent_dephase(state, rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI))
-    return dephase_single(state, rng.uniform(0.0, TWO_PI))
-
-
-def _measure(
-    scheme: SchemeId, state: ModeState, phi: float, beta: float | None, rng: np.random.Generator
-) -> tuple[ClassifiedOutcome, str]:
-    """Bob's (or Eve's) apparatus: optional modulator, MZI, detection, verdict."""
-    if scheme is SchemeId.FIG1_SINGLE_PHOTON:
-        outcome = born_sample(mzi_single(state, phi), rng)
-        return classify_fig1(outcome), outcome.label
-    if scheme is SchemeId.OWA_FOUR_PHASE:
-        assert beta is not None
-        state = phase_modulator(state, beta, photon=1, bin="L")
-        outcome = born_sample(mzi_pair(state, phi), rng)
-        return classify_owa(outcome, beta), outcome.label
-    outcome = born_sample(mzi_pair(state, phi), rng)
-    return classify_combined(outcome), outcome.label
-
-
-def intercept_resend(
-    state: ModeState, scheme: SchemeId, rng: np.random.Generator
-) -> ModeState:
-    """Eve measures with Bob's apparatus (her MZI held at φ=0) and resends.
-
-    On a conclusive verdict she resends the signal state matching it; on an
-    inconclusive verdict she resends a uniformly chosen signal state.
-    """
-    beta = float(rng.choice(OWA_BETAS)) if scheme is SchemeId.OWA_FOUR_PHASE else None
-    verdict, _ = _measure(scheme, state, 0.0, beta, rng)
-    if verdict.conclusive:
-        index = INDEX_FOR[(verdict.basis, verdict.bit)]
-    else:
-        index = int(rng.integers(1, 5))
-    return signal_state(scheme, index).state
-
-
 # --- batched kernel ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -377,6 +317,26 @@ def _born_table(scheme_id: SchemeId, phi: float, channel_phi: float | None) -> B
     return BornTable.from_amplitudes(detection_amplitudes(scheme, sent, setting, diagonal, phi))
 
 
+@lru_cache(maxsize=None)
+def phase_window(scheme_id: SchemeId) -> PhaseWindow:
+    """The PhaseWindow of a scheme's 4 × S signal rows, over their relative phase θ.
+
+    Row (index − 1)·S + setting is signal `index` through Bob's modulator at
+    `setting`, at interferometer phase 0, with θ on the late bin of the last
+    photon: its table is born_table(scheme, 0). For a pair, θ = φ₂ − φ₁ of
+    independent dephasing; for fig1, θ = φ_c − φ, the channel's phase less
+    the interferometer's.
+    """
+    scheme = scheme_tables(SchemeId(scheme_id))
+    n_settings = len(scheme.betas)
+    sent, setting = np.divmod(np.arange(4 * n_settings), n_settings)
+    flip = np.tile([1.0, -1.0], scheme.photons)[:, None]  # θ = π: EL and LL, or L, negated
+    return PhaseWindow.from_amplitudes(
+        detection_amplitudes(scheme, sent, setting, None, 0.0),
+        detection_amplitudes(scheme, sent, setting, flip, 0.0),
+    )
+
+
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
 
@@ -404,10 +364,10 @@ def _channel_draws(
 def _run_chunk(config: SessionConfig, table: _CodeTable, chunk: int) -> np.ndarray:
     """The trial codes of one chunk of the session.
 
-    The chunk's draws are all made first, in a fixed order. Trials whose
-    amplitudes are fixed (Eve's, and Bob's at a fixed φ behind a channel
-    with no random phase) are sampled from Born tables; the rest have their
-    amplitudes computed a block of trials at a time.
+    The chunk's draws are all made first, in a fixed order, and every
+    trial is then sampled from a Born table or a phase window (see the
+    module docstring); a draw that the trial's path does not read is
+    discarded.
     """
     rng = _chunk_rng(config.seed, chunk)
     n = min(CHUNK_TRIALS, config.trials - chunk * CHUNK_TRIALS)
@@ -432,21 +392,19 @@ def _run_chunk(config: SessionConfig, table: _CodeTable, chunk: int) -> np.ndarr
         eve_outcome = born_table(scheme.id, 0.0).sample(alice * n_settings + eve_setting, eve_u)
         named = scheme.announced[eve_setting, eve_outcome]
         sent = np.where(named > 0, named - 1, fallback)
+    row = sent * n_settings + setting
     channel_phi = None if channel.phi is None else float(channel.phi)  # fixed collective
-    if phases is None and np.ndim(phi) == 0:
-        bob = born_table(scheme.id, phi, channel_phi)
-        outcome = bob.sample(sent * n_settings + setting, u)
+    if scheme.photons == 2 and channel.kind != "independent":
+        # Decoherence-free: neither φ nor a collective phase reaches the outcome.
+        outcome = born_table(scheme.id, 0.0).sample(row, u)
+    elif phases is None and np.ndim(phi) == 0:
+        outcome = born_table(scheme.id, phi, channel_phi).sample(row, u)
     else:
-        fixed = None if channel_phi is None else _fixed_diagonal(scheme.photons, channel_phi)
-        outcome = np.empty(n, dtype=np.intp)
-        block = BLOCK_AMPLITUDES // n_outcomes
-        for start in range(0, n, block):
-            b = slice(start, start + block)
-            diagonal = fixed if phases is None else dephasing_diagonal(*(p[b] for p in phases))
-            amps = detection_amplitudes(
-                scheme, sent[b], setting[b], diagonal, phi if np.ndim(phi) == 0 else phi[b]
-            )
-            outcome[b] = born_sample_batch(amps, u[b])
+        if scheme.photons == 2:
+            theta = phases[1] - phases[0]
+        else:
+            theta = (phases[0] if phases is not None else channel_phi or 0.0) - phi
+        outcome = phase_window(scheme.id).sample(row, theta, u)
     if lost is not None:
         outcome[lost] = n_outcomes
     return ((alice * n_settings + setting) * (n_outcomes + 1) + outcome).astype(np.uint16)
@@ -482,26 +440,18 @@ class TrialRecords(Sequence):
 def run_session(
     config: SessionConfig, workers: int = 1
 ) -> tuple[SessionStats, TrialRecords]:
-    """Run a full session; deterministic for a given config, any worker count.
+    """Run a full session; deterministic for a given config.
 
-    workers > 1 runs the chunks on that many threads; the results do not change.
+    `workers` is validated (an integer >= 1) and kept for callers that pass
+    it; the chunks run one after another whatever its value, and the results
+    do not depend on it.
     """
     config.validate()
     if not isinstance(workers, numbers.Integral) or workers < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     table = _code_table(SchemeId(config.scheme))
     chunks = range(-(-config.trials // CHUNK_TRIALS))
-
-    def run(chunk: int) -> np.ndarray:
-        return _run_chunk(config, table, chunk)
-
-    if workers == 1 or len(chunks) == 1:
-        parts = [run(k) for k in chunks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            parts = list(pool.map(run, chunks))
+    parts = [_run_chunk(config, table, k) for k in chunks]
     codes = np.concatenate(parts)
 
     counts = np.bincount(codes, minlength=table.kept.size).reshape(table.kept.shape)

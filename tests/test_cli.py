@@ -80,6 +80,35 @@ class TestRun:
         assert doc["trials"] == 800
         assert doc["config"]["channel"] == {"kind": "collective", "phi": "random"}
 
+    def test_flags_complete_a_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "session.json"
+        cfg.write_text(json.dumps({"scheme": "fig1", "seed": 1}))
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--trials", "10")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert (doc["scheme"], doc["trials"], doc["config"]["seed"]) == ("fig1", 10, 1)
+        # Every flag overrides its key, and the merged document is checked once.
+        code, out, _ = run_cli(
+            capsys, "run", "--config", str(cfg), "--trials", "10", "--protocol", "owa",
+            "--seed", "3", "--phase", "random", "--channel", "loss=0.5", "--eve",
+        )
+        assert code == 0
+        assert json.loads(out)["config"] == {
+            "scheme": "owa", "trials": 10, "seed": 3, "phase": "random",
+            "channel": {"kind": "loss", "loss": 0.5}, "eavesdropper": "intercept_resend",
+        }
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2 and out == "" and "missing trials" in err
+
+    def test_flags_do_not_rescue_a_non_object_config(self, capsys, tmp_path):
+        cfg = tmp_path / "session.json"
+        cfg.write_text("[1, 2]")
+        code, out, err = run_cli(
+            capsys, "run", "--config", str(cfg), "--protocol", "fig1", "--trials", "10",
+            "--seed", "1",
+        )
+        assert code == 2 and out == "" and "JSON object" in err
+
     def test_csv_stats_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--protocol", "combined", "--trials", "100", "--seed", "2",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from timebin_qkd import session
 from timebin_qkd.dfs import (
     collective_dephase,
     dephase_single,
@@ -33,17 +34,22 @@ from timebin_qkd.optics import TWO_PI, wrap_phase
 from timebin_qkd.qstate import (
     BornTable,
     ModeState,
+    PhaseWindow,
     UnnormalizedStateError,
     born_sample,
+    born_cdf,
     born_sample_batch,
 )
 from timebin_qkd.session import (
+    CHUNK_TRIALS,
+    PHASE_RANDOM,
     TRACE_COLUMNS,
     ChannelSpec,
     SessionConfig,
     _born_table,
     born_table,
     detection_amplitudes,
+    phase_window,
     run_session,
     trace_csv,
 )
@@ -253,6 +259,177 @@ def test_phi_and_phi_plus_two_pi_share_one_table():
         assert born_table(scheme, phi - TWO_PI) is first
         assert _born_table.cache_info().currsize == size
         assert born_table(scheme, phi, 1.1) is not first
+
+
+# --- the decoherence-free subspace, and the phase window --------------------------
+
+PAIRS = [SchemeId.COMBINED, SchemeId.OWA_FOUR_PHASE]
+DFS_PHASES = [k * TWO_PI / 13 + 0.05 for k in range(13)]
+
+
+@pytest.mark.parametrize("scheme", PAIRS, ids=[s.value for s in PAIRS])
+def test_pair_rows_do_not_depend_on_phi_or_collective_phase(scheme):
+    # Every pair signal lies in span{|EL⟩, |LE⟩}, where φ and a collective
+    # phase are a global phase: the Born rows are the φ = 0 rows.
+    base = born_table(scheme, 0.0)
+    for phi in DFS_PHASES:
+        for channel_phi in [None] + DFS_PHASES[::3]:
+            born = born_table(scheme, phi, channel_phi)
+            np.testing.assert_allclose(born.cdf, base.cdf, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(born.total, base.total, rtol=0, atol=1e-15)
+
+
+def test_fig1_rows_depend_on_phi():
+    drift = np.abs(born_table(SchemeId.FIG1_SINGLE_PHOTON, math.pi).cdf
+                   - born_table(SchemeId.FIG1_SINGLE_PHOTON, 0.0).cdf).max()
+    assert drift == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("scheme", PAIRS, ids=[s.value for s in PAIRS])
+def test_pair_session_trace_does_not_depend_on_phi_or_collective_phase(scheme):
+    # Fixed phases make no draws, so these sessions draw alike, and the
+    # φ-free table gives them identical trials.
+    traces = {
+        trace_csv(run_session(SessionConfig(scheme, 5000, 77, phase=phi, channel=channel))[1])
+        for phi in (0.0, 0.3, 2.0)
+        for channel in (ChannelSpec("none"), ChannelSpec("collective", phi=1.1))
+    }
+    assert len(traces) == 1
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_phase_window_bounds_the_interfering_outcomes(scheme):
+    window = phase_window(scheme)
+    single = scheme is SchemeId.FIG1_SINGLE_PHOTON
+    assert (window.lo, window.hi) == ((1, 2) if single else (7, 14))
+    np.testing.assert_array_equal(window.table.cdf, born_table(scheme, 0.0).cdf)
+    np.testing.assert_array_equal(window.table.total, born_table(scheme, 0.0).total)
+
+
+def window_trials(scheme, rng, n):
+    """n random trials of a phase window: (row, θ, reference columns at their own phases).
+
+    A pair passes independent dephasing (φ₁, φ₂) and the interferometer at φ,
+    and θ = φ₂ − φ₁; fig1 passes a channel phase φ_c, and θ = φ_c − φ.
+    """
+    table = scheme_tables(scheme)
+    n_settings = len(table.betas)
+    row = rng.integers(0, 4 * n_settings, n)
+    phases = [rng.uniform(0.0, TWO_PI, n) for _ in range(table.photons)]
+    phi = rng.uniform(0.0, TWO_PI, n)
+    theta = phases[1] - phases[0] if table.photons == 2 else phases[0] - phi
+    columns = detection_amplitudes(
+        table, row // n_settings, row % n_settings, dephasing_diagonal(*phases), phi
+    )
+    return row, theta, columns
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_phase_window_sampler_equals_born_sample_batch(scheme, rng):
+    window = phase_window(scheme)
+    row, theta, columns = window_trials(scheme, rng, 20_000)
+    for u in (rng.random(len(row)), np.zeros(len(row))):
+        np.testing.assert_array_equal(window.sample(row, theta, u), born_sample_batch(columns, u))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_phase_window_sampler_at_window_steps(scheme, rng):
+    # u on each CDF step of the window, and on both of its edges (entries
+    # lo − 1 and hi), of each trial's own columns. The window's CDF differs
+    # from those columns' only by roundoff, so 1e-12 to either side of a step
+    # the two samplers agree exactly, and on the step the window returns one
+    # of the two outcomes that meet there.
+    window = phase_window(scheme)
+    row, theta, columns = window_trials(scheme, rng, 300)
+    cdf, total = born_cdf(columns)
+    for entry in range(max(window.lo - 1, 0), window.hi + 1):
+        on_step = cdf[entry] / total
+        below, above = on_step * (1 - 1e-12), np.minimum(on_step * (1 + 1e-12), 1 - 1e-16)
+        sides = []
+        for u in (below, above):
+            expected = born_sample_batch(columns, u)
+            np.testing.assert_array_equal(window.sample(row, theta, u), expected)
+            sides.append(expected)
+        on = on_step < 1.0
+        got = window.sample(row[on], theta[on], on_step[on])
+        assert np.all((got == sides[0][on]) | (got == sides[1][on]))
+
+
+def test_phase_window_rejects_unnormalized_columns():
+    # Normalized at θ = 0 and θ = π, but the norm² at θ is 1 + sin θ.
+    x = np.array([[0.5], [0.5]], dtype=complex)
+    y = 1j * x
+    with pytest.raises(UnnormalizedStateError):
+        PhaseWindow.from_amplitudes(x + y, y - x)
+    with pytest.raises(UnnormalizedStateError):  # unnormalized at θ = π
+        PhaseWindow.from_amplitudes(np.array([[1.0], [0.0]], dtype=complex),
+                                    np.array([[0.6], [0.6]], dtype=complex))
+    with pytest.raises(UnnormalizedStateError):
+        PhaseWindow.from_amplitudes(np.array([[1.0], [0.0]], dtype=complex),
+                                    np.array([[np.nan], [0.0]], dtype=complex))
+    # The window coefficients of a column that stays normalized are accepted.
+    ok = PhaseWindow.from_amplitudes(np.array([[0.6], [0.8]], dtype=complex),
+                                     np.array([[0.6], [-0.8]], dtype=complex))
+    assert (ok.lo, ok.hi) == (0, 0)
+
+
+def reference_codes(config: SessionConfig) -> np.ndarray:
+    """A session's trial codes from the kernel's draws, with every outcome
+    sampled by born_sample_batch from the trial's own detection amplitudes."""
+    scheme = scheme_tables(config.scheme)
+    n_settings, n_outcomes = len(scheme.betas), len(scheme.outcomes)
+    parts = []
+    for chunk in range(-(-config.trials // CHUNK_TRIALS)):
+        rng = session._chunk_rng(config.seed, chunk)
+        n = min(CHUNK_TRIALS, config.trials - chunk * CHUNK_TRIALS)
+        alice = rng.integers(0, 4, n)
+        eve = None
+        if config.eavesdropper == "intercept_resend":
+            eve = (session._settings(rng, n_settings, n), rng.random(n), rng.integers(0, 4, n))
+        lost, phases = session._channel_draws(config.channel, scheme.photons, rng, n)
+        phi = rng.uniform(0.0, TWO_PI, n) if config.phase == PHASE_RANDOM else config.phase
+        setting = session._settings(rng, n_settings, n)
+        u = rng.random(n)
+        sent = alice
+        if eve is not None:
+            eve_setting, eve_u, fallback = eve
+            seen = born_sample_batch(
+                detection_amplitudes(scheme, alice, eve_setting, None, 0.0), eve_u
+            )
+            named = scheme.announced[eve_setting, seen]
+            sent = np.where(named > 0, named - 1, fallback)
+        if config.channel.phi is not None:
+            phases = [np.full(n, config.channel.phi)] * scheme.photons
+        diagonal = None if phases is None else dephasing_diagonal(*phases)
+        outcome = born_sample_batch(detection_amplitudes(scheme, sent, setting, diagonal, phi), u)
+        if lost is not None:
+            outcome[lost] = n_outcomes
+        parts.append((alice * n_settings + setting) * (n_outcomes + 1) + outcome)
+    return np.concatenate(parts)
+
+
+REFERENCE_CHANNELS = {
+    "none": ChannelSpec("none"),
+    "collective=1.1": ChannelSpec("collective", phi=1.1),
+    "collective=random": ChannelSpec("collective", phi=None),
+    "independent": ChannelSpec("independent"),
+    "loss=0.2": ChannelSpec("loss", loss=0.2),
+}
+
+
+@pytest.mark.parametrize("channel", list(REFERENCE_CHANNELS))
+@pytest.mark.parametrize("scheme", SCHEMES, ids=[s.value for s in SCHEMES])
+def test_kernel_equals_amplitude_reference(scheme, channel):
+    # Both sampling paths, trial by trial, over two chunks: the Born tables
+    # and phase windows give what each trial's own amplitudes give.
+    for phase in (0.7, PHASE_RANDOM):
+        for eve in ("off", "intercept_resend"):
+            cfg = SessionConfig(
+                scheme, trials=CHUNK_TRIALS + 300, seed=5, phase=phase,
+                channel=REFERENCE_CHANNELS[channel], eavesdropper=eve,
+            )
+            _, records = run_session(cfg)
+            np.testing.assert_array_equal(records._codes, reference_codes(cfg))
 
 
 # --- sampled sessions against the exact expectation ----------------------------
