@@ -118,8 +118,7 @@ def _run_config(args: argparse.Namespace) -> SessionConfig:
 def cmd_run(args: argparse.Namespace) -> int:
     config = _run_config(args)
     stats, records = run_session(config, workers=args.workers)
-    doc = stats_document(stats)
-    out = _stats_csv(doc) if args.format == "csv" else stats_json(stats)
+    out = _stats_csv(stats_document(stats)) if args.format == "csv" else stats_json(stats)
     _write_output(out, args.out)
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as fh:

@@ -198,10 +198,12 @@ class BornTable:
         return cls(*arrays)
 
     def sample(self, row: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """born_sample_batch of columns row[k] with draws u[k] ∈ [0, 1), without the columns."""
+        """born_sample_batch of columns row[k] with draws u[k] ∈ [0, 1), without the columns.
+
+        The indices come back as uint8, the guide's own type.
+        """
         idx = self.guide[row * GUIDE_BUCKETS + (u * GUIDE_BUCKETS).astype(np.intp)]
         step = np.flatnonzero(idx == _STEP)
-        idx = idx.astype(np.intp)
         if len(step):
             rows = row[step]
             at = np.count_nonzero(self.cdf[rows] <= (u[step] * self.total[rows])[:, None], axis=1)
@@ -219,16 +221,19 @@ class PhaseWindow:
     the window its CDF is that table's row, so a trial the table places
     outside lo..hi keeps the table's outcome. For one it places inside, the
     window's own CDF steps lo..hi−1 are computed at its θ, as
-    a + b·cos θ + c·sin θ, and compared with u·total. The window's ends are
-    the table's own CDF entries, so the table decides exactly which trials
-    enter it. The steps differ from a CDF summed from the amplitudes at θ
-    only by roundoff. Every array it makes holds one entry per trial.
+    a + b·cos θ + c·sin θ, and compared with u·total; an entry whose b and
+    c are 0 in every row (`still`) is a alone, and only a is compared. The
+    window's ends are the table's own CDF entries, so the table decides
+    exactly which trials enter it. The steps differ from a CDF summed from
+    the amplitudes at θ only by roundoff. Every array it makes holds one
+    entry per trial.
     """
 
     table: BornTable  # the columns at θ = 0
     lo: int  # first outcome of the window
     hi: int  # last outcome of the window
     steps: np.ndarray  # 3 × (hi − lo) × rows: a, b, c of CDF entries lo..hi−1
+    still: tuple[bool, ...]  # per CDF entry lo..hi−1: b = c = 0 in every row
 
     @classmethod
     def from_amplitudes(cls, at_zero: np.ndarray, at_pi: np.ndarray) -> "PhaseWindow":
@@ -254,7 +259,8 @@ class PhaseWindow:
         swing = 2 * np.cumsum(cross[lo:hi], axis=0)
         steps = np.stack([before + mean, swing.real, -swing.imag])
         steps.setflags(write=False)
-        return cls(table, lo, hi, steps)
+        still = tuple(bool(s) for s in np.all(steps[1:] == 0.0, axis=(0, 2)))
+        return cls(table, lo, hi, steps, still)
 
     def sample(self, row: np.ndarray, theta: np.ndarray, u: np.ndarray) -> np.ndarray:
         """born_sample_batch of columns row[k] at phase theta[k] with draws u[k] ∈ [0, 1)."""
@@ -265,8 +271,8 @@ class PhaseWindow:
             cos, sin = np.cos(t), np.sin(t)
             at = u[inside] * self.table.total[r]
             count = np.full(len(inside), self.lo)
-            for a, b, c in zip(*self.steps):  # one CDF entry of the window at a time
-                count += a[r] + b[r] * cos + c[r] * sin <= at
+            for a, b, c, still in zip(*self.steps, self.still):  # one CDF entry at a time
+                count += (a[r] <= at) if still else (a[r] + b[r] * cos + c[r] * sin <= at)
             idx[inside] = count
         return idx
 

@@ -44,9 +44,13 @@ through the exact session expectations of `tests/oracles.py`.
 
 Determinism contract: chunk k draws from its own Philox counter-based
 stream keyed by (seed, k), in the style of Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3" (SC'11). Every chunk makes all of its draws,
-in a fixed order, whichever of them its sampling path reads. One config
-therefore gives byte-identical stats and traces.
+numbers: as easy as 1, 2, 3" (SC'11). Every chunk takes all of its draws
+from the stream in a fixed order, so each draw has a fixed position. A draw
+that the trial's path cannot read (φ, and a collective phase, of a pair
+scheme) is skipped by advancing the counter, with every stream position
+unchanged; small integers are read off raw words where that gives the
+values `Generator.integers` gives. One config therefore gives
+byte-identical stats and traces.
 """
 from __future__ import annotations
 
@@ -337,51 +341,128 @@ def phase_window(scheme_id: SchemeId) -> PhaseWindow:
     )
 
 
+#: 64-bit words in one Philox block: one counter value's output.
+_PHILOX_WORDS = 4
+
+
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
 
 
-def _settings(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """Uniform modulator settings; no draw when there is only one."""
-    return rng.integers(0, count, n) if count > 1 else np.zeros(n, dtype=np.intp)
+def _rekey(rng: np.random.Generator, seed: int, chunk: int) -> None:
+    """Put a Philox Generator where _chunk_rng(seed, chunk) starts, cheaper than a new one."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(_PHILOX_WORDS, np.uint64),  # Philox4x64: 4 counter words
+            "key": np.array([seed, chunk], np.uint64),
+        },
+        "buffer": np.zeros(_PHILOX_WORDS, np.uint64),
+        "buffer_pos": _PHILOX_WORDS,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _skip(rng: np.random.Generator, k: int) -> None:
+    """Move rng past k uniform doubles that nothing reads, as rng.random(k) would.
+
+    Philox is counter-based, and each double takes one 64-bit word. With no
+    buffered word left (buffer_pos at the end), no uint32 half held and k a
+    whole number of blocks, the k draws are a counter advance; otherwise
+    they are drawn. Either way every later draw is the same (advance also
+    zeroes the spent buffer words and the stale half, which no draw reads).
+    """
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    spent = state["buffer_pos"] == _PHILOX_WORDS and not state["has_uint32"]
+    if spent and k % _PHILOX_WORDS == 0:
+        bit_generator.advance(k // _PHILOX_WORDS)
+    else:
+        rng.random(k)
+
+
+def _integers(rng: np.random.Generator, high: int, n: int) -> np.ndarray:
+    """rng.integers(0, high, n), read off raw words when high is a power of two >= 2.
+
+    integers applies Lemire's method to next_uint32, which never rejects
+    when high is a power of two: each value is the top log2(high) bits of
+    one uint32. Philox's next_uint32 returns a word's low half, then its high
+    half, so with no half held and n even the uint32s are random_raw(n // 2)
+    read as little-endian pairs. Otherwise the values are drawn by integers.
+    """
+    bit_generator = rng.bit_generator
+    if high > 1 and high & (high - 1) == 0 and n % 2 == 0 and not bit_generator.state["has_uint32"]:
+        halves = bit_generator.random_raw(n // 2).astype("<u8", copy=False).view("<u4")
+        return halves >> (33 - high.bit_length())
+    return rng.integers(0, high, n)
+
+
+def _settings(rng: np.random.Generator, count: int, n: int) -> np.ndarray | None:
+    """Uniform modulator settings; None (setting 0 for every trial, no draw) when there is one."""
+    return _integers(rng, count, n) if count > 1 else None
+
+
+def _flat(major: np.ndarray, minor: np.ndarray | None, width: int) -> np.ndarray:
+    """major·width + minor, the flat index into a grid `width` wide; major itself for minor None."""
+    return major if minor is None else major * width + minor
 
 
 def _channel_draws(
     channel: ChannelSpec, photons: int, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray | None, tuple[np.ndarray, ...] | None]:
-    """(lost mask, dephasing phase per photon), each None when the channel draws none."""
+    """(lost mask, dephasing phase per photon), each None when no trial reads it.
+
+    Loss draws one uniform per photon and trial; random dephasing draws one
+    phase per trial, collective, or one per photon, independent. A pair's
+    collective phase is global on span{|EL⟩, |LE⟩}, so no trial reads it:
+    it is skipped by advancing the stream (`_skip`), and every later draw
+    keeps its position.
+    """
     if channel.kind == "none" or channel.phi is not None:  # phi: a fixed collective phase
         return None, None
     if channel.kind == "loss":
-        return (rng.random((n, photons)) < channel.loss).any(axis=1), None
-    phi1 = rng.uniform(0.0, TWO_PI, n)
-    if photons == 1:
-        return None, (phi1,)
-    phi2 = phi1 if channel.kind == "collective" else rng.uniform(0.0, TWO_PI, n)
-    return None, (phi1, phi2)
+        draws = rng.random((n, photons))
+        lost = draws[:, 0] < channel.loss
+        for photon in range(1, photons):
+            lost |= draws[:, photon] < channel.loss
+        return lost, None
+    if channel.kind == "collective" and photons == 2:
+        _skip(rng, n)
+        return None, None
+    return None, tuple(rng.uniform(0.0, TWO_PI, n) for _ in range(photons))
 
 
-def _run_chunk(config: SessionConfig, table: _CodeTable, chunk: int) -> np.ndarray:
-    """The trial codes of one chunk of the session.
+def _run_chunk(
+    config: SessionConfig, table: _CodeTable, rng: np.random.Generator, chunk: int
+) -> np.ndarray:
+    """The trial codes of one chunk of the session, drawn from rng re-keyed to it.
 
     The chunk's draws are all made first, in a fixed order, and every
     trial is then sampled from a Born table or a phase window (see the
-    module docstring); a draw that the trial's path does not read is
-    discarded.
+    module docstring). A draw that no trial's path reads is skipped by
+    advancing the stream, so the later draws keep their positions.
     """
-    rng = _chunk_rng(config.seed, chunk)
+    _rekey(rng, config.seed, chunk)
     n = min(CHUNK_TRIALS, config.trials - chunk * CHUNK_TRIALS)
     scheme = table.scheme
     n_settings, n_outcomes = len(scheme.betas), len(scheme.outcomes)
     channel = config.channel
+    pair = scheme.photons == 2
 
-    alice = rng.integers(0, 4, n)  # signal index - 1
+    alice = _integers(rng, 4, n)  # signal index - 1
     eve = None
     if config.eavesdropper == "intercept_resend":
         # Her setting and uniform draw, and the index she resends when inconclusive.
-        eve = (_settings(rng, n_settings, n), rng.random(n), rng.integers(0, 4, n))
+        eve = (_settings(rng, n_settings, n), rng.random(n), _integers(rng, 4, n))
     lost, phases = _channel_draws(channel, scheme.photons, rng, n)
-    phi = rng.uniform(0.0, TWO_PI, n) if config.phase == PHASE_RANDOM else float(config.phase)
+    if config.phase != PHASE_RANDOM:
+        phi = float(config.phase)
+    elif pair:
+        phi = 0.0
+        _skip(rng, n)  # a pair's φ is global on span{|EL⟩, |LE⟩}: no trial reads it
+    else:
+        phi = rng.uniform(0.0, TWO_PI, n)
     setting = _settings(rng, n_settings, n)
     u = rng.random(n)
 
@@ -389,25 +470,27 @@ def _run_chunk(config: SessionConfig, table: _CodeTable, chunk: int) -> np.ndarr
     if eve is not None:
         # Bob's apparatus at φ = 0; resend the named state, or a uniform one.
         eve_setting, eve_u, fallback = eve
-        eve_outcome = born_table(scheme.id, 0.0).sample(alice * n_settings + eve_setting, eve_u)
-        named = scheme.announced[eve_setting, eve_outcome]
+        eve_row = _flat(alice, eve_setting, n_settings)
+        eve_outcome = born_table(scheme.id, 0.0).sample(eve_row, eve_u)
+        seen = eve_outcome if eve_setting is None else eve_setting * n_outcomes + eve_outcome
+        named = scheme.announced.ravel()[seen]
         sent = np.where(named > 0, named - 1, fallback)
-    row = sent * n_settings + setting
+    row = _flat(sent, setting, n_settings)
     channel_phi = None if channel.phi is None else float(channel.phi)  # fixed collective
-    if scheme.photons == 2 and channel.kind != "independent":
+    if pair and channel.kind != "independent":
         # Decoherence-free: neither φ nor a collective phase reaches the outcome.
         outcome = born_table(scheme.id, 0.0).sample(row, u)
     elif phases is None and np.ndim(phi) == 0:
         outcome = born_table(scheme.id, phi, channel_phi).sample(row, u)
     else:
-        if scheme.photons == 2:
+        if pair:
             theta = phases[1] - phases[0]
         else:
             theta = (phases[0] if phases is not None else channel_phi or 0.0) - phi
         outcome = phase_window(scheme.id).sample(row, theta, u)
     if lost is not None:
         outcome[lost] = n_outcomes
-    return ((alice * n_settings + setting) * (n_outcomes + 1) + outcome).astype(np.uint16)
+    return (_flat(alice, setting, n_settings) * (n_outcomes + 1) + outcome).astype(np.uint16)
 
 
 class TrialRecords(Sequence):
@@ -451,7 +534,8 @@ def run_session(
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     table = _code_table(SchemeId(config.scheme))
     chunks = range(-(-config.trials // CHUNK_TRIALS))
-    parts = [_run_chunk(config, table, k) for k in chunks]
+    rng = _chunk_rng(config.seed, 0)
+    parts = [_run_chunk(config, table, rng, k) for k in chunks]
     codes = np.concatenate(parts)
 
     counts = np.bincount(codes, minlength=table.kept.size).reshape(table.kept.shape)

@@ -1,4 +1,4 @@
-"""Config documents: strict parsing, exit code 2 on bad input, and a fuzz guard."""
+"""Config documents and argv: strict parsing, exit code 2 on bad input, and fuzz guards."""
 import contextlib
 import io
 import json
@@ -235,3 +235,92 @@ def test_cli_run_config_exits_0_or_2_without_traceback(doc, config_path):
         assert json.loads(out)["trials"] == doc["trials"]
     else:
         assert code == 2 and err.startswith("error: ") and out == ""
+
+
+# --- argv fuzz: flags, their values, and their mixes with --config ----------------
+
+_reals = st.floats(-10.0, 10.0).map(repr)
+_numbers = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+#: Per flag: (values a user means, values that are wrong).
+FLAG_VALUES = {
+    "--protocol": (st.sampled_from([s.value for s in SchemeId]), st.sampled_from(["bb84", ""])),
+    "--trials": (st.integers(1, RUN_TRIALS).map(str),
+                 st.integers(-2, 0).map(str) | st.sampled_from(["x", "1e3", "", "4.0"])),
+    "--seed": (st.integers(0, 2**64 - 1).map(str),
+               st.sampled_from(["-1", str(2**64), "x", "1.5", ""])),
+    "--phase": (_reals | st.just("random"), _numbers | st.sampled_from(["x", "1e400", "rand"])),
+    "--channel": (
+        st.sampled_from(["none", "independent", "collective=random", "collective=1.1",
+                         "loss=0.2", "loss=1"]),
+        st.sampled_from(["collective=nan", "collective=x", "loss=1.5", "loss=nan", "loss=",
+                         "bogus"]) | _numbers.map(lambda x: f"loss={x}"),
+    ),
+    "--format": (st.sampled_from(["json", "csv", "text"]), st.sampled_from(["xml", ""])),
+    "--workers": (st.sampled_from(["1", "2"]), st.sampled_from(["0", "-1", "x"])),
+    "--phase-grid": (st.lists(_reals, min_size=1, max_size=4).map(",".join),
+                     st.lists(_numbers, max_size=3).map(",".join)
+                     | st.sampled_from(["0,random", "x,1", ",", " "])),
+}
+#: Placeholders of the file arguments, replaced by paths under the test's directory.
+PATH_ARGS = {"--config": "<config>", "--out": "<out>", "--trace": "<trace>"}
+#: The flags each command declares, and which of them it needs.
+COMMAND_FLAGS = {
+    "run": ["--protocol", "--trials", "--seed", "--phase", "--channel", "--eve", "--config",
+            "--out", "--trace", "--format", "--workers"],
+    "sweep": ["--protocol", "--phase-grid", "--trials", "--seed", "--out", "--workers"],
+    "chart": ["--protocol", "--phase", "--format", "--out"],
+    "states": ["--protocol"],
+}
+NEEDED = {"--protocol", "--trials", "--seed", "--phase-grid"}
+ALL_FLAGS = sorted({f for flags in COMMAND_FLAGS.values() for f in flags} | {"--frobnicate"})
+
+
+@st.composite
+def argv_lists(draw):
+    """(argv, config document or None): a command and its flags, each left out, given a
+    value a user means or a wrong one; sometimes a flag of another command, or a flag
+    whose value is missing."""
+    command = draw(st.sampled_from(list(COMMAND_FLAGS)))
+    flags = draw(st.permutations(COMMAND_FLAGS[command]))
+    if draw(st.integers(0, 3)) == 0:
+        flags.insert(draw(st.integers(0, len(flags))), draw(st.sampled_from(ALL_FLAGS)))
+    argv, doc = [command], None
+    for name in flags:
+        choice = draw(st.integers(0, 9))  # 0: wrong value, 1: value missing, high: left out
+        if choice >= (9 if name in NEEDED else 6):
+            continue
+        argv.append(name)
+        if name == "--config":
+            doc = draw(documents)
+            if isinstance(doc, dict) and type(doc.get("trials")) is int and doc["trials"] > RUN_TRIALS:
+                doc["trials"] = RUN_TRIALS
+        if name in PATH_ARGS:
+            argv.append(PATH_ARGS[name])
+        elif name in FLAG_VALUES and choice != 1:
+            argv.append(draw(FLAG_VALUES[name][choice == 0]))
+    return argv, doc
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=argv_lists())
+def test_cli_argv_exits_0_or_2_without_traceback(case, argv_dir):
+    argv, doc = case
+    paths = {arg: str(argv_dir / f"{arg[1:-1]}.file") for arg in PATH_ARGS.values()}
+    with open(paths["<config>"], "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    argv = [paths.get(a, a) for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue()

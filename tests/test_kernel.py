@@ -1,5 +1,6 @@
 """The batched session kernel against the scalar ModeState reference path."""
 import csv
+import dataclasses
 import io
 import math
 
@@ -355,6 +356,29 @@ def test_phase_window_sampler_at_window_steps(scheme, rng):
         assert np.all((got == sides[0][on]) | (got == sides[1][on]))
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_phase_window_still_entries_equal_the_full_formula(scheme, rng):
+    # An entry flagged still is compared as a alone; a + 0·cos θ + 0·sin θ is
+    # a exactly, so the samples equal those of the unflagged window, with
+    # u·total landing exactly on each still entry too.
+    window = phase_window(scheme)
+    assert sum(window.still) == (0 if scheme is SchemeId.FIG1_SINGLE_PHOTON else 5)
+    full = dataclasses.replace(window, still=(False,) * len(window.still))
+    rows, draws = [], []
+    for j in np.flatnonzero(window.still):
+        for r, (a, total) in enumerate(zip(window.steps[0, j], window.table.total)):
+            for u in (np.nextafter(a / total, 0.0), a / total, np.nextafter(a / total, 1.0)):
+                if u * total == a:
+                    rows.append(r)
+                    draws.append(u)
+    assert len(draws) >= len(window.table.total) * sum(window.still)
+    random_rows = rng.integers(0, len(window.table.total), 5000)
+    row = np.concatenate([np.array(rows, dtype=np.intp), random_rows])
+    u = np.concatenate([draws, rng.random(5000)])
+    theta = rng.uniform(0.0, TWO_PI, len(row))
+    np.testing.assert_array_equal(window.sample(row, theta, u), full.sample(row, theta, u))
+
+
 def test_phase_window_rejects_unnormalized_columns():
     # Normalized at θ = 0 and θ = π, but the norm² at θ is 1 + sin θ.
     x = np.array([[0.5], [0.5]], dtype=complex)
@@ -373,22 +397,141 @@ def test_phase_window_rejects_unnormalized_columns():
     assert (ok.lo, ok.hi) == (0, 0)
 
 
+# --- draw helpers: each equals the plain Generator call it stands for -----------
+
+def philox(key: int = 11) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array([key, 3], dtype=np.uint64)))
+
+
+def live_state(rng: np.random.Generator) -> tuple:
+    """The part of a Philox state that later draws read: counter, key, the
+    unread buffer words, and the held uint32 half when one is held.
+    (A counter advance zeroes the spent words and a stale half; no draw
+    reads those.)"""
+    state = rng.bit_generator.state
+    pos, held = state["buffer_pos"], state["has_uint32"]
+    return (
+        tuple(state["state"]["counter"]), tuple(state["state"]["key"]), pos,
+        tuple(state["buffer"][pos:]), held, state["uinteger"] if held else None,
+    )
+
+
+# Draws that leave (buffer_pos, has_uint32) at each of (1..4) × (0, 1).
+PRIOR_DRAWS = {
+    "fresh": (lambda rng: None, (4, 0)),
+    "1 double": (lambda rng: rng.random(1), (1, 0)),
+    "2 doubles": (lambda rng: rng.random(2), (2, 0)),
+    "3 doubles": (lambda rng: rng.random(3), (3, 0)),
+    "8 doubles": (lambda rng: rng.random(8), (4, 0)),
+    "1 uint32": (lambda rng: rng.integers(0, 4, 1), (1, 1)),
+    "1 uint32, 1 double": (lambda rng: (rng.integers(0, 4, 1), rng.random(1)), (2, 1)),
+    "1 uint32, 2 doubles": (lambda rng: (rng.integers(0, 4, 1), rng.random(2)), (3, 1)),
+    "1 uint32, 7 doubles": (lambda rng: (rng.integers(0, 4, 1), rng.random(7)), (4, 1)),
+}
+DRAW_COUNTS = [0, 1, 2, 3, 4, 5, 7, 8, 4095, 4096]
+
+
+def assert_same_stream(a: np.random.Generator, b: np.random.Generator) -> None:
+    """The same live state, and the same next 8 draws of each kind."""
+    assert live_state(a) == live_state(b)
+    np.testing.assert_array_equal(a.random(8), b.random(8))
+    np.testing.assert_array_equal(a.integers(0, 4, 8), b.integers(0, 4, 8))
+    np.testing.assert_array_equal(a.integers(0, 3, 7), b.integers(0, 3, 7))
+    np.testing.assert_array_equal(a.uniform(0.0, TWO_PI, 8), b.uniform(0.0, TWO_PI, 8))
+    np.testing.assert_array_equal(a.bit_generator.random_raw(8), b.bit_generator.random_raw(8))
+    assert live_state(a) == live_state(b)
+
+
+@pytest.mark.parametrize("prior", list(PRIOR_DRAWS))
+def test_prior_draws_reach_each_buffer_state(prior):
+    draw, expected = PRIOR_DRAWS[prior]
+    rng = philox()
+    draw(rng)
+    state = rng.bit_generator.state
+    assert (state["buffer_pos"], state["has_uint32"]) == expected
+
+
+@pytest.mark.parametrize("prior", list(PRIOR_DRAWS))
+def test_skip_equals_drawing(prior):
+    draw, _ = PRIOR_DRAWS[prior]
+    for k in DRAW_COUNTS:
+        skipped, drawn = philox(), philox()
+        draw(skipped)
+        draw(drawn)
+        session._skip(skipped, k)
+        drawn.random(k)
+        assert_same_stream(skipped, drawn)
+
+
+@pytest.mark.parametrize("prior", list(PRIOR_DRAWS))
+def test_integers_helper_equals_generator_integers(prior):
+    draw, _ = PRIOR_DRAWS[prior]
+    for high in (2, 3, 4, 8):
+        for n in DRAW_COUNTS:
+            fast, plain = philox(), philox()
+            draw(fast)
+            draw(plain)
+            np.testing.assert_array_equal(session._integers(fast, high, n), plain.integers(0, high, n))
+            assert_same_stream(fast, plain)
+
+
+@pytest.mark.parametrize("photons", [1, 2])
+def test_loss_mask_equals_any_over_photons(photons):
+    loss = ChannelSpec("loss", loss=0.3)
+    for n in DRAW_COUNTS:
+        fast, plain = philox(), philox()
+        lost, phases = session._channel_draws(loss, photons, fast, n)
+        assert phases is None
+        np.testing.assert_array_equal(lost, (plain.random((n, photons)) < 0.3).any(axis=1))
+        assert_same_stream(fast, plain)
+
+
+def test_rekey_equals_a_new_chunk_generator():
+    rng = session._chunk_rng(9, 0)
+    for chunk, (draw, _) in enumerate(PRIOR_DRAWS.values()):
+        draw(rng)
+        session._rekey(rng, 2**64 - 1, chunk)
+        fresh = session._chunk_rng(2**64 - 1, chunk)
+        assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
+        assert_same_stream(rng, fresh)
+
+
 def reference_codes(config: SessionConfig) -> np.ndarray:
-    """A session's trial codes from the kernel's draws, with every outcome
-    sampled by born_sample_batch from the trial's own detection amplitudes."""
+    """A session's trial codes from its own draw schedule of plain Generator
+    calls, with every outcome sampled by born_sample_batch from the trial's
+    own detection amplitudes.
+
+    Each chunk draws, in order: Alice's index; with Eve, her setting, her
+    uniform and her fallback index; the channel's loss uniforms or dephasing
+    phases; the interferometer phase when random; Bob's setting; his uniform.
+    Every draw is made, read or not, and none goes through session helpers.
+    """
     scheme = scheme_tables(config.scheme)
     n_settings, n_outcomes = len(scheme.betas), len(scheme.outcomes)
+    channel = config.channel
+
+    def settings(rng, n):
+        return rng.integers(0, n_settings, n) if n_settings > 1 else np.zeros(n, dtype=np.intp)
+
     parts = []
     for chunk in range(-(-config.trials // CHUNK_TRIALS)):
-        rng = session._chunk_rng(config.seed, chunk)
+        rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, chunk], dtype=np.uint64)))
         n = min(CHUNK_TRIALS, config.trials - chunk * CHUNK_TRIALS)
         alice = rng.integers(0, 4, n)
         eve = None
         if config.eavesdropper == "intercept_resend":
-            eve = (session._settings(rng, n_settings, n), rng.random(n), rng.integers(0, 4, n))
-        lost, phases = session._channel_draws(config.channel, scheme.photons, rng, n)
+            eve = (settings(rng, n), rng.random(n), rng.integers(0, 4, n))
+        lost, phases = None, None
+        if channel.kind == "loss":
+            lost = (rng.random((n, scheme.photons)) < channel.loss).any(axis=1)
+        elif channel.kind == "collective" and channel.phi is None:
+            phases = [rng.uniform(0.0, TWO_PI, n)] * scheme.photons
+        elif channel.kind == "independent":
+            phases = [rng.uniform(0.0, TWO_PI, n) for _ in range(scheme.photons)]
+        elif channel.phi is not None:
+            phases = [np.full(n, channel.phi)] * scheme.photons
         phi = rng.uniform(0.0, TWO_PI, n) if config.phase == PHASE_RANDOM else config.phase
-        setting = session._settings(rng, n_settings, n)
+        setting = settings(rng, n)
         u = rng.random(n)
         sent = alice
         if eve is not None:
@@ -398,8 +541,6 @@ def reference_codes(config: SessionConfig) -> np.ndarray:
             )
             named = scheme.announced[eve_setting, seen]
             sent = np.where(named > 0, named - 1, fallback)
-        if config.channel.phi is not None:
-            phases = [np.full(n, config.channel.phi)] * scheme.photons
         diagonal = None if phases is None else dephasing_diagonal(*phases)
         outcome = born_sample_batch(detection_amplitudes(scheme, sent, setting, diagonal, phi), u)
         if lost is not None:
@@ -420,16 +561,19 @@ REFERENCE_CHANNELS = {
 @pytest.mark.parametrize("channel", list(REFERENCE_CHANNELS))
 @pytest.mark.parametrize("scheme", SCHEMES, ids=[s.value for s in SCHEMES])
 def test_kernel_equals_amplitude_reference(scheme, channel):
-    # Both sampling paths, trial by trial, over two chunks: the Born tables
-    # and phase windows give what each trial's own amplitudes give.
-    for phase in (0.7, PHASE_RANDOM):
-        for eve in ("off", "intercept_resend"):
-            cfg = SessionConfig(
-                scheme, trials=CHUNK_TRIALS + 300, seed=5, phase=phase,
-                channel=REFERENCE_CHANNELS[channel], eavesdropper=eve,
-            )
-            _, records = run_session(cfg)
-            np.testing.assert_array_equal(records._codes, reference_codes(cfg))
+    # Both sampling paths, trial by trial: the Born tables and phase windows
+    # give what each trial's own amplitudes give, and the kernel's draws,
+    # skipped or read off raw words, land where the plain calls put them.
+    # Two chunks, the second odd-sized; and one short odd chunk.
+    for trials in (CHUNK_TRIALS + 300, CHUNK_TRIALS + 301, 7):
+        for phase in (0.7, PHASE_RANDOM):
+            for eve in ("off", "intercept_resend"):
+                cfg = SessionConfig(
+                    scheme, trials=trials, seed=5, phase=phase,
+                    channel=REFERENCE_CHANNELS[channel], eavesdropper=eve,
+                )
+                _, records = run_session(cfg)
+                np.testing.assert_array_equal(records._codes, reference_codes(cfg))
 
 
 # --- sampled sessions against the exact expectation ----------------------------
