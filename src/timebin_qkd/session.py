@@ -12,31 +12,27 @@ small integer code that fixes Alice's index, Bob's modulator setting and
 the outcome ("lost" included). The statistics, the records and the trace
 are derived from the codes.
 
-Outcomes are sampled from cached tables of the scheme's 4 × S signal rows
-(S modulator settings), along one of two paths:
+Every trial's outcome law depends on one relative phase θ: the phase on
+the late bin of the last photon, with the interferometer at 0. Every `owa`
+and `combined` signal, and every state Eve resends, lies in
+span{|EL⟩, |LE⟩}. In that decoherence-free subspace the interferometer
+phase φ and a collective dephasing phase multiply |EL⟩ and |LE⟩ alike, so
+they are a global phase and drop out of every outcome probability. So
+θ = 0 for a pair behind no channel, loss or collective dephasing, and for
+Eve's measurements; θ = φ₂ − φ₁ for a pair behind independent dephasing;
+and θ = φ_c − φ, the channel's phase less the interferometer's, for
+`fig1`. `_phase_draws` makes the draws that set θ, and no other code
+applies this rule.
 
-* `born_table`: the rows' outcome CDFs at one interferometer phase φ and
-  one collective phase, sampled by lookup. Every `owa` and `combined`
-  signal, and every state Eve resends, lies in span{|EL⟩, |LE⟩}. In that
-  decoherence-free subspace φ and a collective phase multiply |EL⟩ and
-  |LE⟩ alike, so they are a global phase and drop out of every outcome
-  probability. A pair scheme behind no channel, loss, or collective
-  dephasing (fixed or random) is therefore sampled from the one table at
-  φ = 0, whatever its φ. Eve's measurements use that table too, and `fig1`
-  at a fixed φ behind a channel with no random phase uses the table at
-  its φ.
-* `phase_window`: the rows as x·e^{iθ} + y, for trials whose outcome law
-  depends on one relative phase θ alone. For a pair behind independent
-  dephasing, θ = φ₂ − φ₁ between the photons' late-bin phases; for `fig1`
-  at a random φ or behind a random channel phase, θ = φ_c − φ between the
-  channel's and the interferometer's. θ moves only the outcomes where x
-  and y interfere. The window lo..hi that holds them is 1..2 (the middle
-  slot) for `fig1`, and 7..14 for pairs, whose both-middle outcomes are
-  7, 8, 13 and 14. A trial is looked up in the θ = 0 table, and only a
-  trial that lands in the window has the window's CDF computed at its θ
-  (`qstate.PhaseWindow`).
+A session that shares one θ is sampled by lookup in `born_table(scheme, θ)`.
+A θ drawn per trial goes to `phase_window`: the rows as x·e^{iθ} + y, where
+θ moves only the outcomes where x and y interfere. The window lo..hi that
+holds them is 1..2 (the middle slot) for `fig1`, and 7..14 for pairs,
+whose both-middle outcomes are 7, 8, 13 and 14. A trial is looked up in
+the θ = 0 table, and only a trial that lands in the window has the
+window's CDF computed at its θ (`qstate.PhaseWindow`).
 
-Both paths compare u·total with the trial's CDF, as `born_sample_batch`
+Both samplers compare u·total with the trial's CDF, as `born_sample_batch`
 does on the trial's own detection amplitudes (`detection_amplitudes`), and
 their CDFs differ from that one only by roundoff; the tests hold them to
 it. The kernel as a whole is checked against the scalar ModeState path
@@ -66,7 +62,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from .dfs import dephasing_diagonal
 from .optics import TWO_PI, mzi_batch, wrap_phase
 from .protocols import Scheme, SchemeId, scheme_tables, sift, signal_state
 from .qstate import BornTable, PhaseWindow
@@ -94,6 +89,15 @@ def _is_int(value) -> bool:
 
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _number(value, what: str, expected: str = "a number") -> float:
+    if not _is_real(value):
+        raise ConfigError(f"{what} must be {expected}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} is out of range") from None
 
 
 #: The fields of each channel kind, in its config document and its ChannelSpec.
@@ -126,8 +130,8 @@ class ChannelSpec:
         if self.phi is not None:
             if "phi" not in fields:
                 raise ConfigError(f"channel phi applies to kind 'collective', not {self.kind!r}")
-            if not _is_real(self.phi) or not math.isfinite(self.phi):
-                raise ConfigError(f"channel phi must be a finite number, got {self.phi!r}")
+            if not math.isfinite(_number(self.phi, "channel phi")):
+                raise ConfigError(f"channel phi must be finite, got {self.phi!r}")
         if not _is_real(self.loss):
             raise ConfigError(f"loss probability must be a number, got {self.loss!r}")
         if "loss" in fields:
@@ -164,9 +168,7 @@ class SessionConfig:
         if not _is_int(self.seed) or not 0 <= self.seed < SEED_LIMIT:
             raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.phase != PHASE_RANDOM:
-            if not _is_real(self.phase):
-                raise ConfigError(f"phase must be {EXPECTED_PHASE}, got {self.phase!r}")
-            if not math.isfinite(self.phase):
+            if not math.isfinite(_number(self.phase, "phase", EXPECTED_PHASE)):
                 raise ConfigError("phase must be finite")
         if self.eavesdropper not in ("off", "intercept_resend"):
             raise ConfigError(f"unknown eavesdropper mode {self.eavesdropper!r}")
@@ -296,49 +298,45 @@ def detection_amplitudes(
     return mzi_batch(amps, phi)
 
 
-def _fixed_diagonal(photons: int, channel_phi: float) -> np.ndarray:
-    """The dephasing diagonal of a collective channel at one phase, as a d×1 column."""
-    phi = np.array([channel_phi])
-    return dephasing_diagonal(*[phi] * photons)
+def _signal_rows(scheme: Scheme, late: complex) -> np.ndarray:
+    """Detection amplitudes of a scheme's 4 × S signal rows, one column per row.
 
-
-def born_table(scheme_id: SchemeId, phi: float, channel_phi: float | None = None) -> BornTable:
-    """The Born table of a scheme's 4 × S signal rows at interferometer phase phi.
-
-    Row (index − 1)·S + setting is signal `index` through a collective channel
-    at phase channel_phi (None: no dephasing) and Bob's modulator at `setting`.
-    Tables are cached per (scheme, wrapped phi, channel_phi).
+    Row (index − 1)·S + setting is signal `index` with its last photon's late
+    bin multiplied by `late`, through Bob's modulator at `setting` and the
+    interferometer at phase 0.
     """
-    return _born_table(SchemeId(scheme_id), wrap_phase(float(phi)), channel_phi)
+    n_settings = len(scheme.betas)
+    sent, setting = np.divmod(np.arange(4 * n_settings), n_settings)
+    diagonal = np.tile([1, late], scheme.photons)[:, None]  # over (E, L), or (EE, EL, LE, LL)
+    return detection_amplitudes(scheme, sent, setting, diagonal, 0.0)
+
+
+def born_table(scheme_id: SchemeId, theta: float) -> BornTable:
+    """The Born table of a scheme's 4 × S signal rows at relative phase theta.
+
+    theta is the phase on the late bin of the last photon, with the
+    interferometer at 0 (`_signal_rows`); the module docstring says which θ
+    each trial has. Tables are cached per (scheme, wrapped theta).
+    """
+    return _born_table(SchemeId(scheme_id), wrap_phase(float(theta)))
 
 
 @lru_cache(maxsize=128)
-def _born_table(scheme_id: SchemeId, phi: float, channel_phi: float | None) -> BornTable:
-    scheme = scheme_tables(scheme_id)
-    n_settings = len(scheme.betas)
-    sent, setting = np.divmod(np.arange(4 * n_settings), n_settings)
-    diagonal = None if channel_phi is None else _fixed_diagonal(scheme.photons, channel_phi)
-    return BornTable.from_amplitudes(detection_amplitudes(scheme, sent, setting, diagonal, phi))
+def _born_table(scheme_id: SchemeId, theta: float) -> BornTable:
+    return BornTable.from_amplitudes(_signal_rows(scheme_tables(scheme_id), np.exp(1j * theta)))
 
 
 @lru_cache(maxsize=None)
 def phase_window(scheme_id: SchemeId) -> PhaseWindow:
-    """The PhaseWindow of a scheme's 4 × S signal rows, over their relative phase θ.
+    """The PhaseWindow of a scheme's 4 × S signal rows, over the relative phase θ.
 
-    Row (index − 1)·S + setting is signal `index` through Bob's modulator at
-    `setting`, at interferometer phase 0, with θ on the late bin of the last
-    photon: its table is born_table(scheme, 0). For a pair, θ = φ₂ − φ₁ of
-    independent dephasing; for fig1, θ = φ_c − φ, the channel's phase less
-    the interferometer's.
+    The rows are born_table(scheme, θ)'s, as x·e^{iθ} + y, for trials that
+    each have their own θ. They are built at late = ±1.0 exactly (θ = 0 and
+    π), so the window's table is born_table(scheme, 0) and its bounds and
+    still entries carry no roundoff of e^{iπ}.
     """
     scheme = scheme_tables(SchemeId(scheme_id))
-    n_settings = len(scheme.betas)
-    sent, setting = np.divmod(np.arange(4 * n_settings), n_settings)
-    flip = np.tile([1.0, -1.0], scheme.photons)[:, None]  # θ = π: EL and LL, or L, negated
-    return PhaseWindow.from_amplitudes(
-        detection_amplitudes(scheme, sent, setting, None, 0.0),
-        detection_amplitudes(scheme, sent, setting, flip, 0.0),
-    )
+    return PhaseWindow.from_amplitudes(_signal_rows(scheme, 1.0), _signal_rows(scheme, -1.0))
 
 
 #: 64-bit words in one Philox block: one counter value's output.
@@ -408,29 +406,49 @@ def _flat(major: np.ndarray, minor: np.ndarray | None, width: int) -> np.ndarray
     return major if minor is None else major * width + minor
 
 
-def _channel_draws(
-    channel: ChannelSpec, photons: int, rng: np.random.Generator, n: int
-) -> tuple[np.ndarray | None, tuple[np.ndarray, ...] | None]:
-    """(lost mask, dephasing phase per photon), each None when no trial reads it.
+def _phase_draws(
+    config: SessionConfig, photons: int, rng: np.random.Generator, n: int
+) -> tuple[np.ndarray | None, float | np.ndarray]:
+    """(lost mask, θ): the channel's draws, then the interferometer's, in that order.
 
-    Loss draws one uniform per photon and trial; random dephasing draws one
-    phase per trial, collective, or one per photon, independent. A pair's
-    collective phase is global on span{|EL⟩, |LE⟩}, so no trial reads it:
-    it is skipped by advancing the stream (`_skip`), and every later draw
-    keeps its position.
+    θ is the one relative phase that reaches the outcome (module docstring):
+    a float when the whole session shares it, else one value per trial. The
+    mask is None without loss. Loss draws one uniform per photon and trial;
+    random dephasing one phase per trial, collective, or per photon,
+    independent; a random φ one phase per trial. A pair's φ and collective
+    phase are global, so no trial reads them: they are skipped by advancing
+    the stream (`_skip`), and every later draw keeps its position.
     """
-    if channel.kind == "none" or channel.phi is not None:  # phi: a fixed collective phase
-        return None, None
+    pair = photons == 2
+
+    def uniform_phase():
+        """One phase per trial, or a pair's global phase: 0.0, with its draw skipped."""
+        if pair:
+            _skip(rng, n)
+            return 0.0
+        return rng.uniform(0.0, TWO_PI, n)
+
+    channel = config.channel
+    lost, theta = None, 0.0
     if channel.kind == "loss":
         draws = rng.random((n, photons))
         lost = draws[:, 0] < channel.loss
         for photon in range(1, photons):
             lost |= draws[:, photon] < channel.loss
-        return lost, None
-    if channel.kind == "collective" and photons == 2:
-        _skip(rng, n)
-        return None, None
-    return None, tuple(rng.uniform(0.0, TWO_PI, n) for _ in range(photons))
+    elif channel.kind == "independent":
+        theta = rng.uniform(0.0, TWO_PI, n)
+        if pair:
+            theta = rng.uniform(0.0, TWO_PI, n) - theta  # φ₂ − φ₁
+    elif channel.kind == "collective":
+        if channel.phi is None:
+            theta = uniform_phase()
+        elif not pair:
+            theta = float(channel.phi)
+    if config.phase == PHASE_RANDOM:
+        phi = uniform_phase()
+    else:
+        phi = 0.0 if pair else float(config.phase)
+    return lost, theta if pair else theta - phi
 
 
 def _run_chunk(
@@ -438,37 +456,27 @@ def _run_chunk(
 ) -> np.ndarray:
     """The trial codes of one chunk of the session, drawn from rng re-keyed to it.
 
-    The chunk's draws are all made first, in a fixed order, and every
-    trial is then sampled from a Born table or a phase window (see the
-    module docstring). A draw that no trial's path reads is skipped by
-    advancing the stream, so the later draws keep their positions.
+    The chunk's draws are all made first, in a fixed order. Every trial is
+    then sampled from the Born table at the session's θ, or from the phase
+    window at its own θ (see the module docstring).
     """
     _rekey(rng, config.seed, chunk)
     n = min(CHUNK_TRIALS, config.trials - chunk * CHUNK_TRIALS)
     scheme = table.scheme
     n_settings, n_outcomes = len(scheme.betas), len(scheme.outcomes)
-    channel = config.channel
-    pair = scheme.photons == 2
 
     alice = _integers(rng, 4, n)  # signal index - 1
     eve = None
     if config.eavesdropper == "intercept_resend":
         # Her setting and uniform draw, and the index she resends when inconclusive.
         eve = (_settings(rng, n_settings, n), rng.random(n), _integers(rng, 4, n))
-    lost, phases = _channel_draws(channel, scheme.photons, rng, n)
-    if config.phase != PHASE_RANDOM:
-        phi = float(config.phase)
-    elif pair:
-        phi = 0.0
-        _skip(rng, n)  # a pair's φ is global on span{|EL⟩, |LE⟩}: no trial reads it
-    else:
-        phi = rng.uniform(0.0, TWO_PI, n)
+    lost, theta = _phase_draws(config, scheme.photons, rng, n)
     setting = _settings(rng, n_settings, n)
     u = rng.random(n)
 
     sent = alice
     if eve is not None:
-        # Bob's apparatus at φ = 0; resend the named state, or a uniform one.
+        # Bob's apparatus at θ = 0; resend the named state, or a uniform one.
         eve_setting, eve_u, fallback = eve
         eve_row = _flat(alice, eve_setting, n_settings)
         eve_outcome = born_table(scheme.id, 0.0).sample(eve_row, eve_u)
@@ -476,17 +484,9 @@ def _run_chunk(
         named = scheme.announced.ravel()[seen]
         sent = np.where(named > 0, named - 1, fallback)
     row = _flat(sent, setting, n_settings)
-    channel_phi = None if channel.phi is None else float(channel.phi)  # fixed collective
-    if pair and channel.kind != "independent":
-        # Decoherence-free: neither φ nor a collective phase reaches the outcome.
-        outcome = born_table(scheme.id, 0.0).sample(row, u)
-    elif phases is None and np.ndim(phi) == 0:
-        outcome = born_table(scheme.id, phi, channel_phi).sample(row, u)
+    if np.ndim(theta) == 0:
+        outcome = born_table(scheme.id, theta).sample(row, u)
     else:
-        if pair:
-            theta = phases[1] - phases[0]
-        else:
-            theta = (phases[0] if phases is not None else channel_phi or 0.0) - phi
         outcome = phase_window(scheme.id).sample(row, theta, u)
     if lost is not None:
         outcome[lost] = n_outcomes
@@ -625,21 +625,13 @@ def _check_keys(doc: dict, allowed: tuple[str, ...], where: str) -> None:
         )
 
 
-def _number(value, what: str, expected: str = "a number") -> float:
-    if not _is_real(value):
-        raise ConfigError(f"{what} must be {expected}, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{what} is out of range") from None
-
-
 def config_from_dict(doc) -> SessionConfig:
     """Build a SessionConfig from a parsed JSON document (the CLI --config format).
 
     Raises ConfigError for anything but an object with the required keys,
-    known keys only, the fields of its channel's kind, and values of the
-    right types; the SessionConfig's validate() then checks their ranges.
+    known keys only, and the fields of its channel's kind, or for a value it
+    cannot convert (a scheme, a channel kind, a number); the SessionConfig's
+    validate() then checks every value's type and range.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"a config must be a JSON object, got {type(doc).__name__}")
@@ -651,9 +643,6 @@ def config_from_dict(doc) -> SessionConfig:
         scheme = SchemeId(doc["scheme"])
     except (ValueError, TypeError):
         raise ConfigError(f"unknown scheme {doc['scheme']!r}") from None
-    for key in ("trials", "seed"):
-        if not _is_int(doc[key]):
-            raise ConfigError(f"{key} must be an integer, got {doc[key]!r}")
 
     channel_doc = doc.get("channel", {"kind": "none"})
     if isinstance(channel_doc, str):

@@ -1,9 +1,22 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from timebin_qkd.cli import main
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[str]:
+    """Each `timebin-qkd …` line of README's sh blocks, its `\\` continuations joined."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [" ".join(line.split()) for line in lines if line.strip().startswith("timebin-qkd ")]
 
 
 def run_cli(capsys, *argv):
@@ -239,3 +252,17 @@ class TestSweep:
         code, _, _ = run_cli(
             capsys, "sweep", "--protocol", "combined", "--phase-grid", "0,abc")
         assert code == 2
+
+
+@pytest.mark.parametrize("command", readme_commands())
+def test_readme_command_exits_0(command, tmp_path, monkeypatch, capsys):
+    # The documented commands must parse and run as written.
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(command)[1:]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+
+
+def test_readme_lists_the_cli_commands():
+    commands = {shlex.split(c)[1] for c in readme_commands()}
+    assert commands == {"run", "chart", "states", "sweep"}

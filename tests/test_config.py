@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from timebin_qkd.cli import main
 from timebin_qkd.protocols import SchemeId
-from timebin_qkd.session import ChannelSpec, ConfigError, SessionConfig, config_from_dict
+from timebin_qkd.session import (
+    ChannelSpec,
+    ConfigError,
+    SessionConfig,
+    config_from_dict,
+    run_session,
+)
 
 VALID = {"scheme": "fig1", "trials": 10, "seed": 1}
 
@@ -114,6 +120,16 @@ def test_session_config_rejects_wrong_types(field, value):
     fields = {"scheme": SchemeId.COMBINED, "trials": 10, "seed": 1, field: value}
     with pytest.raises(ConfigError):
         SessionConfig(**fields).validate()
+
+
+@pytest.mark.parametrize("config", [
+    SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 10, 1, phase=10**400),
+    SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 10, 1, channel=ChannelSpec("collective", phi=10**400)),
+], ids=["phase", "channel phi"])
+def test_run_session_rejects_a_phase_beyond_a_float(config):
+    # An int too large for a float is a ConfigError, not float()'s OverflowError.
+    with pytest.raises(ConfigError, match="out of range"):
+        run_session(config)
 
 
 # --- round trip ------------------------------------------------------------------

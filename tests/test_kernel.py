@@ -164,35 +164,50 @@ def test_born_sample_batch_rejects_unnormalized_columns():
 # --- Born tables: the fixed-amplitude sampling path -----------------------------
 
 TABLE_CHANNEL_PHASES = [None, 0.0, 0.9, 3.0, 5.5]  # fixed collective phase; None: no channel
+# θ = φ_c − φ over both grids: every relative phase a fig1 table is keyed by above.
+TABLE_THETAS = [(c or 0.0) - phi for phi in PHI_GRID for c in TABLE_CHANNEL_PHASES]
 
 
-def table_columns(scheme, phi, channel_phi):
-    """The table's rows as detection amplitude columns, built trial-style."""
+def table_columns(scheme, theta):
+    """The table's rows as detection amplitude columns, built trial-style: the
+    late phase θ on the last photon (dephasing (0, θ) for a pair), and the
+    interferometer at φ = 0."""
     table = scheme_tables(scheme)
     n_settings = len(table.betas)
     rows = np.arange(4 * n_settings)
-    diagonal = None
-    if channel_phi is not None:
-        phases = [np.full(len(rows), channel_phi)] * table.photons
-        diagonal = dephasing_diagonal(*phases)
-    return detection_amplitudes(table, rows // n_settings, rows % n_settings, diagonal, phi)
+    late = np.full(len(rows), wrap_phase(theta))
+    phases = [late] if table.photons == 1 else [np.zeros_like(late), late]
+    diagonal = dephasing_diagonal(*phases)
+    return detection_amplitudes(table, rows // n_settings, rows % n_settings, diagonal, 0.0)
+
+
+def assert_rows_equal_scalar_path(born, scheme, channel, phi):
+    """Each row of born is scalar_distribution's CDF of its signal through
+    channel and the interferometer at phi."""
+    table = scheme_tables(scheme)
+    n_settings = len(table.betas)
+    assert born.cdf.shape == (4 * n_settings, len(table.outcomes))
+    for index in (1, 2, 3, 4):
+        for setting, beta in enumerate(table.betas):
+            p = scalar_distribution(scheme, index, channel, beta, phi)
+            row = (index - 1) * n_settings + setting
+            np.testing.assert_allclose(born.cdf[row], np.cumsum(p), rtol=0, atol=1e-12)
+            assert born.total[row] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_born_table_rows_are_scalar_cdfs(scheme):
-    table = scheme_tables(scheme)
-    n_settings = len(table.betas)
+    # The θ reduction: behind a collective phase φ_c and the interferometer at
+    # φ, fig1's law is the table at θ = φ_c − φ, and a pair's the table at 0.
+    single = scheme is SchemeId.FIG1_SINGLE_PHOTON
     for phi in PHI_GRID:
         for channel_phi in TABLE_CHANNEL_PHASES:
-            born = born_table(scheme, phi, channel_phi)
-            assert born.cdf.shape == (4 * n_settings, len(table.outcomes))
+            born = born_table(scheme, (channel_phi or 0.0) - phi if single else 0.0)
             channel = None if channel_phi is None else (channel_phi, channel_phi)
-            for index in (1, 2, 3, 4):
-                for setting, beta in enumerate(table.betas):
-                    p = scalar_distribution(scheme, index, channel, beta, phi)
-                    row = (index - 1) * n_settings + setting
-                    np.testing.assert_allclose(born.cdf[row], np.cumsum(p), rtol=0, atol=1e-12)
-                    assert born.total[row] == pytest.approx(1.0, abs=1e-12)
+            assert_rows_equal_scalar_path(born, scheme, channel, phi)
+    if not single:  # a pair's table at θ is independent dephasing (0, θ)
+        for theta in (0.4, 2.3, math.pi, 5.5):
+            assert_rows_equal_scalar_path(born_table(scheme, theta), scheme, (0.0, theta), 0.0)
 
 
 def step_draws(table: BornTable) -> tuple[np.ndarray, np.ndarray]:
@@ -209,20 +224,19 @@ def step_draws(table: BornTable) -> tuple[np.ndarray, np.ndarray]:
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_born_table_sampler_equals_born_sample_batch(scheme, rng):
-    for phi in PHI_GRID:
-        for channel_phi in TABLE_CHANNEL_PHASES:
-            born = born_table(scheme, phi, channel_phi)
-            columns = table_columns(scheme, phi, channel_phi)
-            n_rows = len(born.cdf)
-            random_rows = rng.integers(0, n_rows, 3000)
-            step_rows, step_u = step_draws(born)
-            for row, u in [
-                (random_rows, rng.random(3000)),  # random draws
-                (np.arange(n_rows), np.zeros(n_rows)),  # u = 0
-                (step_rows, step_u),  # u exactly on, and either side of, each CDF step
-            ]:
-                expected = born_sample_batch(columns[:, row], u)
-                np.testing.assert_array_equal(born.sample(row, u), expected)
+    for theta in TABLE_THETAS:
+        born = born_table(scheme, theta)
+        columns = table_columns(scheme, theta)
+        n_rows = len(born.cdf)
+        random_rows = rng.integers(0, n_rows, 3000)
+        step_rows, step_u = step_draws(born)
+        for row, u in [
+            (random_rows, rng.random(3000)),  # random draws
+            (np.arange(n_rows), np.zeros(n_rows)),  # u = 0
+            (step_rows, step_u),  # u exactly on, and either side of, each CDF step
+        ]:
+            expected = born_sample_batch(columns[:, row], u)
+            np.testing.assert_array_equal(born.sample(row, u), expected)
 
 
 def test_born_table_sampler_on_arbitrary_columns(rng):
@@ -250,16 +264,16 @@ def test_born_table_rejects_unnormalized_rows():
         BornTable.from_amplitudes(np.array([[np.nan], [0.0]], dtype=complex))
 
 
-def test_phi_and_phi_plus_two_pi_share_one_table():
-    phi = 0.5  # 0.5 + 2π is exact in binary, so it wraps back to 0.5 itself
-    assert wrap_phase(phi + TWO_PI) == phi
+def test_theta_and_theta_plus_two_pi_share_one_table():
+    theta = 0.5  # 0.5 + 2π is exact in binary, so it wraps back to 0.5 itself
+    assert wrap_phase(theta + TWO_PI) == theta
     for scheme in SCHEMES:
-        first = born_table(scheme, phi)
+        first = born_table(scheme, theta)
         size = _born_table.cache_info().currsize
-        assert born_table(scheme, phi + TWO_PI) is first
-        assert born_table(scheme, phi - TWO_PI) is first
+        assert born_table(scheme, theta + TWO_PI) is first
+        assert born_table(scheme, theta - TWO_PI) is first
         assert _born_table.cache_info().currsize == size
-        assert born_table(scheme, phi, 1.1) is not first
+        assert born_table(scheme, theta + 1.1) is not first
 
 
 # --- the decoherence-free subspace, and the phase window --------------------------
@@ -271,13 +285,21 @@ DFS_PHASES = [k * TWO_PI / 13 + 0.05 for k in range(13)]
 @pytest.mark.parametrize("scheme", PAIRS, ids=[s.value for s in PAIRS])
 def test_pair_rows_do_not_depend_on_phi_or_collective_phase(scheme):
     # Every pair signal lies in span{|EL⟩, |LE⟩}, where φ and a collective
-    # phase are a global phase: the Born rows are the φ = 0 rows.
+    # phase are a global phase: the rows' outcome CDFs at (φ, φ_c) are the
+    # rows of the table at θ = 0.
+    table = scheme_tables(scheme)
+    n_settings = len(table.betas)
+    rows = np.arange(4 * n_settings)
     base = born_table(scheme, 0.0)
     for phi in DFS_PHASES:
         for channel_phi in [None] + DFS_PHASES[::3]:
-            born = born_table(scheme, phi, channel_phi)
-            np.testing.assert_allclose(born.cdf, base.cdf, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(born.total, base.total, rtol=0, atol=1e-15)
+            diagonal = None
+            if channel_phi is not None:
+                diagonal = dephasing_diagonal(*[np.full(len(rows), channel_phi)] * 2)
+            amps = detection_amplitudes(table, rows // n_settings, rows % n_settings, diagonal, phi)
+            cdf, total = born_cdf(amps)
+            np.testing.assert_allclose(cdf.T, base.cdf, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(total, base.total, rtol=0, atol=1e-15)
 
 
 def test_fig1_rows_depend_on_phi():
@@ -477,11 +499,12 @@ def test_integers_helper_equals_generator_integers(prior):
 
 @pytest.mark.parametrize("photons", [1, 2])
 def test_loss_mask_equals_any_over_photons(photons):
-    loss = ChannelSpec("loss", loss=0.3)
+    scheme = SchemeId.FIG1_SINGLE_PHOTON if photons == 1 else SchemeId.COMBINED
+    config = SessionConfig(scheme, 1, 0, phase=0.0, channel=ChannelSpec("loss", loss=0.3))
     for n in DRAW_COUNTS:
         fast, plain = philox(), philox()
-        lost, phases = session._channel_draws(loss, photons, fast, n)
-        assert phases is None
+        lost, theta = session._phase_draws(config, photons, fast, n)
+        assert theta == 0.0
         np.testing.assert_array_equal(lost, (plain.random((n, photons)) < 0.3).any(axis=1))
         assert_same_stream(fast, plain)
 
@@ -556,6 +579,45 @@ REFERENCE_CHANNELS = {
     "independent": ChannelSpec("independent"),
     "loss=0.2": ChannelSpec("loss", loss=0.2),
 }
+
+
+@pytest.mark.parametrize("channel", list(REFERENCE_CHANNELS))
+@pytest.mark.parametrize("phase", [0.7, PHASE_RANDOM])
+@pytest.mark.parametrize("scheme", SCHEMES, ids=[s.value for s in SCHEMES])
+def test_phase_draws_give_the_one_relative_phase(scheme, phase, channel):
+    # θ is a float when no draw reaches the outcome, else one value per
+    # trial: a pair's is 0 outside independent dephasing, where it is
+    # φ₂ − φ₁; fig1's is φ_c − φ. The expected per-trial values come from
+    # plain draws in the kernel's order, the channel's then φ's, and the
+    # skipped draws leave the stream where the plain ones do.
+    spec = REFERENCE_CHANNELS[channel]
+    photons = scheme_tables(scheme).photons
+    n = 256
+    fast = philox()
+    lost, theta = session._phase_draws(SessionConfig(scheme, 1, 0, phase, spec), photons, fast, n)
+    assert (lost is None) == (spec.kind != "loss")
+
+    plain = philox()
+    if spec.kind == "loss":
+        plain.random((n, photons))
+    phases = [spec.phi or 0.0] * photons  # late-bin phases, one per photon
+    if spec.kind == "independent":
+        phases = [plain.uniform(0.0, TWO_PI, n) for _ in range(photons)]
+    elif spec.kind == "collective" and spec.phi is None:
+        phases = [plain.uniform(0.0, TWO_PI, n)] * photons
+    phi = plain.uniform(0.0, TWO_PI, n) if phase == PHASE_RANDOM else phase
+    assert_same_stream(fast, plain)
+
+    if photons == 2:
+        per_trial = spec.kind == "independent"
+        expected = phases[1] - phases[0] if per_trial else 0.0
+    else:
+        per_trial = np.ndim(phases[0]) == 1 or phase == PHASE_RANDOM
+        expected = phases[0] - phi
+    assert np.ndim(theta) == per_trial
+    np.testing.assert_array_equal(theta, expected)
+    if (scheme, phase, channel) == (SchemeId.FIG1_SINGLE_PHOTON, 0.7, "collective=1.1"):
+        assert theta == pytest.approx(0.4, abs=1e-15)
 
 
 @pytest.mark.parametrize("channel", list(REFERENCE_CHANNELS))
