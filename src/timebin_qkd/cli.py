@@ -12,7 +12,6 @@ import sys
 
 from .protocols import SchemeId, generate_chart, signal_state
 from .session import (
-    ChannelSpec,
     ConfigError,
     PHASE_RANDOM,
     SessionConfig,
@@ -36,17 +35,15 @@ def _parse_phase(text: str):
         raise argparse.ArgumentTypeError(f"phase must be a number or 'random': {text!r}")
 
 
-def _parse_channel(text: str) -> ChannelSpec:
-    if text == "none":
-        return ChannelSpec("none")
-    if text == "independent":
-        return ChannelSpec("independent")
+def _parse_channel(text: str) -> str | dict:
+    """A --channel flag as its config document's "channel" value."""
+    if text in ("none", "independent"):
+        return text
     if text.startswith("collective="):
         arg = text.split("=", 1)[1]
-        phi = None if arg == "random" else float(arg)
-        return ChannelSpec("collective", phi=phi)
+        return {"kind": "collective", "phi": PHASE_RANDOM if arg == PHASE_RANDOM else float(arg)}
     if text.startswith("loss="):
-        return ChannelSpec("loss", loss=float(text.split("=", 1)[1]))
+        return {"kind": "loss", "loss": float(text.split("=", 1)[1])}
     raise argparse.ArgumentTypeError(
         f"channel must be none, collective=PHI, collective=random, independent, or loss=P: {text!r}"
     )
@@ -94,9 +91,14 @@ def _stats_csv(doc: dict) -> str:
 
 
 def _run_config(args: argparse.Namespace) -> SessionConfig:
-    """The session of `run`: the --config document with the given flags merged over it."""
+    """The session of `run`: the given flags, merged over the --config document if there is one."""
     doc = {}
-    if args.config is not None:
+    if args.config is None:
+        required = {"--protocol": args.protocol, "--trials": args.trials, "--seed": args.seed}
+        missing = [flag for flag, value in required.items() if value is None]
+        if missing:
+            raise ConfigError(f"missing required flags: {', '.join(missing)}")
+    else:
         with open(args.config, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
@@ -107,7 +109,7 @@ def _run_config(args: argparse.Namespace) -> SessionConfig:
         "trials": args.trials,
         "seed": args.seed,
         "phase": args.phase,
-        "channel": None if args.channel is None else args.channel.describe(),
+        "channel": args.channel,
         "eavesdropper": "intercept_resend" if args.eve else None,
     }
     if isinstance(doc, dict):  # anything else is rejected by config_from_dict
@@ -150,11 +152,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         grid = [float(x) for x in args.phase_grid.split(",") if x.strip() != ""]
     except ValueError:
-        print(f"error: malformed phase grid {args.phase_grid!r}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"malformed phase grid {args.phase_grid!r}") from None
     if not grid:
-        print("error: empty phase grid", file=sys.stderr)
-        return 2
+        raise ConfigError("empty phase grid")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["phi", "sifted_rate", "qber"])
@@ -213,22 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run" and args.config is None:
-            missing = [
-                name
-                for name, value in [
-                    ("--protocol", args.protocol),
-                    ("--trials", args.trials),
-                    ("--seed", args.seed),
-                ]
-                if value is None
-            ]
-            if missing:
-                print(f"error: missing required flags: {', '.join(missing)}", file=sys.stderr)
-                return 2
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

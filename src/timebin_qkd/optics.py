@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qstate import ModeState
+from .qstate import SAMPLE_NORM_TOL, ModeState
 from .timebin import TIME_BIN_BASIS, TWO_PHOTON_BASIS
 
 SLOTS = ("early", "middle", "late")
@@ -33,7 +33,8 @@ def wrap_phase(phi: float) -> float:
     """Wrap an interferometer or dephasing phase into [0, 2π)."""
     if not math.isfinite(phi):
         raise ValueError(f"phase must be finite, got {phi!r}")
-    return phi % TWO_PI
+    wrapped = phi % TWO_PI
+    return 0.0 if wrapped == TWO_PI else wrapped  # % rounds 2π − ε, for tiny ε, up to 2π
 
 
 @dataclass(frozen=True, order=True)
@@ -194,6 +195,6 @@ def outcome_distribution(state: ModeState) -> np.ndarray:
     """Born probabilities over the state's detection basis (sums to 1)."""
     p = state.probabilities()
     total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= SAMPLE_NORM_TOL:  # a NaN state fails too
         raise ValueError(f"distribution of an unnormalized state (total={total})")
     return p

@@ -281,7 +281,7 @@ def equal_up_to_global_phase(s1: ModeState, s2: ModeState, tol: float = NORM_TOL
     """True iff s1 = c·s2 for some unit-modulus scalar c, componentwise within tol."""
     if s1.basis != s2.basis:
         raise BasisMismatchError("phase comparison requires identical bases")
-    overlap = np.vdot(s2.amplitudes, s1.amplitudes)
-    mag = abs(overlap)
-    c = overlap / mag if mag > 0.0 else 1.0
+    # The phase of the overlap, taken by angle: dividing by a subnormal |overlap|
+    # overflows. A zero overlap has angle 0, so c = 1.
+    c = np.exp(1j * np.angle(np.vdot(s2.amplitudes, s1.amplitudes)))
     return bool(np.max(np.abs(s1.amplitudes - c * s2.amplitudes)) <= tol)

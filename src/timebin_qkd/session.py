@@ -24,12 +24,14 @@ and θ = φ_c − φ, the channel's phase less the interferometer's, for
 `fig1`. `_phase_draws` makes the draws that set θ, and no other code
 applies this rule.
 
-A session that shares one θ is sampled by lookup in `born_table(scheme, θ)`.
-A θ drawn per trial goes to `phase_window`: the rows as x·e^{iθ} + y, where
-θ moves only the outcomes where x and y interfere. The window lo..hi that
-holds them is 1..2 (the middle slot) for `fig1`, and 7..14 for pairs,
-whose both-middle outcomes are 7, 8, 13 and 14. A trial is looked up in
-the θ = 0 table, and only a trial that lands in the window has the
+Each scheme has one kernel record, `_kernel(scheme)`: its tables, the
+lookups over its trial codes, and its phase window, the rows as
+x·e^{iθ} + y, where θ moves only the outcomes where x and y interfere. The
+window lo..hi that holds them is 1..2 (the middle slot) for `fig1`, and
+7..14 for pairs, whose both-middle outcomes are 7, 8, 13 and 14. Its table
+is the scheme's only θ = 0 table. A session that shares one θ is sampled
+by lookup in `born_table(scheme, θ)`; a trial with its own θ is looked up
+in the θ = 0 table, and only one that lands in the window has the
 window's CDF computed at its θ (`qstate.PhaseWindow`).
 
 Both samplers compare u·total with the trial's CDF, as `born_sample_batch`
@@ -227,8 +229,8 @@ class SessionStats:
 # --- batched kernel ------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _CodeTable:
-    """Lookup tables over a scheme's trial codes.
+class _Kernel:
+    """A scheme's kernel record: its tables, its phase window, and lookups over its trial codes.
 
     code = (alice·S + setting)·(O + 1) + outcome, with alice = index − 1, S
     Bob's modulator settings, O outcomes and outcome O meaning "lost"; so
@@ -236,6 +238,7 @@ class _CodeTable:
     """
 
     scheme: Scheme
+    window: PhaseWindow  # over θ; window.table is the scheme's θ = 0 Born table
     fields: tuple[tuple, ...]  # per code: the TrialRecord fields after `trial`
     rows: tuple[str, ...]  # per code: its trace CSV row after "trial,"
     kept: np.ndarray  # 4 × S × (O + 1) bool
@@ -259,28 +262,6 @@ def _csv_line(fields: list) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(fields)
     return buf.getvalue()
-
-
-@lru_cache(maxsize=None)
-def _code_table(scheme_id: SchemeId) -> _CodeTable:
-    """Built once per scheme from its Scheme record and `sift`."""
-    scheme = scheme_tables(scheme_id)
-    fields = []
-    for index in (1, 2, 3, 4):
-        alice = signal_state(scheme.id, index)
-        for verdicts in scheme.verdicts:
-            for outcome, verdict in zip(scheme.outcomes, verdicts):
-                result = sift(alice, verdict)
-                fields.append((
-                    index, outcome.label, verdict.conclusive, verdict.basis or "",
-                    result.bit_alice, result.bit_bob, result.kept,
-                ))
-            fields.append((index, "lost", False, "", None, None, False))
-    shape = (4, len(scheme.betas), len(scheme.outcomes) + 1)
-    kept = np.array([f[6] for f in fields]).reshape(shape)
-    error = np.array([f[6] and f[4] != f[5] for f in fields]).reshape(shape)
-    rows = tuple(_csv_line(_trace_fields(TrialRecord(0, *f))[1:]) for f in fields)
-    return _CodeTable(scheme, tuple(fields), rows, kept, error)
 
 
 def detection_amplitudes(
@@ -311,32 +292,49 @@ def _signal_rows(scheme: Scheme, late: complex) -> np.ndarray:
     return detection_amplitudes(scheme, sent, setting, diagonal, 0.0)
 
 
+@lru_cache(maxsize=None)
+def _kernel(scheme_id: SchemeId) -> _Kernel:
+    """Built once per scheme from its Scheme record and `sift`.
+
+    The window is built at late = ±1.0 exactly (θ = 0 and π), so its bounds
+    and still entries carry no roundoff of e^{iπ}.
+    """
+    scheme = scheme_tables(scheme_id)
+    window = PhaseWindow.from_amplitudes(_signal_rows(scheme, 1.0), _signal_rows(scheme, -1.0))
+    fields = []
+    for index in (1, 2, 3, 4):
+        alice = signal_state(scheme.id, index)
+        for verdicts in scheme.verdicts:
+            for outcome, verdict in zip(scheme.outcomes, verdicts):
+                result = sift(alice, verdict)
+                fields.append((
+                    index, outcome.label, verdict.conclusive, verdict.basis or "",
+                    result.bit_alice, result.bit_bob, result.kept,
+                ))
+            fields.append((index, "lost", False, "", None, None, False))
+    shape = (4, len(scheme.betas), len(scheme.outcomes) + 1)
+    kept = np.array([f[6] for f in fields]).reshape(shape)
+    error = np.array([f[6] and f[4] != f[5] for f in fields]).reshape(shape)
+    rows = tuple(_csv_line(_trace_fields(TrialRecord(0, *f))[1:]) for f in fields)
+    return _Kernel(scheme, window, tuple(fields), rows, kept, error)
+
+
 def born_table(scheme_id: SchemeId, theta: float) -> BornTable:
     """The Born table of a scheme's 4 × S signal rows at relative phase theta.
 
     theta is the phase on the late bin of the last photon, with the
     interferometer at 0 (`_signal_rows`); the module docstring says which θ
-    each trial has. Tables are cached per (scheme, wrapped theta).
+    each trial has. At a wrapped theta of 0 this is the table of the
+    scheme's phase window, held once in `_kernel`; other tables are cached
+    per (scheme, wrapped theta).
     """
-    return _born_table(SchemeId(scheme_id), wrap_phase(float(theta)))
+    scheme_id, theta = SchemeId(scheme_id), wrap_phase(float(theta))
+    return _kernel(scheme_id).window.table if theta == 0.0 else _born_table(scheme_id, theta)
 
 
 @lru_cache(maxsize=128)
 def _born_table(scheme_id: SchemeId, theta: float) -> BornTable:
     return BornTable.from_amplitudes(_signal_rows(scheme_tables(scheme_id), np.exp(1j * theta)))
-
-
-@lru_cache(maxsize=None)
-def phase_window(scheme_id: SchemeId) -> PhaseWindow:
-    """The PhaseWindow of a scheme's 4 × S signal rows, over the relative phase θ.
-
-    The rows are born_table(scheme, θ)'s, as x·e^{iθ} + y, for trials that
-    each have their own θ. They are built at late = ±1.0 exactly (θ = 0 and
-    π), so the window's table is born_table(scheme, 0) and its bounds and
-    still entries carry no roundoff of e^{iπ}.
-    """
-    scheme = scheme_tables(SchemeId(scheme_id))
-    return PhaseWindow.from_amplitudes(_signal_rows(scheme, 1.0), _signal_rows(scheme, -1.0))
 
 
 #: 64-bit words in one Philox block: one counter value's output.
@@ -452,7 +450,7 @@ def _phase_draws(
 
 
 def _run_chunk(
-    config: SessionConfig, table: _CodeTable, rng: np.random.Generator, chunk: int
+    config: SessionConfig, kernel: _Kernel, rng: np.random.Generator, chunk: int
 ) -> np.ndarray:
     """The trial codes of one chunk of the session, drawn from rng re-keyed to it.
 
@@ -462,7 +460,7 @@ def _run_chunk(
     """
     _rekey(rng, config.seed, chunk)
     n = min(CHUNK_TRIALS, config.trials - chunk * CHUNK_TRIALS)
-    scheme = table.scheme
+    scheme = kernel.scheme
     n_settings, n_outcomes = len(scheme.betas), len(scheme.outcomes)
 
     alice = _integers(rng, 4, n)  # signal index - 1
@@ -479,7 +477,7 @@ def _run_chunk(
         # Bob's apparatus at θ = 0; resend the named state, or a uniform one.
         eve_setting, eve_u, fallback = eve
         eve_row = _flat(alice, eve_setting, n_settings)
-        eve_outcome = born_table(scheme.id, 0.0).sample(eve_row, eve_u)
+        eve_outcome = kernel.window.table.sample(eve_row, eve_u)
         seen = eve_outcome if eve_setting is None else eve_setting * n_outcomes + eve_outcome
         named = scheme.announced.ravel()[seen]
         sent = np.where(named > 0, named - 1, fallback)
@@ -487,7 +485,7 @@ def _run_chunk(
     if np.ndim(theta) == 0:
         outcome = born_table(scheme.id, theta).sample(row, u)
     else:
-        outcome = phase_window(scheme.id).sample(row, theta, u)
+        outcome = kernel.window.sample(row, theta, u)
     if lost is not None:
         outcome[lost] = n_outcomes
     return (_flat(alice, setting, n_settings) * (n_outcomes + 1) + outcome).astype(np.uint16)
@@ -496,8 +494,8 @@ def _run_chunk(
 class TrialRecords(Sequence):
     """A session's trials, one TrialRecord each, built from its code when read."""
 
-    def __init__(self, table: _CodeTable, codes: np.ndarray):
-        self._table = table
+    def __init__(self, kernel: _Kernel, codes: np.ndarray):
+        self._kernel = kernel
         self._codes = codes
 
     def __len__(self) -> int:
@@ -507,16 +505,16 @@ class TrialRecords(Sequence):
         if isinstance(i, slice):
             return [self[t] for t in range(len(self))[i]]
         trial = range(len(self))[i]  # negative indices, and IndexError past the end
-        return TrialRecord(trial, *self._table.fields[self._codes[trial]])
+        return TrialRecord(trial, *self._kernel.fields[self._codes[trial]])
 
     def __iter__(self):
-        fields = self._table.fields
+        fields = self._kernel.fields
         for trial, code in enumerate(self._codes.tolist()):
             yield TrialRecord(trial, *fields[code])
 
     def csv_rows(self) -> str:
         """The trace CSV body: one row per trial, without the header."""
-        rows = self._table.rows
+        rows = self._kernel.rows
         return "".join([f"{t},{rows[c]}" for t, c in enumerate(self._codes.tolist())])
 
 
@@ -532,28 +530,28 @@ def run_session(
     config.validate()
     if not isinstance(workers, numbers.Integral) or workers < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
-    table = _code_table(SchemeId(config.scheme))
+    kernel = _kernel(SchemeId(config.scheme))
     chunks = range(-(-config.trials // CHUNK_TRIALS))
     rng = _chunk_rng(config.seed, 0)
-    parts = [_run_chunk(config, table, rng, k) for k in chunks]
+    parts = [_run_chunk(config, kernel, rng, k) for k in chunks]
     codes = np.concatenate(parts)
 
-    counts = np.bincount(codes, minlength=table.kept.size).reshape(table.kept.shape)
-    labels = [o.label for o in table.scheme.outcomes] + ["lost"]
+    counts = np.bincount(codes, minlength=kernel.kept.size).reshape(kernel.kept.shape)
+    labels = [o.label for o in kernel.scheme.outcomes] + ["lost"]
     sent = counts.sum(axis=(1, 2))
-    kept = (counts * table.kept).sum(axis=(1, 2))
+    kept = (counts * kernel.kept).sum(axis=(1, 2))
     stats = SessionStats(
         config=config,
         trials=config.trials,
         sifted=int(kept.sum()),
-        errors=int(counts[table.error].sum()),
+        errors=int(counts[kernel.error].sum()),
         histogram={
             labels[o]: int(c) for o, c in enumerate(counts.sum(axis=(0, 1))) if c
         },
         signal_sent={i + 1: int(c) for i, c in enumerate(sent) if c},
         signal_kept={i + 1: int(c) for i, c in enumerate(kept) if c},
     )
-    return stats, TrialRecords(table, codes)
+    return stats, TrialRecords(kernel, codes)
 
 
 # --- serialization -----------------------------------------------------------

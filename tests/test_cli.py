@@ -19,6 +19,16 @@ def readme_commands() -> list[str]:
     return [" ".join(line.split()) for line in lines if line.strip().startswith("timebin-qkd ")]
 
 
+#: Each --channel form, and the "channel" of its config document.
+CHANNEL_FORMS = [
+    ("none", {"kind": "none"}),
+    ("independent", {"kind": "independent"}),
+    ("collective=1.1", {"kind": "collective", "phi": 1.1}),
+    ("collective=random", {"kind": "collective", "phi": "random"}),
+    ("loss=0.2", {"kind": "loss", "loss": 0.2}),
+]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -56,9 +66,9 @@ class TestRun:
         assert outputs[0] == outputs[1]
 
     def test_missing_required_flags(self, capsys):
-        code, _, err = run_cli(capsys, "run", "--protocol", "combined")
+        code, out, err = run_cli(capsys, "run", "--protocol", "combined")
         assert code == 2
-        assert "missing" in err
+        assert out == "" and err == "error: missing required flags: --trials, --seed\n"
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -74,6 +84,23 @@ class TestRun:
         doc = json.loads(out)
         assert doc["config"]["eavesdropper"] == "intercept_resend"
         assert doc["qber"] == pytest.approx(0.25, abs=0.03)
+
+    @pytest.mark.parametrize("channel, doc", CHANNEL_FORMS, ids=[f for f, _ in CHANNEL_FORMS])
+    @pytest.mark.parametrize("eve", [False, True], ids=["no-eve", "eve"])
+    def test_channel_flag_equals_its_config_document(self, capsys, tmp_path, channel, doc, eve):
+        flags = ["--protocol", "fig1", "--trials", "3000", "--seed", "5", "--phase", "0.4"]
+        code, by_flags, err = run_cli(
+            capsys, "run", *flags, "--channel", channel, *(["--eve"] if eve else []),
+        )
+        assert code == 0, err
+        cfg = tmp_path / "session.json"
+        cfg.write_text(json.dumps({
+            "scheme": "fig1", "trials": 3000, "seed": 5, "phase": 0.4, "channel": doc,
+            "eavesdropper": "intercept_resend" if eve else "off",
+        }))
+        code, by_config, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 0, err
+        assert by_flags == by_config
 
     def test_bad_channel_spec(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -249,9 +276,10 @@ class TestSweep:
         assert "empty" in err
 
     def test_malformed_grid_exits_2(self, capsys):
-        code, _, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "sweep", "--protocol", "combined", "--phase-grid", "0,abc")
         assert code == 2
+        assert out == "" and err.startswith("error: malformed phase grid")
 
 
 @pytest.mark.parametrize("command", readme_commands())

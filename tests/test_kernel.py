@@ -50,7 +50,6 @@ from timebin_qkd.session import (
     _born_table,
     born_table,
     detection_amplitudes,
-    phase_window,
     run_session,
     trace_csv,
 )
@@ -276,6 +275,17 @@ def test_theta_and_theta_plus_two_pi_share_one_table():
         assert born_table(scheme, theta + 1.1) is not first
 
 
+def test_theta_zero_is_the_window_table_and_never_cached_apart():
+    # A θ that wraps to 0 (tiny negatives included) gets the window's own
+    # table; _born_table holds only θ ≠ 0.
+    for scheme in SCHEMES:
+        misses = _born_table.cache_info().misses
+        zero = born_table(scheme, 0.0)
+        for theta in (-0.0, TWO_PI, -TWO_PI, -1e-20, -5e-324):
+            assert born_table(scheme, theta) is zero
+        assert _born_table.cache_info().misses == misses
+
+
 # --- the decoherence-free subspace, and the phase window --------------------------
 
 PAIRS = [SchemeId.COMBINED, SchemeId.OWA_FOUR_PHASE]
@@ -322,11 +332,15 @@ def test_pair_session_trace_does_not_depend_on_phi_or_collective_phase(scheme):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_phase_window_bounds_the_interfering_outcomes(scheme):
-    window = phase_window(scheme)
+    window = session._kernel(scheme).window
     single = scheme is SchemeId.FIG1_SINGLE_PHOTON
     assert (window.lo, window.hi) == ((1, 2) if single else (7, 14))
-    np.testing.assert_array_equal(window.table.cdf, born_table(scheme, 0.0).cdf)
-    np.testing.assert_array_equal(window.table.total, born_table(scheme, 0.0).total)
+    assert window.table is born_table(scheme, 0.0)
+    # ... and that one table is the one summed at late = e^{i·0}.
+    fresh = BornTable.from_amplitudes(session._signal_rows(scheme_tables(scheme), np.exp(0j)))
+    np.testing.assert_array_equal(window.table.cdf, fresh.cdf)
+    np.testing.assert_array_equal(window.table.total, fresh.total)
+    np.testing.assert_array_equal(window.table.guide, fresh.guide)
 
 
 def window_trials(scheme, rng, n):
@@ -349,7 +363,7 @@ def window_trials(scheme, rng, n):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_phase_window_sampler_equals_born_sample_batch(scheme, rng):
-    window = phase_window(scheme)
+    window = session._kernel(scheme).window
     row, theta, columns = window_trials(scheme, rng, 20_000)
     for u in (rng.random(len(row)), np.zeros(len(row))):
         np.testing.assert_array_equal(window.sample(row, theta, u), born_sample_batch(columns, u))
@@ -362,7 +376,7 @@ def test_phase_window_sampler_at_window_steps(scheme, rng):
     # from those columns' only by roundoff, so 1e-12 to either side of a step
     # the two samplers agree exactly, and on the step the window returns one
     # of the two outcomes that meet there.
-    window = phase_window(scheme)
+    window = session._kernel(scheme).window
     row, theta, columns = window_trials(scheme, rng, 300)
     cdf, total = born_cdf(columns)
     for entry in range(max(window.lo - 1, 0), window.hi + 1):
@@ -383,7 +397,7 @@ def test_phase_window_still_entries_equal_the_full_formula(scheme, rng):
     # An entry flagged still is compared as a alone; a + 0·cos θ + 0·sin θ is
     # a exactly, so the samples equal those of the unflagged window, with
     # u·total landing exactly on each still entry too.
-    window = phase_window(scheme)
+    window = session._kernel(scheme).window
     assert sum(window.still) == (0 if scheme is SchemeId.FIG1_SINGLE_PHOTON else 5)
     full = dataclasses.replace(window, still=(False,) * len(window.still))
     rows, draws = [], []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from conftest import normalized_states, phases
@@ -172,6 +173,11 @@ class TestOutcomeDistribution:
         for t in tables[1:]:
             np.testing.assert_allclose(t, tables[0], atol=1e-12)
 
+    def test_rejects_a_nan_state(self):
+        # A NaN total fails the normalization check instead of passing it.
+        with pytest.raises(ValueError):
+            outcome_distribution(ModeState(DETECTION_BASIS, [np.nan] * 6))
+
 
 class TestAutocompensation:
     @given(normalized_states(("EL", "LE")), phases, phases)
@@ -186,6 +192,14 @@ def test_wrap_phase():
     assert wrap_phase(2 * math.pi + 0.5) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         wrap_phase(float("nan"))
+    # % rounds 2π − ε up to 2π for these; the θ = 0 law is wrapped to 0.
+    for tiny in (-1e-20, -1e-16, -4e-16, -1e-300, -5e-324):
+        assert wrap_phase(tiny) == 0.0
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_wrap_phase_is_in_zero_to_two_pi(phi):
+    assert 0.0 <= wrap_phase(phi) < 2 * math.pi
 
 
 def test_joint_basis_has_36_distinct_outcomes():

@@ -109,6 +109,13 @@ class TestEqualUpToGlobalPhase:
     def test_reflexive(self, s):
         assert equal_up_to_global_phase(s, s)
 
+    def test_subnormal_overlap_compares_without_overflow(self):
+        # <t|s> = 1.1125369292536007e-308 / 2, a subnormal: dividing by its modulus overflowed.
+        s = ModeState(TIME_BIN_BASIS, np.array([1, 1j]) * SQRT2_INV)
+        t = ModeState(TIME_BIN_BASIS, np.array([1.1125369292536007e-308 + 1j, 1]) * SQRT2_INV)
+        assert not equal_up_to_global_phase(s, t, tol=1e-9)
+        assert not equal_up_to_global_phase(t, s, tol=1e-9)
+
     @given(normalized_states(TIME_BIN_BASIS), normalized_states(TIME_BIN_BASIS))
     def test_symmetric(self, s, t):
         assert equal_up_to_global_phase(s, t, tol=1e-9) == equal_up_to_global_phase(
