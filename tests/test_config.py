@@ -272,7 +272,6 @@ FLAG_VALUES = {
                          "bogus"]) | _numbers.map(lambda x: f"loss={x}"),
     ),
     "--format": (st.sampled_from(["json", "csv", "text"]), st.sampled_from(["xml", ""])),
-    "--workers": (st.sampled_from(["1", "2"]), st.sampled_from(["0", "-1", "x"])),
     "--phase-grid": (st.lists(_reals, min_size=1, max_size=4).map(",".join),
                      st.lists(_numbers, max_size=3).map(",".join)
                      | st.sampled_from(["0,random", "x,1", ",", " "])),
@@ -282,13 +281,16 @@ PATH_ARGS = {"--config": "<config>", "--out": "<out>", "--trace": "<trace>"}
 #: The flags each command declares, and which of them it needs.
 COMMAND_FLAGS = {
     "run": ["--protocol", "--trials", "--seed", "--phase", "--channel", "--eve", "--config",
-            "--out", "--trace", "--format", "--workers"],
-    "sweep": ["--protocol", "--phase-grid", "--trials", "--seed", "--out", "--workers"],
+            "--out", "--trace", "--format"],
+    "sweep": ["--protocol", "--phase-grid", "--trials", "--seed", "--out"],
     "chart": ["--protocol", "--phase", "--format", "--out"],
     "states": ["--protocol"],
 }
 NEEDED = {"--protocol", "--trials", "--seed", "--phase-grid"}
-ALL_FLAGS = sorted({f for flags in COMMAND_FLAGS.values() for f in flags} | {"--frobnicate"})
+#: Every declared flag, and two that no command declares.
+ALL_FLAGS = sorted(
+    {f for flags in COMMAND_FLAGS.values() for f in flags} | {"--frobnicate", "--workers"}
+)
 
 
 @st.composite

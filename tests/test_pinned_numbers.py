@@ -11,12 +11,21 @@ repository root:
 import hashlib
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from timebin_qkd.protocols import SchemeId
-from timebin_qkd.session import ChannelSpec, SessionConfig, run_session, stats_json, trace_csv
+from timebin_qkd.session import (
+    ChannelSpec,
+    SessionConfig,
+    run_session,
+    stats_document,
+    stats_json,
+    trace_csv,
+)
 
 DIGESTS = Path(__file__).with_name("pinned_digests.json")
 
@@ -66,6 +75,34 @@ def test_pinned_set_covers_every_config(pinned):
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_stats_and_trace_match_pinned_digest(name, pinned):
     assert digest(CONFIGS[name]) == pinned[name]
+
+
+def test_stats_json_equals_json_dumps():
+    for config in CONFIGS.values():
+        stats, _ = run_session(config)
+        assert stats_json(stats) == json.dumps(stats_document(stats), indent=2, sort_keys=True)
+
+
+def test_two_threads_give_the_serial_digests(pinned):
+    # Two threads at once, switching as often as the interpreter allows: a
+    # generator shared between them would mix their streams.
+    serial = {name: digest(config) for name, config in CONFIGS.items()}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = dict(zip(CONFIGS, pool.map(digest, CONFIGS.values(), timeout=300)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial == pinned
+
+
+def test_a_session_after_one_of_another_seed_is_unaffected(pinned):
+    # The 3-trial session leaves the thread's generator at another key, with
+    # its buffer partly spent.
+    for name, config in CONFIGS.items():
+        run_session(replace(config, seed=config.seed + 1, trials=3))
+        assert digest(config) == pinned[name]
 
 
 if __name__ == "__main__":

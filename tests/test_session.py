@@ -1,10 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timebin_qkd.optics import JOINT_BASIS, mzi_pair, outcome_distribution
 from timebin_qkd.protocols import INDEX_FOR, SchemeId, classify_combined, signal_state
+from timebin_qkd import session
 from timebin_qkd.session import (
     CHUNK_TRIALS,
     ChannelSpec,
@@ -51,11 +55,6 @@ class TestConfigValidation:
             stats, _ = run_session(make_config(seed=seed, trials=10))
             assert stats.config.seed == seed
 
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_workers_below_one(self, workers):
-        with pytest.raises(ConfigError, match="workers"):
-            run_session(make_config(trials=10), workers=workers)
-
     def test_round_trip_through_dict(self):
         cfg = make_config(channel=ChannelSpec("collective", phi=None), phase="random")
         doc = {
@@ -76,35 +75,35 @@ class TestDeterminism:
         assert stats_json(s1) == stats_json(s2)
         assert trace_csv(r1) == trace_csv(r2)
 
-    def test_worker_count_does_not_change_results(self):
+    def test_random_dephasing_runs_twice_identically(self):
         cfg = make_config(trials=3000, channel=ChannelSpec("collective", phi=None))
-        s1, r1 = run_session(cfg, workers=1)
-        s4, r4 = run_session(cfg, workers=4)
-        assert stats_json(s1) == stats_json(s4)
-        assert trace_csv(r1) == trace_csv(r4)
+        s1, r1 = run_session(cfg)
+        s2, r2 = run_session(cfg)
+        assert stats_json(s1) == stats_json(s2)
+        assert trace_csv(r1) == trace_csv(r2)
 
-    def test_invariant_to_workers_over_many_chunks(self):
+    def test_many_chunks_run_twice_identically(self):
         cfg = make_config(
             scheme=SchemeId.OWA_FOUR_PHASE, trials=5 * CHUNK_TRIALS + 17, phase="random",
             channel=ChannelSpec("independent"), eavesdropper="intercept_resend",
         )
         outputs = set()
-        for workers in (1, 2, 4):
-            stats, records = run_session(cfg, workers=workers)
+        for _ in range(2):
+            stats, records = run_session(cfg)
             outputs.add((stats_json(stats), trace_csv(records)))
         assert len(outputs) == 1
 
     @pytest.mark.parametrize("scheme", list(SchemeId))
-    def test_table_path_invariant_to_workers(self, scheme):
+    def test_table_path_runs_twice_identically(self, scheme):
         # Fixed φ behind a fixed collective phase, with Eve: every trial is
-        # sampled from Born tables, and the worker count changes nothing.
+        # sampled from Born tables, over several chunks.
         cfg = make_config(
             scheme=scheme, trials=3 * CHUNK_TRIALS + 5, phase=0.7,
             channel=ChannelSpec("collective", phi=1.1), eavesdropper="intercept_resend",
         )
         outputs = set()
-        for workers in (1, 2, 4):
-            stats, records = run_session(cfg, workers=workers)
+        for _ in range(2):
+            stats, records = run_session(cfg)
             outputs.add((stats_json(stats), trace_csv(records)))
         assert len(outputs) == 1
 
@@ -241,8 +240,6 @@ class TestStats:
         assert sum(stats.signal_kept.values()) == stats.sifted
 
     def test_document_round_trips_through_json(self):
-        import json
-
         stats, _ = run_session(make_config(trials=500))
         assert json.loads(stats_json(stats)) == stats_document(stats)
 
@@ -250,3 +247,42 @@ class TestStats:
         stats, records = run_session(make_config(trials=2000))
         assert sum(r.kept for r in records) == stats.sifted
         assert len(records) == 2000
+
+
+# Keys and strings: any text, and some that surely hold quotes, backslashes,
+# control characters and non-ASCII characters.
+_text = st.text() | st.sampled_from(['"', 'a"b\\', "\x00\x1f\x7f\n\t", "é\u2028\U0001f600", "ключ"])
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**63, 2**200).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 1e-300, 1e16, 5e-324, -1e16, 1.5e300])
+    | st.sampled_from([math.nan, math.inf, -math.inf])  # beyond a stats document, still equal
+    | _text,
+    lambda children: st.dictionaries(_text, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=st.dictionaries(_text, _json_values, max_size=6))
+def test_stats_writer_equals_json_dumps(doc):
+    assert session._json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [
+    {}, {"a": {}}, {1: 2, 3: {"a": 1}}, {"a": {True: None, False: 1.5}}, {"x": {"y": {2.5: "z"}}},
+    {"a": [{"b": 1}, [], 2]}, {"a": np.float64(0.1), "c": ["x", None]},
+])
+def test_stats_writer_hands_other_values_to_json_dumps(doc):
+    assert session._json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [{"a": 1, 2: 3}, {"a": {"b": 1, 2: 3}}, {"a": np.int64(3)}])
+def test_stats_writer_raises_where_json_dumps_raises(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        session._json(doc)
