@@ -8,6 +8,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .protocols import SchemeId, generate_chart, signal_state
@@ -116,8 +117,25 @@ def _run_config(args: argparse.Namespace) -> SessionConfig:
     return config_from_dict(doc)
 
 
+def _check_writable(paths: list[str]) -> None:
+    """Open each path to append, so that an unwritable one fails before any output is
+    written; the files made here for the paths before it are then removed."""
+    made = []
+    try:
+        for path in paths:
+            new = not os.path.exists(path)
+            open(path, "a", encoding="utf-8").close()
+            made += [path] if new else []
+    except OSError:
+        for path in made:
+            os.remove(path)
+        raise
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = _run_config(args)
+    config.validate()
+    _check_writable([path for path in (args.out, args.trace) if path is not None])
     stats, records = run_session(config)
     out = _stats_csv(stats_document(stats)) if args.format == "csv" else stats_json(stats)
     _write_output(out, args.out)

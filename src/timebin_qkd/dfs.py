@@ -51,17 +51,3 @@ def independent_dephase(s: ModeState, phi1: float, phi2: float) -> ModeState:
     phases = np.array([1.0, e2, e1, e1 * e2])  # (EE, EL, LE, LL)
     return ModeState(s.basis, s.amplitudes * phases)
 
-
-def dephasing_diagonal(phi1: np.ndarray, phi2: np.ndarray | None = None) -> np.ndarray:
-    """Batched dephase_single / independent_dephase, as multipliers on the input kets.
-
-    One phase array gives [1, e^{iφ}] over (E, L); two give [1, e₂, e₁, e₁e₂]
-    over (EE, EL, LE, LL), with eⱼ = e^{iφⱼ}. The result is d×n, one column
-    per state.
-    """
-    e1 = np.exp(1j * np.asarray(phi1))
-    one = np.ones_like(e1)
-    if phi2 is None:
-        return np.stack([one, e1])
-    e2 = np.exp(1j * np.asarray(phi2))
-    return np.stack([one, e2, e1, e1 * e2])

@@ -124,39 +124,6 @@ def mzi_pair(s: ModeState, phi: float) -> ModeState:
     return ModeState(JOINT_BASIS, mm @ s.amplitudes)
 
 
-@lru_cache(maxsize=None)
-def _mzi_phase_terms(two_photon: bool) -> tuple[np.ndarray, ...]:
-    """The map as a polynomial in e = e^{iφ}, lowest power first.
-
-    One photon: m(φ) = M0 + e·M1. A pair: m⊗m = M0⊗M0 + e·(M0⊗M1 + M1⊗M0) + e²·M1⊗M1.
-    """
-    m0, _ = _mzi_matrices(0.0)
-    m_pi, _ = _mzi_matrices(math.pi)
-    a, b = (m0 + m_pi) / 2, (m0 - m_pi) / 2
-    if not two_photon:
-        return a, b
-    return np.kron(a, a), np.kron(a, b) + np.kron(b, a), np.kron(b, b)
-
-
-def mzi_batch(amps: np.ndarray, phi) -> np.ndarray:
-    """Batched mzi_single / mzi_pair: each column of `amps` through the interferometer.
-
-    `amps` is 2×n (over E, L) or 4×n (over EE, EL, LE, LL), one column per
-    state; the result is 6×n or 36×n, in DETECTION_BASIS / JOINT_BASIS
-    order. `phi` is one phase for every column, or an array of n phases.
-    """
-    two_photon = amps.shape[0] == len(TWO_PHOTON_BASIS)
-    if np.ndim(phi) == 0:
-        m, mm = _mzi_matrices(wrap_phase(float(phi)))
-        return (mm if two_photon else m) @ amps
-    e = np.exp(1j * np.asarray(phi))
-    *lower, top = _mzi_phase_terms(two_photon)
-    out = top @ amps
-    for term in reversed(lower):  # Horner's rule in e
-        out = out * e + term @ amps
-    return out
-
-
 def postselect_middle(joint: ModeState) -> tuple[ModeState | None, float]:
     """Condition on both photons landing in their middle time slots.
 

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-import numpy as np
-
 from .optics import (
     DETECTION_BASIS,
     JOINT_BASIS,
@@ -185,61 +183,6 @@ def classify_owa(outcome: JointOutcome, beta: float) -> ClassifiedOutcome:
     if math.isclose(beta, 0.0, abs_tol=1e-12):
         return ClassifiedOutcome.verdict(TIME, 0 if same else 1, outcome)
     return ClassifiedOutcome.verdict(PHASE, 1 if same else 0, outcome)
-
-
-@dataclass(frozen=True)
-class Scheme:
-    """One scheme's signal states, receiver settings and verdicts as tables.
-
-    betas:     Bob's modulator settings, one drawn uniformly per trial;
-               (0.0,) for the passive schemes, which have no modulator.
-    signals:   4 × len(betas) × d amplitudes: signals[i-1, s] is signal i
-               after Bob's modulator at setting s, over (E, L) or
-               (EE, EL, LE, LL). The modulator is diagonal, so it commutes
-               with the dephasing channels in front of it.
-    outcomes:  the detection basis the interferometer maps onto.
-    verdicts:  verdicts[s][o] is the classify_* verdict on outcome o at setting s.
-    announced: len(betas) × len(outcomes): the signal index a conclusive
-               verdict names (INDEX_FOR), 0 for an inconclusive one.
-    """
-
-    id: SchemeId
-    betas: tuple[float, ...]
-    signals: np.ndarray
-    outcomes: tuple
-    verdicts: tuple[tuple[ClassifiedOutcome, ...], ...]
-    announced: np.ndarray
-
-    @property
-    def photons(self) -> int:
-        return 1 if self.id is SchemeId.FIG1_SINGLE_PHOTON else 2
-
-
-@lru_cache(maxsize=None)
-def scheme_tables(scheme: SchemeId) -> Scheme:
-    """The Scheme record of a protocol, built from signal_state, phase_modulator and classify_*."""
-    scheme = SchemeId(scheme)
-    states = [signal_state(scheme, i).state for i in (1, 2, 3, 4)]
-    if scheme is SchemeId.OWA_FOUR_PHASE:
-        betas = OWA_BETAS
-        signals = np.array([
-            [phase_modulator(s, beta, photon=1, bin="L").amplitudes for beta in betas]
-            for s in states
-        ])
-        verdicts = tuple(tuple(classify_owa(o, beta) for o in JOINT_BASIS) for beta in betas)
-        outcomes = JOINT_BASIS
-    else:
-        betas = (0.0,)
-        signals = np.array([[s.amplitudes] for s in states])
-        if scheme is SchemeId.FIG1_SINGLE_PHOTON:
-            outcomes, classify = DETECTION_BASIS, classify_fig1
-        else:
-            outcomes, classify = JOINT_BASIS, classify_combined
-        verdicts = (tuple(classify(o) for o in outcomes),)
-    announced = np.array(
-        [[INDEX_FOR[(v.basis, v.bit)] if v.conclusive else 0 for v in row] for row in verdicts]
-    )
-    return Scheme(scheme, betas, signals, outcomes, verdicts, announced)
 
 
 @dataclass(frozen=True)

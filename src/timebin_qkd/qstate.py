@@ -147,21 +147,9 @@ def born_cdf(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cdf, total
 
 
-def born_sample_batch(amps: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Batched born_sample: one basis index per column of the d×n amplitude matrix.
-
-    Column k is sampled by inverse CDF from the uniform draw u[k] ∈ [0, 1),
-    after born_sample's normalization check on every column.
-    """
-    cdf, total = born_cdf(amps)
-    # index = how many CDF entries lie at or below u·total (searchsorted, side="right")
-    idx = np.count_nonzero(cdf <= u * total, axis=0)
-    return np.minimum(idx, len(cdf) - 1)
-
-
 @dataclass(frozen=True)
 class BornTable:
-    """born_sample_batch for a fixed set of amplitude columns, by table lookup.
+    """The inverse-CDF reference sampler of tests/oracles.py, by lookup in fixed columns.
 
     Row r holds born_cdf of column r. Sampling is Chen & Asau's indexed
     search: [0, 1) is cut into GUIDE_BUCKETS equal intervals of u, and
@@ -170,7 +158,7 @@ class BornTable:
     outcome is found by comparing u·total[r] with the row's CDF. Since u·t
     rounds monotonically in u, a bucket whose two ends give one outcome
     gives it for all u between them, so the lookup returns exactly what
-    born_sample_batch returns.
+    the reference returns.
     """
 
     cdf: np.ndarray  # rows × outcomes
@@ -198,7 +186,7 @@ class BornTable:
         return cls(*arrays)
 
     def sample(self, row: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """born_sample_batch of columns row[k] with draws u[k] ∈ [0, 1), without the columns.
+        """The reference's outcomes of columns row[k] with draws u[k] ∈ [0, 1), without the columns.
 
         The indices come back as uint8, the guide's own type.
         """
@@ -213,7 +201,9 @@ class BornTable:
 
 @dataclass(frozen=True)
 class PhaseWindow:
-    """born_sample_batch of the columns x·e^{iθ} + y, for one phase θ per trial.
+    """The inverse-CDF reference sampler of tests/oracles.py on the columns x·e^{iθ} + y.
+
+    θ is one phase per trial.
 
     Only the outcomes where x and y both carry amplitude interfere, so only
     they move with θ; lo..hi is the contiguous window that holds them. A
@@ -263,7 +253,7 @@ class PhaseWindow:
         return cls(table, lo, hi, steps, still)
 
     def sample(self, row: np.ndarray, theta: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """born_sample_batch of columns row[k] at phase theta[k] with draws u[k] ∈ [0, 1)."""
+        """The reference's outcomes of columns row[k] at phase theta[k], draws u[k] ∈ [0, 1)."""
         idx = self.table.sample(row, u)
         inside = ((idx >= self.lo) & (idx <= self.hi)).nonzero()[0]
         if len(inside):

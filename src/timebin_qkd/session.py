@@ -7,10 +7,10 @@ outcome, and matched conclusive rounds enter the sifted key.
 
 The rounds run as a batched kernel over chunks of CHUNK_TRIALS trials. A
 chunk makes its random draws, then runs a few array operations on its
-scheme's tables (`protocols.scheme_tables`), and each trial leaves one
-small integer code that fixes Alice's index, Bob's modulator setting and
-the outcome ("lost" included). The statistics, the records and the trace
-are derived from the codes.
+scheme's tables (`_kernel`), and each trial leaves one small integer code
+that fixes Alice's index, Bob's modulator setting and the outcome ("lost"
+included). The statistics, the records and the trace are derived from the
+codes.
 
 Every trial's outcome law depends on one relative phase θ: the phase on
 the late bin of the last photon, with the interferometer at 0. Every `owa`
@@ -24,21 +24,23 @@ and θ = φ_c − φ, the channel's phase less the interferometer's, for
 `fig1`. `_phase_draws` makes the draws that set θ, and no other code
 applies this rule.
 
-Each scheme has one kernel record, `_kernel(scheme)`: its tables, the
-lookups over its trial codes, and its phase window, the rows as
-x·e^{iθ} + y, where θ moves only the outcomes where x and y interfere. The
-window lo..hi that holds them is 1..2 (the middle slot) for `fig1`, and
-7..14 for pairs, whose both-middle outcomes are 7, 8, 13 and 14. Its table
-is the scheme's only θ = 0 table. A session that shares one θ is sampled
-by lookup in `born_table(scheme, θ)`; a trial with its own θ is looked up
-in the θ = 0 table, and only one that lands in the window has the
-window's CDF computed at its θ (`qstate.PhaseWindow`).
+Each scheme has one record, `_kernel(scheme)`, built from `protocols`
+(signal states, classify_*, sift) and `optics`: its signal rows, the
+signal index each verdict names, the lookups over its trial codes, and its
+phase window, the rows as x·e^{iθ} + y, where θ moves only the outcomes
+where x and y interfere. The window lo..hi that holds them is 1..2 (the
+middle slot) for `fig1`, and 7..14 for pairs, whose both-middle outcomes
+are 7, 8, 13 and 14. Its table is the scheme's only θ = 0 table. A
+session that shares one θ is sampled by lookup in `born_table(scheme, θ)`;
+a trial with its own θ is looked up in the θ = 0 table, and only one that
+lands in the window has the window's CDF computed at its θ
+(`qstate.PhaseWindow`).
 
-Both samplers compare u·total with the trial's CDF, as `born_sample_batch`
-does on the trial's own detection amplitudes (`detection_amplitudes`), and
-their CDFs differ from that one only by roundoff; the tests hold them to
-it. The kernel as a whole is checked against the scalar ModeState path
-through the exact session expectations of `tests/oracles.py`.
+Both samplers compare u·total with the trial's CDF, as the inverse-CDF
+reference of `tests/oracles.py` does on the trial's own detection
+amplitudes, and their CDFs differ from that one only by roundoff; the
+tests hold them to it. The kernel as a whole is checked against the scalar
+ModeState path through the exact session expectations of the same file.
 
 Determinism contract: chunk k draws from its own Philox counter-based
 stream keyed by (seed, k), in the style of Salmon et al., "Parallel random
@@ -69,8 +71,11 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from . import __version__
-from .optics import TWO_PI, mzi_batch, wrap_phase
-from .protocols import Scheme, SchemeId, scheme_tables, sift, signal_state
+from .optics import DETECTION_BASIS, JOINT_BASIS, TWO_PI, _mzi_matrices, phase_modulator, wrap_phase
+from .protocols import (
+    INDEX_FOR, OWA_BETAS, SchemeId, classify_combined, classify_fig1, classify_owa, sift,
+    signal_state,
+)
 from .qstate import BornTable, PhaseWindow
 
 #: Trials per chunk; each chunk owns one Philox stream, so this is part of
@@ -235,14 +240,19 @@ class SessionStats:
 
 @dataclass(frozen=True)
 class _Kernel:
-    """A scheme's kernel record: its tables, its phase window, and lookups over its trial codes.
+    """A scheme's one record: its tables, its phase window, and lookups over its trial codes.
 
     code = (alice·S + setting)·(O + 1) + outcome, with alice = index − 1, S
     Bob's modulator settings, O outcomes and outcome O meaning "lost"; so
     code counts reshape to a 4 × S × (O + 1) grid.
     """
 
-    scheme: Scheme
+    id: SchemeId
+    photons: int
+    betas: tuple[float, ...]  # Bob's modulator settings, S of them; (0.0,) for a passive scheme
+    outcomes: tuple  # the O outcomes of the detection basis the interferometer maps onto
+    signals: np.ndarray  # 4·S × d: row (index − 1)·S + setting, after Bob's (diagonal) modulator
+    announced: np.ndarray  # S·O, at setting·O + outcome: the index Bob's verdict names, or 0
     window: PhaseWindow  # over θ; window.table is the scheme's θ = 0 Born table
     labels: tuple[str, ...]  # per outcome, "lost" last
     fields: tuple[tuple, ...]  # per code: the TrialRecord fields after `trial`
@@ -269,62 +279,58 @@ def _csv_line(fields: list) -> str:
     return buf.getvalue()
 
 
-def detection_amplitudes(
-    scheme: Scheme, sent: np.ndarray, setting: np.ndarray, diagonal: np.ndarray | None, phi
-) -> np.ndarray:
-    """Amplitudes over scheme.outcomes, one column per trial.
-
-    Trial k sends signal sent[k] + 1 through the channel's diagonal[:, k]
-    (None: no dephasing) and Bob's modulator at setting[k], into the
-    interferometer at phase phi, or phi[k] when phi is an array.
-    """
-    amps = scheme.signals[sent, setting].T
-    if diagonal is not None:
-        amps = amps * diagonal
-    return mzi_batch(amps, phi)
-
-
-def _signal_rows(scheme: Scheme, late: complex) -> np.ndarray:
-    """Detection amplitudes of a scheme's 4 × S signal rows, one column per row.
-
-    Row (index − 1)·S + setting is signal `index` with its last photon's late
-    bin multiplied by `late`, through Bob's modulator at `setting` and the
-    interferometer at phase 0.
-    """
-    n_settings = len(scheme.betas)
-    sent, setting = np.divmod(np.arange(4 * n_settings), n_settings)
-    diagonal = np.tile([1, late], scheme.photons)[:, None]  # over (E, L), or (EE, EL, LE, LL)
-    return detection_amplitudes(scheme, sent, setting, diagonal, 0.0)
+def _signal_rows(signals: np.ndarray, late: complex) -> np.ndarray:
+    """Detection amplitudes of signal rows at φ = 0, the last photon's late bin times `late`."""
+    photons = signals.shape[1] // 2
+    diagonal = np.tile([1, late], photons)[:, None]  # over (E, L), or (EE, EL, LE, LL)
+    return _mzi_matrices(0.0)[photons - 1] @ (signals.T * diagonal)
 
 
 @lru_cache(maxsize=None)
-def _kernel(scheme_id: SchemeId) -> _Kernel:
-    """Built once per scheme from its Scheme record and `sift`.
+def _kernel(scheme: SchemeId | str) -> _Kernel:
+    """Built once per scheme from signal_state, phase_modulator, classify_*, INDEX_FOR and sift.
 
     The window is built at late = ±1.0 exactly (θ = 0 and π), so its bounds
     and still entries carry no roundoff of e^{iπ}.
     """
-    scheme = scheme_tables(scheme_id)
-    window = PhaseWindow.from_amplitudes(_signal_rows(scheme, 1.0), _signal_rows(scheme, -1.0))
+    scheme_id = SchemeId(scheme)
+    if scheme is not scheme_id:  # "owa" is a cache key apart from its SchemeId: share one record
+        return _kernel(scheme_id)
+    single = scheme_id is SchemeId.FIG1_SINGLE_PHOTON
+    alices = [signal_state(scheme_id, index) for index in (1, 2, 3, 4)]
+    if scheme_id is SchemeId.OWA_FOUR_PHASE:
+        betas, outcomes = OWA_BETAS, JOINT_BASIS
+        signals = np.array([
+            phase_modulator(a.state, beta, photon=1, bin="L").amplitudes
+            for a in alices for beta in betas
+        ])
+        verdicts = [[classify_owa(o, beta) for o in outcomes] for beta in betas]
+    else:
+        betas, outcomes = (0.0,), DETECTION_BASIS if single else JOINT_BASIS
+        signals = np.array([a.state.amplitudes for a in alices])
+        verdicts = [[(classify_fig1 if single else classify_combined)(o) for o in outcomes]]
+    announced = np.array([INDEX_FOR[v.basis, v.bit] if v.conclusive else 0
+                          for row in verdicts for v in row])
+    window = PhaseWindow.from_amplitudes(_signal_rows(signals, 1.0), _signal_rows(signals, -1.0))
     fields = []
-    for index in (1, 2, 3, 4):
-        alice = signal_state(scheme.id, index)
-        for verdicts in scheme.verdicts:
-            for outcome, verdict in zip(scheme.outcomes, verdicts):
+    for alice in alices:
+        for row in verdicts:
+            for outcome, verdict in zip(outcomes, row):
                 result = sift(alice, verdict)
                 fields.append((
-                    index, outcome.label, verdict.conclusive, verdict.basis or "",
+                    alice.index, outcome.label, verdict.conclusive, verdict.basis or "",
                     result.bit_alice, result.bit_bob, result.kept,
                 ))
-            fields.append((index, "lost", False, "", None, None, False))
-    labels = tuple(o.label for o in scheme.outcomes) + ("lost",)
+            fields.append((alice.index, "lost", False, "", None, None, False))
+    labels = tuple(o.label for o in outcomes) + ("lost",)
     sent = np.array([f[0] for f in fields])[:, None] == np.arange(1, 5)
     kept = sent & np.array([f[6] for f in fields])[:, None]
     outcome = np.arange(len(fields))[:, None] % len(labels) == np.arange(len(labels))
     errors = [f[6] and f[4] != f[5] for f in fields]  # kept, with bit_alice != bit_bob
     tally = np.column_stack([errors, sent, kept, outcome]).astype(np.intp)
     rows = tuple(_csv_line(_trace_fields(TrialRecord(0, *f))[1:]) for f in fields)
-    return _Kernel(scheme, window, labels, tuple(fields), rows, tally)
+    return _Kernel(scheme_id, 1 if single else 2, betas, outcomes, signals, announced, window,
+                   labels, tuple(fields), rows, tally)
 
 
 def born_table(scheme_id: SchemeId, theta: float) -> BornTable:
@@ -342,7 +348,7 @@ def born_table(scheme_id: SchemeId, theta: float) -> BornTable:
 
 @lru_cache(maxsize=128)
 def _born_table(scheme_id: SchemeId, theta: float) -> BornTable:
-    return BornTable.from_amplitudes(_signal_rows(scheme_tables(scheme_id), np.exp(1j * theta)))
+    return BornTable.from_amplitudes(_signal_rows(_kernel(scheme_id).signals, np.exp(1j * theta)))
 
 
 #: 64-bit words in one Philox block: one counter value's output.
@@ -467,8 +473,8 @@ def _session_codes(config: SessionConfig, kernel: _Kernel) -> np.ndarray:
     """
     if not hasattr(_thread, "rng"):
         _thread.rng = _chunk_rng(0, 0)
-    scheme, rng, table, parts = kernel.scheme, _thread.rng, None, []
-    n_settings, n_outcomes = len(scheme.betas), len(scheme.outcomes)
+    rng, table, parts = _thread.rng, None, []
+    n_settings, n_outcomes = len(kernel.betas), len(kernel.outcomes)
     for chunk in range(-(-config.trials // CHUNK_TRIALS)):
         _rekey(rng, config.seed, chunk)
         n = min(CHUNK_TRIALS, config.trials - chunk * CHUNK_TRIALS)
@@ -477,7 +483,7 @@ def _session_codes(config: SessionConfig, kernel: _Kernel) -> np.ndarray:
         if config.eavesdropper == "intercept_resend":
             # Her setting and uniform draw, and the index she resends when inconclusive.
             eve = (_settings(rng, n_settings, n), rng.random(n), _integers(rng, 4, n))
-        lost, theta = _phase_draws(config, scheme.photons, rng, n)
+        lost, theta = _phase_draws(config, kernel.photons, rng, n)
         setting = _settings(rng, n_settings, n)
         u = rng.random(n)
         sent = alice
@@ -487,13 +493,13 @@ def _session_codes(config: SessionConfig, kernel: _Kernel) -> np.ndarray:
             eve_row = _flat(alice, eve_setting, n_settings)
             eve_outcome = kernel.window.table.sample(eve_row, eve_u)
             seen = eve_outcome if eve_setting is None else eve_setting * n_outcomes + eve_outcome
-            named = scheme.announced.ravel()[seen]
+            named = kernel.announced[seen]
             sent = np.where(named > 0, named - 1, fallback)
         row = _flat(sent, setting, n_settings)
         if isinstance(theta, np.ndarray):
             outcome = kernel.window.sample(row, theta, u)
         else:  # the session's one θ, and so its one table
-            table = table or born_table(scheme.id, theta)
+            table = table or born_table(kernel.id, theta)
             outcome = table.sample(row, u)
         if lost is not None:
             outcome[lost] = n_outcomes

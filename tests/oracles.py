@@ -2,20 +2,32 @@
 
 The enumeration oracles expand the interferometer action term by term with
 plain dicts and loops, independently of the matrix/kron implementation
-under test. The session expectations at the end are exact, and are built on
-the library's scalar ModeState path, the reference for the batched session
-kernel.
+under test. The session expectations are exact, and are built on the
+library's scalar ModeState path, the reference for the batched session
+kernel. The amplitude reference at the end samples each trial from its own
+detection amplitudes, the reference for the kernel's tables trial by trial.
 """
 from __future__ import annotations
 
 import cmath
+import math
 from collections import defaultdict
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from timebin_qkd.dfs import collective_dephase, dephase_single, independent_dephase
-from timebin_qkd.optics import mzi_pair, mzi_single, outcome_distribution, phase_modulator
+from timebin_qkd.optics import (
+    DETECTION_BASIS,
+    JOINT_BASIS,
+    _mzi_matrices,
+    mzi_pair,
+    mzi_single,
+    outcome_distribution,
+    phase_modulator,
+    wrap_phase,
+)
 from timebin_qkd.protocols import (
     BASIS_FOR_INDEX,
     BIT_FOR_INDEX,
@@ -27,6 +39,8 @@ from timebin_qkd.protocols import (
     classify_owa,
     signal_state,
 )
+from timebin_qkd.qstate import born_cdf
+from timebin_qkd.timebin import TWO_PHOTON_BASIS
 
 MINUS, PLUS = "minus", "plus"
 
@@ -96,15 +110,29 @@ def owa_same_detector_prob(alpha: float, beta: float, phi: float) -> float:
 PHASE_GRID = tuple(2 * cmath.pi * k / 3 for k in range(3))
 
 
+def bob_betas(scheme: SchemeId) -> tuple:
+    """Bob's modulator settings: OWA's two, or None alone for a passive receiver."""
+    return OWA_BETAS if scheme is SchemeId.OWA_FOUR_PHASE else (None,)
+
+
+def modulated(state, beta):
+    """A state after Bob's modulator at beta (on photon 1's late bin); beta None: no modulator."""
+    return state if beta is None else phase_modulator(state, beta, photon=1, bin="L")
+
+
+def classify(scheme: SchemeId, outcome, beta):
+    """The classify_* verdict of a scheme's receiver at modulator setting beta."""
+    if scheme is SchemeId.FIG1_SINGLE_PHOTON:
+        return classify_fig1(outcome)
+    if scheme is SchemeId.COMBINED:
+        return classify_combined(outcome)
+    return classify_owa(outcome, beta)
+
+
 @lru_cache(maxsize=None)
 def announced_index(scheme: SchemeId, outcome, beta) -> int:
     """The signal index Bob's verdict names, 0 if inconclusive."""
-    if scheme is SchemeId.FIG1_SINGLE_PHOTON:
-        verdict = classify_fig1(outcome)
-    elif scheme is SchemeId.COMBINED:
-        verdict = classify_combined(outcome)
-    else:
-        verdict = classify_owa(outcome, beta)
+    verdict = classify(scheme, outcome, beta)
     return INDEX_FOR[(verdict.basis, verdict.bit)] if verdict.conclusive else 0
 
 
@@ -123,12 +151,12 @@ def channel_states(state, channel, two_photon: bool) -> list:
 
 def announced_distribution(scheme: SchemeId, states, phases) -> np.ndarray:
     """Mean P(Bob announces index v), v = 0 (inconclusive) .. 4, over states, phases and β."""
-    betas = OWA_BETAS if scheme is SchemeId.OWA_FOUR_PHASE else (None,)
+    betas = bob_betas(scheme)
     total = np.zeros(5)
     for state in states:
         for phi in phases:
             for beta in betas:
-                s = state if beta is None else phase_modulator(state, beta, photon=1, bin="L")
+                s = modulated(state, beta)
                 single = scheme is SchemeId.FIG1_SINGLE_PHOTON
                 out = mzi_single(s, phi) if single else mzi_pair(s, phi)
                 for o, p in zip(out.basis, outcome_distribution(out)):
@@ -167,3 +195,114 @@ def session_expectation(scheme, phase, channel, eve: bool) -> tuple[float, float
                     if BIT_FOR_INDEX[v] != BIT_FOR_INDEX[a]:
                         errors += w * bob[r][v] / 4
     return sifted * survive, errors * survive
+
+
+# --- the trial-by-trial amplitude reference -----------------------------------
+#
+# Each trial's own detection amplitudes, from a scheme's signal states on the
+# scalar path, through its own channel phases and interferometer phase, then
+# sampled by inverse CDF. It reads no table of the session kernel. The
+# interferometer is `optics._mzi_matrices` at a shared phase, and a
+# polynomial in e^{iφ} built from it at a phase per trial; so at φ = 0 its
+# amplitudes are the kernel's bit for bit, and draws that land exactly on a
+# CDF step compare alike.
+
+
+@dataclass(frozen=True)
+class SchemeTables:
+    """A scheme's signal rows and Bob's verdicts, built on the scalar path."""
+
+    photons: int
+    betas: tuple  # bob_betas: S settings
+    outcomes: tuple  # O outcomes, in the interferometer's order
+    signals: np.ndarray  # 4 × S × d: signals[i - 1, s] is signal i after Bob's modulator at s
+    announced: np.ndarray  # S × O: announced_index of each setting and outcome
+
+
+@lru_cache(maxsize=None)
+def scheme_tables(scheme) -> SchemeTables:
+    scheme = SchemeId(scheme)
+    single = scheme is SchemeId.FIG1_SINGLE_PHOTON
+    betas, outcomes = bob_betas(scheme), DETECTION_BASIS if single else JOINT_BASIS
+    signals = np.array([
+        [modulated(signal_state(scheme, index).state, beta).amplitudes for beta in betas]
+        for index in (1, 2, 3, 4)
+    ])
+    announced = np.array([[announced_index(scheme, o, beta) for o in outcomes] for beta in betas])
+    return SchemeTables(1 if single else 2, betas, outcomes, signals, announced)
+
+
+def dephasing_diagonal(phi1: np.ndarray, phi2: np.ndarray | None = None) -> np.ndarray:
+    """Batched dephase_single / independent_dephase, as multipliers on the input kets.
+
+    One phase array gives [1, e^{iφ}] over (E, L); two give [1, e₂, e₁, e₁e₂]
+    over (EE, EL, LE, LL), with eⱼ = e^{iφⱼ}. The result is d×n, one column
+    per state.
+    """
+    e1 = np.exp(1j * np.asarray(phi1))
+    one = np.ones_like(e1)
+    if phi2 is None:
+        return np.stack([one, e1])
+    e2 = np.exp(1j * np.asarray(phi2))
+    return np.stack([one, e2, e1, e1 * e2])
+
+
+@lru_cache(maxsize=None)
+def _mzi_phase_terms(two_photon: bool) -> tuple[np.ndarray, ...]:
+    """The map as a polynomial in e = e^{iφ}, lowest power first.
+
+    One photon: m(φ) = M0 + e·M1. A pair: m⊗m = M0⊗M0 + e·(M0⊗M1 + M1⊗M0) + e²·M1⊗M1.
+    """
+    m0, _ = _mzi_matrices(0.0)
+    m_pi, _ = _mzi_matrices(math.pi)
+    a, b = (m0 + m_pi) / 2, (m0 - m_pi) / 2
+    if not two_photon:
+        return a, b
+    return np.kron(a, a), np.kron(a, b) + np.kron(b, a), np.kron(b, b)
+
+
+def mzi_batch(amps: np.ndarray, phi) -> np.ndarray:
+    """Batched mzi_single / mzi_pair: each column of `amps` through the interferometer.
+
+    `amps` is 2×n (over E, L) or 4×n (over EE, EL, LE, LL), one column per
+    state; the result is 6×n or 36×n, in DETECTION_BASIS / JOINT_BASIS
+    order. `phi` is one phase for every column, or an array of n phases.
+    """
+    two_photon = amps.shape[0] == len(TWO_PHOTON_BASIS)
+    if np.ndim(phi) == 0:
+        m, mm = _mzi_matrices(wrap_phase(float(phi)))
+        return (mm if two_photon else m) @ amps
+    e = np.exp(1j * np.asarray(phi))
+    *lower, top = _mzi_phase_terms(two_photon)
+    out = top @ amps
+    for term in reversed(lower):  # Horner's rule in e
+        out = out * e + term @ amps
+    return out
+
+
+def detection_amplitudes(
+    tables: SchemeTables, sent: np.ndarray, setting: np.ndarray, diagonal: np.ndarray | None, phi
+) -> np.ndarray:
+    """Amplitudes over tables.outcomes, one column per trial.
+
+    Trial k sends signal sent[k] + 1 through the channel's diagonal[:, k]
+    (None: no dephasing) and Bob's modulator at setting[k], into the
+    interferometer at phase phi, or phi[k] when phi is an array. The
+    modulator is diagonal, so it commutes with the channel in front of it.
+    """
+    amps = tables.signals[sent, setting].T
+    if diagonal is not None:
+        amps = amps * diagonal
+    return mzi_batch(amps, phi)
+
+
+def born_sample_batch(amps: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Batched born_sample: one basis index per column of the d×n amplitude matrix.
+
+    Column k is sampled by inverse CDF from the uniform draw u[k] ∈ [0, 1),
+    after born_sample's normalization check on every column.
+    """
+    cdf, total = born_cdf(amps)
+    # index = how many CDF entries lie at or below u·total (searchsorted, side="right")
+    idx = np.count_nonzero(cdf <= u * total, axis=0)
+    return np.minimum(idx, len(cdf) - 1)

@@ -207,6 +207,28 @@ class TestRun:
         assert code == 1
         assert "I/O" in err
 
+    @pytest.mark.parametrize("bad", ["--out", "--trace"])
+    def test_unwritable_path_writes_no_output(self, capsys, tmp_path, bad):
+        # One output path is a directory: exit 1 with no file made or changed.
+        good = "--trace" if bad == "--out" else "--out"
+        kept = tmp_path / "kept.json"
+        kept.write_text("old")
+        for path in (tmp_path / "new.json", kept):
+            code, out, err = run_cli(
+                capsys, "run", "--protocol", "combined", "--trials", "10", "--seed", "1",
+                bad, str(tmp_path), good, str(path),
+            )
+            assert code == 1 and out == "" and "I/O" in err
+        assert not (tmp_path / "new.json").exists()
+        assert kept.read_text() == "old"
+
+    def test_unwritable_trace_prints_no_stats(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "run", "--protocol", "combined", "--trials", "10", "--seed", "1",
+            "--trace", str(tmp_path),
+        )
+        assert code == 1 and out == ""
+
 
 class TestChart:
     def test_json_chart_phase_invariant_for_combined(self, capsys):

@@ -8,13 +8,9 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import born_sample_batch, dephasing_diagonal, detection_amplitudes, scheme_tables
 from timebin_qkd import session
-from timebin_qkd.dfs import (
-    collective_dephase,
-    dephase_single,
-    dephasing_diagonal,
-    independent_dephase,
-)
+from timebin_qkd.dfs import collective_dephase, dephase_single, independent_dephase
 from timebin_qkd.optics import (
     JOINT_BASIS,
     mzi_pair,
@@ -22,15 +18,7 @@ from timebin_qkd.optics import (
     outcome_distribution,
     phase_modulator,
 )
-from timebin_qkd.protocols import (
-    INDEX_FOR,
-    SchemeId,
-    classify_combined,
-    classify_fig1,
-    classify_owa,
-    scheme_tables,
-    signal_state,
-)
+from timebin_qkd.protocols import INDEX_FOR, SchemeId, sift, signal_state
 from timebin_qkd.optics import TWO_PI, wrap_phase
 from timebin_qkd.qstate import (
     BornTable,
@@ -39,7 +27,6 @@ from timebin_qkd.qstate import (
     UnnormalizedStateError,
     born_sample,
     born_cdf,
-    born_sample_batch,
 )
 from timebin_qkd.session import (
     CHUNK_TRIALS,
@@ -49,7 +36,6 @@ from timebin_qkd.session import (
     SessionConfig,
     _born_table,
     born_table,
-    detection_amplitudes,
     run_session,
     trace_csv,
 )
@@ -111,19 +97,43 @@ def test_born_tables_equal_scalar_path(scheme):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_verdict_and_resend_tables_equal_classify(scheme):
-    table = scheme_tables(scheme)
-    for s, beta in enumerate(table.betas):
-        for o, outcome in enumerate(table.outcomes):
-            if scheme is SchemeId.FIG1_SINGLE_PHOTON:
-                verdict = classify_fig1(outcome)
-            elif scheme is SchemeId.COMBINED:
-                verdict = classify_combined(outcome)
-            else:
-                verdict = classify_owa(outcome, beta)
-            assert table.verdicts[s][o] == verdict
-            named = INDEX_FOR[(verdict.basis, verdict.bit)] if verdict.conclusive else 0
-            assert table.announced[s, o] == named
+def test_kernel_tables_equal_scalar_path(scheme):
+    # The kernel's signal rows are the scalar path's states after the
+    # modulator, bit for bit; what each verdict names and each code's record
+    # are classify_*, INDEX_FOR and sift, for every setting and outcome.
+    kernel, reference = session._kernel(scheme), scheme_tables(scheme)
+    n_settings, n_outcomes = len(reference.betas), len(reference.outcomes)
+    assert (kernel.id, kernel.photons) == (scheme, reference.photons)
+    assert len(kernel.betas) == n_settings and kernel.outcomes == reference.outcomes
+    np.testing.assert_array_equal(kernel.signals, reference.signals.reshape(4 * n_settings, -1))
+    assert len(kernel.fields) == 4 * n_settings * (n_outcomes + 1)
+    for index in (1, 2, 3, 4):
+        alice = signal_state(scheme, index)
+        for s, beta in enumerate(reference.betas):
+            row = ((index - 1) * n_settings + s) * (n_outcomes + 1)
+            for o, outcome in enumerate(reference.outcomes):
+                verdict = oracles.classify(scheme, outcome, beta)
+                named = INDEX_FOR[(verdict.basis, verdict.bit)] if verdict.conclusive else 0
+                assert kernel.announced[s * n_outcomes + o] == named
+                result = sift(alice, verdict)
+                assert kernel.fields[row + o] == (
+                    index, outcome.label, verdict.conclusive, verdict.basis or "",
+                    result.bit_alice, result.bit_bob, result.kept,
+                )
+            assert kernel.fields[row + n_outcomes] == (index, "lost", False, "", None, None, False)
+
+
+@pytest.mark.parametrize("name", ["owa", "fig1"])
+def test_kernel_of_a_scheme_name_is_its_enum_record(name):
+    # A str and its SchemeId are two cache keys; a first call with the str
+    # must not cache a record built for another scheme under either.
+    session._kernel.cache_clear()
+    by_name = session._kernel(name)
+    record = session._kernel(SchemeId(name))
+    assert by_name is record and record.id is SchemeId(name)
+    owa = name == "owa"
+    assert len(record.betas) == (2 if owa else 1) and record.photons == (2 if owa else 1)
+    assert len(record.outcomes) == (36 if owa else 6)
 
 
 def test_born_sample_batch_equals_born_sample(rng):
@@ -337,7 +347,8 @@ def test_phase_window_bounds_the_interfering_outcomes(scheme):
     assert (window.lo, window.hi) == ((1, 2) if single else (7, 14))
     assert window.table is born_table(scheme, 0.0)
     # ... and that one table is the one summed at late = e^{i·0}.
-    fresh = BornTable.from_amplitudes(session._signal_rows(scheme_tables(scheme), np.exp(0j)))
+    signals = session._kernel(scheme).signals
+    fresh = BornTable.from_amplitudes(session._signal_rows(signals, np.exp(0j)))
     np.testing.assert_array_equal(window.table.cdf, fresh.cdf)
     np.testing.assert_array_equal(window.table.total, fresh.total)
     np.testing.assert_array_equal(window.table.guide, fresh.guide)
