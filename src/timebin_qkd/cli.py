@@ -10,7 +10,9 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 
+from .optics import wrap_phase
 from .protocols import SchemeId, generate_chart, signal_state
 from .session import (
     ConfigError,
@@ -77,17 +79,17 @@ def _stats_csv(doc: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "value"])
-    flat = {
-        "scheme": doc["scheme"],
-        "trials": doc["trials"],
-        "sifted": doc["sifted"],
-        "errors": doc["errors"],
-        "sifted_rate": doc["sifted_rate"],
-        "qber": doc["qber"],
-    }
-    for k, v in flat.items():
-        writer.writerow([k, v])
+    for key in ("scheme", "trials", "sifted", "errors", "sifted_rate", "qber"):
+        writer.writerow([key, doc[key]])
     return buf.getvalue()
+
+
+def _object(pairs: list) -> dict:
+    """A JSON object of a config file; a key given twice is a ConfigError, not the last one kept."""
+    twice = [key for key, count in Counter(key for key, _ in pairs).items() if count > 1]
+    if twice:
+        raise ConfigError(f"duplicate key(s) {', '.join(map(repr, twice))} in a JSON object")
+    return dict(pairs)
 
 
 def _run_config(args: argparse.Namespace) -> SessionConfig:
@@ -101,7 +103,7 @@ def _run_config(args: argparse.Namespace) -> SessionConfig:
     else:
         with open(args.config, encoding="utf-8") as fh:
             try:
-                doc = json.load(fh)
+                doc = json.load(fh, object_pairs_hook=_object)
             except RecursionError:
                 raise ConfigError(f"{args.config}: JSON nested too deeply") from None
     flags = {
@@ -117,12 +119,12 @@ def _run_config(args: argparse.Namespace) -> SessionConfig:
     return config_from_dict(doc)
 
 
-def _check_writable(paths: list[str]) -> None:
-    """Open each path to append, so that an unwritable one fails before any output is
-    written; the files made here for the paths before it are then removed."""
+def _check_writable(*paths: str | None) -> None:
+    """Open each path but None to append, so that an unwritable one fails before any work
+    or output; the files made here for the paths before it are then removed."""
     made = []
     try:
-        for path in paths:
+        for path in [path for path in paths if path is not None]:
             new = not os.path.exists(path)
             open(path, "a", encoding="utf-8").close()
             made += [path] if new else []
@@ -132,10 +134,17 @@ def _check_writable(paths: list[str]) -> None:
         raise
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: alike once links are resolved, or one existing file."""
+    exist = os.path.exists(a) and os.path.exists(b)
+    return os.path.realpath(a) == os.path.realpath(b) or exist and os.path.samefile(a, b)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = _run_config(args)
-    config.validate()
-    _check_writable([path for path in (args.out, args.trace) if path is not None])
+    if args.out is not None and args.trace is not None and _same_file(args.out, args.trace):
+        raise ConfigError(f"--out and --trace name the same file: {args.out!r}, {args.trace!r}")
+    _check_writable(args.out, args.trace)
     stats, records = run_session(config)
     out = _stats_csv(stats_document(stats)) if args.format == "csv" else stats_json(stats)
     _write_output(out, args.out)
@@ -146,6 +155,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_chart(args: argparse.Namespace) -> int:
+    wrap_phase(args.phase)  # a phase that is not finite is a ValueError before --out is made
+    _check_writable(args.out)
     chart = generate_chart(SchemeId(args.protocol), args.phase)
     out = chart.render_text() if args.format == "text" else chart.to_json()
     _write_output(out, args.out)
@@ -172,13 +183,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"malformed phase grid {args.phase_grid!r}") from None
     if not grid:
         raise ConfigError("empty phase grid")
+    configs = [SessionConfig(args.protocol, args.trials, args.seed, phi) for phi in grid]
+    _check_writable(args.out)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["phi", "sifted_rate", "qber"])
-    for phi in grid:
-        config = config_from_dict(
-            {"scheme": args.protocol, "trials": args.trials, "seed": args.seed, "phase": phi}
-        )
+    for phi, config in zip(grid, configs):
         stats, _ = run_session(config)
         writer.writerow([_fmt(phi), _fmt(stats.sifted_rate), _fmt(stats.qber)])
     _write_output(buf.getvalue(), args.out)

@@ -104,10 +104,11 @@ def _is_real(value) -> bool:
 
 
 def _number(value, what: str, expected: str = "a number") -> float:
+    """value as a float, and -0.0 as 0.0, so that equal numbers are written alike."""
     if not _is_real(value):
         raise ConfigError(f"{what} must be {expected}, got {value!r}")
     try:
-        return float(value)
+        return float(value) + 0.0
     except OverflowError:
         raise ConfigError(f"{what} is out of range") from None
 
@@ -121,13 +122,19 @@ CHANNEL_FIELDS = {
 }
 
 
+def _channel_fields(kind) -> tuple[str, ...]:
+    if not isinstance(kind, str) or kind not in CHANNEL_FIELDS:
+        raise ConfigError(f"unknown channel kind {kind!r}")
+    return CHANNEL_FIELDS[kind]
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Quantum-channel noise between Alice and Bob.
+    """Quantum-channel noise between Alice and Bob, checked when built, its numbers as floats.
 
     kind: "none" | "collective" | "independent" | "loss".
-    phi: fixed collective dephasing phase, or None for uniform per trial
-         (kind == "collective" only).
+    phi: fixed collective dephasing phase, or None (given as None or "random")
+         for uniform per trial (kind == "collective" only).
     loss: per-photon loss probability (kind == "loss" only).
     """
 
@@ -135,22 +142,23 @@ class ChannelSpec:
     phi: float | None = None
     loss: float = 0.0
 
-    def validate(self) -> None:
-        fields = CHANNEL_FIELDS.get(self.kind) if isinstance(self.kind, str) else None
-        if fields is None:
-            raise ConfigError(f"unknown channel kind {self.kind!r}")
+    def __post_init__(self):
+        fields = _channel_fields(self.kind)
         if self.phi is not None:
             if "phi" not in fields:
                 raise ConfigError(f"channel phi applies to kind 'collective', not {self.kind!r}")
-            if not math.isfinite(_number(self.phi, "channel phi")):
-                raise ConfigError(f"channel phi must be finite, got {self.phi!r}")
-        if not _is_real(self.loss):
-            raise ConfigError(f"loss probability must be a number, got {self.loss!r}")
+            phi = (None if self.phi == PHASE_RANDOM
+                   else _number(self.phi, "channel phi", EXPECTED_PHASE))
+            if phi is not None and not math.isfinite(phi):
+                raise ConfigError(f"channel phi must be finite, got {phi!r}")
+            object.__setattr__(self, "phi", phi)
+        loss = _number(self.loss, "channel loss")
         if "loss" in fields:
-            if not 0.0 <= self.loss <= 1.0:
-                raise ConfigError(f"loss probability must be in [0, 1], got {self.loss}")
-        elif self.loss != 0.0:
+            if not 0.0 <= loss <= 1.0:
+                raise ConfigError(f"loss probability must be in [0, 1], got {loss}")
+        elif loss != 0.0:
             raise ConfigError(f"channel loss applies to kind 'loss', not {self.kind!r}")
+        object.__setattr__(self, "loss", loss)
 
     def describe(self) -> dict:
         doc: dict = {"kind": self.kind}
@@ -163,6 +171,8 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class SessionConfig:
+    """A session, checked when built: scheme as a SchemeId, trials and seed ints, phase a float."""
+
     scheme: SchemeId
     trials: int
     seed: int
@@ -170,27 +180,32 @@ class SessionConfig:
     channel: ChannelSpec = field(default_factory=ChannelSpec)
     eavesdropper: str = "off"  # "off" | "intercept_resend"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         try:
-            SchemeId(self.scheme)
+            scheme = SchemeId(self.scheme)
         except (ValueError, TypeError):
             raise ConfigError(f"unknown scheme {self.scheme!r}") from None
         if not _is_int(self.trials) or self.trials < 1:
             raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not _is_int(self.seed) or not 0 <= self.seed < SEED_LIMIT:
             raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if self.phase != PHASE_RANDOM:
-            if not math.isfinite(_number(self.phase, "phase", EXPECTED_PHASE)):
+        phase = self.phase
+        if phase != PHASE_RANDOM:
+            phase = _number(phase, "phase", EXPECTED_PHASE)
+            if not math.isfinite(phase):
                 raise ConfigError("phase must be finite")
         if self.eavesdropper not in ("off", "intercept_resend"):
             raise ConfigError(f"unknown eavesdropper mode {self.eavesdropper!r}")
         if not isinstance(self.channel, ChannelSpec):
             raise ConfigError(f"channel must be a ChannelSpec, got {self.channel!r}")
-        self.channel.validate()
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "phase", phase)
 
     def describe(self) -> dict:
         return {
-            "scheme": SchemeId(self.scheme).value,
+            "scheme": self.scheme.value,
             "trials": self.trials,
             "seed": self.seed,
             "phase": self.phase,
@@ -455,11 +470,11 @@ def _phase_draws(
         if channel.phi is None:
             theta = uniform_phase()
         elif not pair:
-            theta = float(channel.phi)
+            theta = channel.phi
     if config.phase == PHASE_RANDOM:
         phi = uniform_phase()
     else:
-        phi = 0.0 if pair else float(config.phase)
+        phi = 0.0 if pair else config.phase
     return lost, theta if pair else theta - phi
 
 
@@ -537,8 +552,7 @@ class TrialRecords(Sequence):
 
 def run_session(config: SessionConfig) -> tuple[SessionStats, TrialRecords]:
     """Run a full session; deterministic for a given config."""
-    config.validate()
-    kernel = _kernel(SchemeId(config.scheme))
+    kernel = _kernel(config.scheme)
     codes = _session_codes(config, kernel)
     sums = (np.bincount(codes, minlength=len(kernel.tally)) @ kernel.tally).tolist()
     errors, sent, kept, histogram = sums[0], sums[1:5], sums[5:9], sums[9:]
@@ -562,20 +576,13 @@ def _sig12(x: float) -> float:
 
 
 def stats_document(stats: SessionStats) -> dict:
-    per_signal = {
-        str(i): {
-            "sent": stats.signal_sent.get(i, 0),
-            "kept": stats.signal_kept.get(i, 0),
-            "success_rate": _sig12(
-                stats.signal_kept.get(i, 0) / stats.signal_sent.get(i, 1)
-                if stats.signal_sent.get(i, 0)
-                else 0.0
-            ),
-        }
-        for i in (1, 2, 3, 4)
-    }
+    per_signal = {}
+    for i in (1, 2, 3, 4):
+        sent, kept = stats.signal_sent.get(i, 0), stats.signal_kept.get(i, 0)
+        rate = _sig12(kept / sent if sent else 0.0)
+        per_signal[str(i)] = {"sent": sent, "kept": kept, "success_rate": rate}
     return {
-        "scheme": SchemeId(stats.config.scheme).value,
+        "scheme": stats.config.scheme.value,
         "config": stats.config.describe(),
         "trials": stats.trials,
         "sifted": stats.sifted,
@@ -648,10 +655,9 @@ def _check_keys(doc: dict, allowed: tuple[str, ...], where: str) -> None:
 def config_from_dict(doc) -> SessionConfig:
     """Build a SessionConfig from a parsed JSON document (the CLI --config format).
 
-    Raises ConfigError for anything but an object with the required keys,
-    known keys only, and the fields of its channel's kind, or for a value it
-    cannot convert (a scheme, a channel kind, a number); the SessionConfig's
-    validate() then checks every value's type and range.
+    Raises ConfigError for anything but an object with the required keys, known keys only,
+    and a channel object or kind name with the fields of its kind. Every value goes as it
+    is to ChannelSpec and SessionConfig, which check it.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"a config must be a JSON object, got {type(doc).__name__}")
@@ -659,32 +665,15 @@ def config_from_dict(doc) -> SessionConfig:
     missing = [k for k in REQUIRED_KEYS if k not in doc]
     if missing:
         raise ConfigError(f"config is missing {', '.join(missing)}")
-    try:
-        scheme = SchemeId(doc["scheme"])
-    except (ValueError, TypeError):
-        raise ConfigError(f"unknown scheme {doc['scheme']!r}") from None
-
     channel_doc = doc.get("channel", {"kind": "none"})
     if isinstance(channel_doc, str):
         channel_doc = {"kind": channel_doc}
     if not isinstance(channel_doc, dict):
         raise ConfigError(f"channel must be an object or a kind name, got {channel_doc!r}")
     kind = channel_doc.get("kind", "none")
-    if not isinstance(kind, str) or kind not in CHANNEL_FIELDS:
-        raise ConfigError(f"unknown channel kind {kind!r}")
-    _check_keys(channel_doc, CHANNEL_FIELDS[kind], f"{kind!r} channel")
-    phi = channel_doc.get("phi")
-    channel = ChannelSpec(
-        kind=kind,
-        phi=None if phi in (None, PHASE_RANDOM) else _number(phi, "channel phi", EXPECTED_PHASE),
-        loss=_number(channel_doc.get("loss", 0.0), "channel loss"),
-    )
-    phase = doc.get("phase", 0.0)
+    _check_keys(channel_doc, _channel_fields(kind), f"{kind!r} channel")
+    channel = ChannelSpec(kind, channel_doc.get("phi"), channel_doc.get("loss", 0.0))
     return SessionConfig(
-        scheme=scheme,
-        trials=doc["trials"],
-        seed=doc["seed"],
-        phase=phase if phase == PHASE_RANDOM else _number(phase, "phase", EXPECTED_PHASE),
-        channel=channel,
-        eavesdropper=doc.get("eavesdropper", "off"),
+        doc["scheme"], doc["trials"], doc["seed"], doc.get("phase", 0.0), channel,
+        doc.get("eavesdropper", "off"),
     )

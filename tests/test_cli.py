@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+from timebin_qkd import cli
 from timebin_qkd.cli import main
 
 
@@ -33,6 +35,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def counted(monkeypatch, name: str) -> list:
+    """Count the calls `cli` makes to its function `name`; the list gets one entry per call."""
+    calls, function = [], getattr(cli, name)
+
+    def counting(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(cli, name, counting)
+    return calls
 
 
 class TestRun:
@@ -222,6 +236,31 @@ class TestRun:
         assert not (tmp_path / "new.json").exists()
         assert kept.read_text() == "old"
 
+    @pytest.mark.parametrize("trace,exists", [
+        ("stats.json", False), ("stats.json", True), ("./stats.json", False),
+        ("./stats.json", True), ("link.json", False), ("link.json", True),
+        ("hard.json", True),
+    ])
+    def test_out_and_trace_on_one_file_exit_2_and_write_nothing(
+        self, capsys, tmp_path, monkeypatch, trace, exists
+    ):
+        # The trace would overwrite the stats: exit 2, with no file made or changed.
+        monkeypatch.chdir(tmp_path)
+        stats = tmp_path / "stats.json"
+        if exists:
+            stats.write_text("old")
+        if trace == "link.json":
+            (tmp_path / trace).symlink_to(stats)
+        if trace == "hard.json":
+            os.link(stats, tmp_path / trace)
+        sessions = counted(monkeypatch, "run_session")
+        code, out, err = run_cli(
+            capsys, "run", "--protocol", "combined", "--trials", "10", "--seed", "1",
+            "--out", "stats.json", "--trace", trace,
+        )
+        assert code == 2 and out == "" and "same file" in err and sessions == []
+        assert stats.read_text() == "old" if exists else not stats.exists()
+
     def test_unwritable_trace_prints_no_stats(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "run", "--protocol", "combined", "--trials", "10", "--seed", "1",
@@ -253,6 +292,18 @@ class TestChart:
         with pytest.raises(SystemExit) as exc:
             main(["chart", "--protocol", "bb84"])
         assert exc.value.code == 2
+
+    def test_unwritable_out_exits_1_before_the_chart_is_made(self, capsys, tmp_path, monkeypatch):
+        charts = counted(monkeypatch, "generate_chart")
+        code, out, err = run_cli(capsys, "chart", "--protocol", "fig1", "--out", str(tmp_path))
+        assert code == 1 and out == "" and "I/O" in err and charts == []
+
+    @pytest.mark.parametrize("phase", ["nan", "inf"])
+    def test_phase_not_finite_exits_2_with_no_file(self, capsys, tmp_path, phase):
+        path = tmp_path / "chart.json"
+        code, out, err = run_cli(
+            capsys, "chart", "--protocol", "fig1", "--phase", phase, "--out", str(path))
+        assert code == 2 and err.startswith("error: ") and not path.exists()
 
 
 class TestStates:
@@ -298,6 +349,28 @@ class TestSweep:
             capsys, "sweep", "--protocol", "combined", "--phase-grid", ",")
         assert code == 2
         assert "empty" in err
+
+    def test_unwritable_out_exits_1_before_any_session(self, capsys, tmp_path, monkeypatch):
+        sessions = counted(monkeypatch, "run_session")
+        code, out, err = run_cli(
+            capsys, "sweep", "--protocol", "combined", "--phase-grid", "0,1,2",
+            "--trials", "10", "--out", str(tmp_path / "missing" / "sweep.csv"),
+        )
+        assert code == 1 and out == "" and "I/O" in err and sessions == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--phase-grid", "0,1,inf"], ["--phase-grid", "0,nan"], ["--phase-grid", "0,x"],
+        ["--phase-grid", "0,1", "--trials", "0"], ["--phase-grid", "0,1", "--seed", "-1"],
+    ])
+    def test_bad_grid_exits_2_with_no_session_and_no_file(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        sessions = counted(monkeypatch, "run_session")
+        path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--protocol", "combined", *argv, "--out", str(path))
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert sessions == [] and not path.exists()
 
     def test_malformed_grid_exits_2(self, capsys):
         code, out, err = run_cli(

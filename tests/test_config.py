@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from timebin_qkd.session import (
     SessionConfig,
     config_from_dict,
     run_session,
+    stats_json,
 )
 
 VALID = {"scheme": "fig1", "trials": 10, "seed": 1}
@@ -68,7 +70,7 @@ BAD_DOCUMENTS = {
 @pytest.mark.parametrize("name", list(BAD_DOCUMENTS))
 def test_bad_document_raises_config_error(name):
     with pytest.raises(ConfigError):
-        config_from_dict(BAD_DOCUMENTS[name]).validate()
+        config_from_dict(BAD_DOCUMENTS[name])
 
 
 def run_config(path, doc) -> tuple[int, str, str]:
@@ -87,7 +89,11 @@ def test_bad_document_exits_2_with_a_message(name, tmp_path):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("text", ["[" * 100_000, '{"scheme": ', "\ufeff{}"])
+@pytest.mark.parametrize("text", [
+    "[" * 100_000, '{"scheme": ', "\ufeff{}",
+    '{"scheme": "fig1", "trials": 5, "trials": 7, "seed": 1}',
+    '{"scheme": "fig1", "trials": 5, "seed": 1, "channel": {"kind": "loss", "loss": 0, "loss": 1}}',
+])
 def test_unparsable_config_file_exits_2_with_a_message(text, tmp_path):
     path = tmp_path / "session.json"
     path.write_text(text, encoding="utf-8")
@@ -97,19 +103,20 @@ def test_unparsable_config_file_exits_2_with_a_message(text, tmp_path):
     assert code == 2 and err.getvalue().startswith("error: ")
 
 
-@pytest.mark.parametrize("spec", [
-    ChannelSpec("none", phi=3.0),
-    ChannelSpec("independent", phi=0.5),
-    ChannelSpec("loss", loss=0.1, phi=1.0),
-    ChannelSpec("independent", loss=0.5),
-    ChannelSpec("collective", phi=1.0, loss=0.1),
-    ChannelSpec("collective", phi="1.0"),
-    ChannelSpec("loss", loss="0.1"),
-    ChannelSpec(["none"]),
+@pytest.mark.parametrize("spec", [  # each the (args, kwargs) of one ChannelSpec
+    (("none",), {"phi": 3.0}),
+    (("independent",), {"phi": 0.5}),
+    (("loss",), {"loss": 0.1, "phi": 1.0}),
+    (("independent",), {"loss": 0.5}),
+    (("collective",), {"phi": 1.0, "loss": 0.1}),
+    (("collective",), {"phi": "1.0"}),
+    (("loss",), {"loss": "0.1"}),
+    ((["none"],), {}),
 ])
 def test_channel_spec_rejects_fields_of_another_kind_or_type(spec):
+    args, kwargs = spec
     with pytest.raises(ConfigError):
-        spec.validate()
+        ChannelSpec(*args, **kwargs)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -119,17 +126,18 @@ def test_channel_spec_rejects_fields_of_another_kind_or_type(spec):
 def test_session_config_rejects_wrong_types(field, value):
     fields = {"scheme": SchemeId.COMBINED, "trials": 10, "seed": 1, field: value}
     with pytest.raises(ConfigError):
-        SessionConfig(**fields).validate()
+        SessionConfig(**fields)
 
 
-@pytest.mark.parametrize("config", [
-    SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 10, 1, phase=10**400),
-    SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 10, 1, channel=ChannelSpec("collective", phi=10**400)),
+@pytest.mark.parametrize("build", [
+    lambda: SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 10, 1, phase=10**400),
+    lambda: SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 10, 1,
+                          channel=ChannelSpec("collective", phi=10**400)),
 ], ids=["phase", "channel phi"])
-def test_run_session_rejects_a_phase_beyond_a_float(config):
+def test_config_rejects_a_phase_beyond_a_float(build):
     # An int too large for a float is a ConfigError, not float()'s OverflowError.
     with pytest.raises(ConfigError, match="out of range"):
-        run_session(config)
+        build()
 
 
 # --- round trip ------------------------------------------------------------------
@@ -152,9 +160,42 @@ def test_describe_round_trips_every_config_kind(channel):
         for phase in (0.0, 1.3, -20.0, "random"):
             for eve in ("off", "intercept_resend"):
                 config = SessionConfig(scheme, 17, 2**64 - 1, phase, channel, eve)
-                config.validate()
                 doc = json.loads(json.dumps(config.describe()))
                 assert config_from_dict(doc) == config
+
+
+def round_trip(config: SessionConfig) -> SessionConfig:
+    return config_from_dict(json.loads(json.dumps(config.describe())))
+
+
+def session_bytes(config: SessionConfig) -> str:
+    return stats_json(run_session(config)[0])
+
+
+FIG1 = SchemeId.FIG1_SINGLE_PHOTON
+
+
+@pytest.mark.parametrize("config,twin", [
+    (SessionConfig("owa", 10, 1), SessionConfig(SchemeId.OWA_FOUR_PHASE, 10, 1)),
+    (SessionConfig(FIG1, 10, 1, phase=1), SessionConfig(FIG1, 10, 1, phase=1.0)),
+    (SessionConfig(FIG1, 10, 1, phase=-0.0), SessionConfig(FIG1, 10, 1, phase=0.0)),
+    (SessionConfig(FIG1, 10, 1, channel=ChannelSpec("collective", phi=1)),
+     SessionConfig(FIG1, 10, 1, channel=ChannelSpec("collective", phi=1.0))),
+    (SessionConfig(FIG1, 10, 1, channel=ChannelSpec("collective", phi="random")),
+     SessionConfig(FIG1, 10, 1, channel=ChannelSpec("collective", phi=None))),
+    (SessionConfig(SchemeId.COMBINED, 10, 1, channel=ChannelSpec("loss", loss=0)),
+     SessionConfig(SchemeId.COMBINED, 10, 1, channel=ChannelSpec("loss", loss=0.0))),
+], ids=["scheme owa", "phase 1", "phase -0.0", "phi 1", "phi random", "loss 0"])
+def test_equal_configs_give_equal_bytes(config, twin):
+    assert config == twin == round_trip(config)
+    assert session_bytes(config) == session_bytes(twin) == session_bytes(round_trip(config))
+
+
+def test_numpy_integers_give_the_bytes_of_python_ints():
+    plain = SessionConfig(SchemeId.COMBINED, 10, 2**64 - 1)
+    config = SessionConfig(SchemeId.COMBINED, np.int64(10), np.uint64(2**64 - 1))
+    assert config == plain and type(config.trials) is int and type(config.seed) is int
+    assert session_bytes(config) == session_bytes(plain)
 
 
 def test_shorthand_and_minimal_documents():
@@ -174,21 +215,25 @@ json_values = st.recursive(
     max_leaves=12,
 )
 
+# Valid configs draw every field as the types a caller may pass: a scheme as
+# its SchemeId or its name, numbers as ints, floats or numpy scalars.
 channel_specs = st.one_of(
-    st.sampled_from([ChannelSpec("none"), ChannelSpec("independent")]),
+    st.builds(ChannelSpec, st.sampled_from(["none", "independent"]),
+              loss=st.sampled_from([0, 0.0, -0.0])),
     st.builds(
         ChannelSpec, st.just("collective"),
-        phi=st.none() | st.floats(-100, 100, allow_nan=False),
+        phi=st.none() | st.integers(-100, 100) | st.floats(-100, 100, allow_nan=False),
     ),
-    st.builds(ChannelSpec, st.just("loss"), loss=st.floats(0.0, 1.0)),
+    st.builds(ChannelSpec, st.just("loss"), loss=st.sampled_from([0, 1]) | st.floats(0.0, 1.0)),
 )
 
 valid_configs = st.builds(
     SessionConfig,
-    scheme=st.sampled_from(list(SchemeId)),
-    trials=st.integers(1, 40),
-    seed=st.integers(0, 2**64 - 1),
-    phase=st.just("random") | st.floats(-100, 100, allow_nan=False),
+    scheme=st.sampled_from(list(SchemeId) + [s.value for s in SchemeId]),
+    trials=st.integers(1, 40) | st.integers(1, 40).map(np.int64),
+    seed=st.integers(0, 2**64 - 1) | st.integers(0, 2**64 - 1).map(np.uint64),
+    phase=st.just("random") | st.integers(-100, 100) | st.floats(-100, 100, allow_nan=False)
+    | st.floats(-100, 100, allow_nan=False).map(np.float64),
     channel=channel_specs,
     eavesdropper=st.sampled_from(["off", "intercept_resend"]),
 )
@@ -220,15 +265,17 @@ documents = json_values | mutated_documents()
 @given(doc=documents)
 def test_config_from_dict_raises_only_config_error(doc):
     try:
-        config_from_dict(doc).validate()
+        config_from_dict(doc)
     except ConfigError:
         pass
 
 
+@settings(deadline=None)
 @given(config=valid_configs)
 def test_valid_configs_round_trip(config):
-    config.validate()
-    assert config_from_dict(json.loads(json.dumps(config.describe()))) == config
+    twin = round_trip(config)
+    assert twin == config
+    assert session_bytes(twin) == session_bytes(config)
 
 
 #: Trials of a fuzzed document that is actually run, at most.

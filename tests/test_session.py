@@ -31,24 +31,24 @@ def make_config(**kw):
 class TestConfigValidation:
     def test_bad_trials(self):
         with pytest.raises(ConfigError):
-            make_config(trials=0).validate()
+            make_config(trials=0)
 
     def test_bad_phase_string(self):
         with pytest.raises(ConfigError):
-            make_config(phase="sometimes").validate()
+            make_config(phase="sometimes")
 
     def test_bad_channel_kind(self):
         with pytest.raises(ConfigError):
-            make_config(channel=ChannelSpec("fog")).validate()
+            make_config(channel=ChannelSpec("fog"))
 
     def test_bad_loss_probability(self):
         with pytest.raises(ConfigError):
-            make_config(channel=ChannelSpec("loss", loss=1.5)).validate()
+            make_config(channel=ChannelSpec("loss", loss=1.5))
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, 1.5, "7"])
     def test_seed_outside_philox_key_range(self, seed):
         with pytest.raises(ConfigError, match="seed"):
-            make_config(seed=seed).validate()
+            make_config(seed=seed)
 
     def test_seed_range_ends_accepted(self):
         for seed in (0, 2**64 - 1):
