@@ -8,6 +8,7 @@ is preserved by every operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Mapping
 
 import numpy as np
@@ -21,8 +22,25 @@ SAMPLE_NORM_TOL = 1e-9
 #: Equal intervals of the uniform draw u in a BornTable's guide.
 GUIDE_BUCKETS = 1024
 
-#: Guide entry of a bucket that holds a CDF step: its outcome depends on u.
+#: Equal intervals of the relative phase θ over one turn in a PhaseWindow's guide.
+PHASE_BUCKETS = 32
+
+#: Guide entry of a bucket that holds a CDF step: its outcome depends on u (and θ).
 _STEP = 255
+
+#: The lowest and the largest u of each u bucket.
+_BUCKET_FIRST = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
+_BUCKET_LAST = np.nextafter(_BUCKET_FIRST + 1 / GUIDE_BUCKETS, 0.0)
+
+#: A PhaseWindow's guide finds the θ bucket of a θ with |θ| ≤ _GUIDED_THETA.
+#: There roundoff moves θ·PHASE_BUCKETS/2π by under 2e-9 of a bucket, so a
+#: bucket widened by _THETA_SLACK (radians) to either side holds θ mod 2π.
+_GUIDED_THETA = 2.0**20
+_THETA_SLACK = 1e-8
+
+#: What a guide's bound on a CDF step a + b·cos θ + c·sin θ allows for the
+#: roundoff of the sampler's own sum, and of the bound (each about 1e-15).
+_STEP_MARGIN = 1e-12
 
 
 class BasisMismatchError(ValueError):
@@ -173,12 +191,10 @@ class BornTable:
         last = cdf.shape[1] - 1
         if last >= _STEP:
             raise ValueError(f"a guide of uint8 holds at most {_STEP} outcomes, not {last + 1}")
-        bucket = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
-        bucket_end = np.nextafter(bucket + 1 / GUIDE_BUCKETS, 0.0)  # the largest u inside
         guide = []
         for row, t in zip(cdf, total):
-            lo = np.minimum(np.searchsorted(row, bucket * t, side="right"), last)
-            hi = np.minimum(np.searchsorted(row, bucket_end * t, side="right"), last)
+            lo = np.minimum(np.searchsorted(row, _BUCKET_FIRST * t, side="right"), last)
+            hi = np.minimum(np.searchsorted(row, _BUCKET_LAST * t, side="right"), last)
             guide.append(np.where(lo == hi, lo, _STEP))
         arrays = cdf, total.copy(), np.concatenate(guide).astype(np.uint8)
         for a in arrays:  # shared by every caller of a cache
@@ -206,17 +222,27 @@ class PhaseWindow:
     θ is one phase per trial.
 
     Only the outcomes where x and y both carry amplitude interfere, so only
-    they move with θ; lo..hi is the contiguous window that holds them. A
-    trial is first looked up in the table of the columns at θ = 0. Outside
-    the window its CDF is that table's row, so a trial the table places
-    outside lo..hi keeps the table's outcome. For one it places inside, the
-    window's own CDF steps lo..hi−1 are computed at its θ, as
-    a + b·cos θ + c·sin θ, and compared with u·total; an entry whose b and
-    c are 0 in every row (`still`) is a alone, and only a is compared. The
-    window's ends are the table's own CDF entries, so the table decides
-    exactly which trials enter it. The steps differ from a CDF summed from
-    the amplitudes at θ only by roundoff. Every array it makes holds one
-    entry per trial.
+    they move with θ; lo..hi is the contiguous window that holds them. The
+    exact computation (`_sample_exact`) first looks a trial up in the table
+    of the columns at θ = 0. Outside the window its CDF is that table's row,
+    so a trial the table places outside lo..hi keeps the table's outcome.
+    For one it places inside, the window's own CDF steps lo..hi−1 are
+    computed at its θ, as a + b·cos θ + c·sin θ, and compared with u·total;
+    an entry whose b and c are 0 in every row (`still`) is a alone, and only
+    a is compared. The window's ends are the table's own CDF entries, so the
+    table decides exactly which trials enter it. The steps differ from a CDF
+    summed from the amplitudes at θ only by roundoff.
+
+    `sample` extends the table's indexed search to θ: its guide has a cell
+    per (row, θ bucket, u bucket), PHASE_BUCKETS θ buckets over a turn and
+    GUIDE_BUCKETS u buckets. A cell holds an outcome only where the exact
+    computation provably gives it for every θ and u of the cell, and _STEP
+    elsewhere; a trial in a _STEP cell, or with |θ| > _GUIDED_THETA (where
+    the roundoff of its bucket is no longer bounded), is computed exactly.
+    So `sample` returns what `_sample_exact` returns, with no cos or sin
+    for most trials. The guide is built on the first call of `sample` and
+    kept: sessions whose trials share one θ never build it. Every array
+    `sample` makes holds one entry per trial.
     """
 
     table: BornTable  # the columns at θ = 0
@@ -252,8 +278,101 @@ class PhaseWindow:
         still = tuple(bool(s) for s in np.all(steps[1:] == 0.0, axis=(0, 2)))
         return cls(table, lo, hi, steps, still)
 
+    @cached_property
+    def guide(self) -> np.ndarray:
+        """The outcome, or _STEP, of each (row, θ bucket, u bucket) cell, flat, uint8.
+
+        The exact computation is monotone in u·total, which rounds
+        monotonically in u, so a u bucket's trials lie between its two ends.
+        A u bucket whose both ends the table puts in lo..hi sends every trial
+        into the window: those run from the first bucket whose lowest u·total
+        reaches the table's CDF entry lo − 1 to the last whose largest stays
+        below entry hi. Any other bucket keeps the table's own guide entry.
+        In the window, a trial's outcome is lo plus the count of steps at or
+        below u·total. Over θ bucket k, widened by _THETA_SLACK, a step
+        a + ρ·cos(θ − ψ) lies between `low` and `high`, the extremes of
+        cos over the bucket, widened by _STEP_MARGIN. From the first u bucket
+        whose lowest u·total reaches `high` on, the step is surely counted;
+        before the first whose largest u·total reaches `low`, surely not.
+        A cell where every step is one or the other holds lo plus the count
+        of the first kind, and _STEP otherwise. Those counts change only at
+        the two buckets of each step, so the window cells of each (row, θ
+        bucket) are laid down as runs starting there.
+        """
+        table, lo, hi = self.table, self.lo, self.hi
+        rows, outcomes = table.cdf.shape
+        half = np.pi / PHASE_BUCKETS + _THETA_SLACK  # half a θ bucket, widened
+        middle = (np.arange(PHASE_BUCKETS) + 0.5) * (2 * np.pi / PHASE_BUCKETS)
+        a, b, c = (s[..., None] for s in self.steps)  # steps × rows × 1
+        # b·cos θ + c·sin θ = ρ·cos(θ − ψ). At a bucket's middle m it is
+        # ρ·cos δ = b·cos m + c·sin m, and its slope is ±ρ·sin δ, δ ∈ [0, π] the
+        # angle from m to ψ. Over m ± half it peaks at ρ where δ ≤ half, else
+        # at ρ·cos(δ − half), and dips to −ρ where δ ≥ π − half, else to
+        # ρ·cos(δ + half). Steps × rows × θ buckets:
+        cos_half, sin_half = np.cos(half), np.sin(half)
+        rho = np.sqrt(b * b + c * c)
+        mid = b * np.cos(middle) + c * np.sin(middle)
+        slope = np.abs(c * np.cos(middle) - b * np.sin(middle))
+        high = np.where(mid >= rho * cos_half, rho, mid * cos_half + slope * sin_half)
+        low = np.where(mid <= -rho * cos_half, -rho, mid * cos_half - slope * sin_half)
+        high, low = a + high + _STEP_MARGIN, a + low - _STEP_MARGIN
+        enter = table.cdf[:, lo - 1] if lo else np.full(rows, -np.inf)
+        leave = table.cdf[:, hi] if hi < outcomes - 1 else np.full(rows, np.inf)
+        # Per row: its window buckets begin..stop − 1, and each step's two
+        # buckets, θ buckets × steps.
+        edges = []
+        for r, t in enumerate(table.total):
+            first, last = _BUCKET_FIRST * t, _BUCKET_LAST * t  # u·total at each bucket's ends
+            edges.append((np.searchsorted(first, enter[r]), np.searchsorted(last, leave[r]),
+                          np.searchsorted(first, high[:, r].T), np.searchsorted(last, low[:, r].T)))
+        begin, stop, below, maybe = (np.array(x) for x in zip(*edges))
+        begin = begin[:, None, None]
+        stop = np.maximum(stop[:, None, None], begin)
+        # A run starts at begin and at each step's buckets (clipped to the
+        # window cells). Run i follows i of those, `counted` of them a step's
+        # first sure bucket; its cells are sure when every step whose first
+        # maybe bucket it follows is counted, that is when i is twice that.
+        edge = np.concatenate([below, maybe], axis=2).clip(begin, stop)
+        order = np.argsort(edge, axis=2, kind="stable")
+        shape = rows, PHASE_BUCKETS, 1
+        run = np.concatenate([np.broadcast_to(begin, shape), np.take_along_axis(edge, order, 2)], 2)
+        length = np.diff(run, axis=2, append=np.broadcast_to(stop, shape))
+        counted = np.concatenate([np.zeros(shape, bool), order < below.shape[2]], 2).cumsum(axis=2)
+        value = np.where(np.arange(run.shape[2]) == 2 * counted, lo + counted, _STEP).astype(np.uint8)
+        guide = np.empty((rows, PHASE_BUCKETS, GUIDE_BUCKETS), np.uint8)
+        guide[:] = table.guide.reshape(rows, 1, GUIDE_BUCKETS)
+        for r, (i, j) in enumerate(zip(begin.ravel(), stop.ravel())):
+            cells = np.repeat(value[r].ravel(), length[r].ravel())
+            guide[r, :, i:j] = cells.reshape(PHASE_BUCKETS, j - i)
+        guide = guide.ravel()
+        guide.setflags(write=False)
+        return guide
+
     def sample(self, row: np.ndarray, theta: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The reference's outcomes of columns row[k] at phase theta[k], draws u[k] ∈ [0, 1)."""
+        """The reference's outcomes of columns row[k] at phase theta[k], draws u[k] ∈ [0, 1).
+
+        Equal to `_sample_exact`; most trials take one lookup in the guide.
+        """
+        turns = theta * (PHASE_BUCKETS / (2 * np.pi))  # θ in θ buckets
+        far = None
+        if not -_GUIDED_THETA <= theta.min(initial=0.0) <= theta.max(initial=0.0) <= _GUIDED_THETA:
+            far = ~(np.abs(theta) <= _GUIDED_THETA)  # NaN too
+            turns[far] = 0.0
+        cell = np.floor(turns).astype(np.intp)
+        cell &= PHASE_BUCKETS - 1
+        cell += row * PHASE_BUCKETS
+        cell *= GUIDE_BUCKETS
+        cell += (u * GUIDE_BUCKETS).astype(np.intp)
+        idx = self.guide.take(cell)
+        if far is not None:
+            idx[far] = _STEP
+        step = (idx == _STEP).nonzero()[0]
+        if len(step):
+            idx[step] = self._sample_exact(row[step], theta[step], u[step])
+        return idx
+
+    def _sample_exact(self, row: np.ndarray, theta: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """`sample` without the guide: the table at θ = 0, then the window's steps computed at θ."""
         idx = self.table.sample(row, u)
         inside = ((idx >= self.lo) & (idx <= self.hi)).nonzero()[0]
         if len(inside):

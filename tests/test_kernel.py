@@ -1,15 +1,19 @@
 """The batched session kernel against the scalar ModeState reference path."""
 import csv
 import dataclasses
+import decimal
+import hashlib
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import born_sample_batch, dephasing_diagonal, detection_amplitudes, scheme_tables
-from timebin_qkd import session
+from timebin_qkd import qstate, session
 from timebin_qkd.dfs import collective_dephase, dephase_single, independent_dephase
 from timebin_qkd.optics import (
     JOINT_BASIS,
@@ -21,6 +25,8 @@ from timebin_qkd.optics import (
 from timebin_qkd.protocols import INDEX_FOR, SchemeId, sift, signal_state
 from timebin_qkd.optics import TWO_PI, wrap_phase
 from timebin_qkd.qstate import (
+    GUIDE_BUCKETS,
+    PHASE_BUCKETS,
     BornTable,
     ModeState,
     PhaseWindow,
@@ -442,6 +448,191 @@ def test_phase_window_rejects_unnormalized_columns():
     ok = PhaseWindow.from_amplitudes(np.array([[0.6], [0.8]], dtype=complex),
                                      np.array([[0.6], [-0.8]], dtype=complex))
     assert (ok.lo, ok.hi) == (0, 0)
+
+
+# --- the phase window's guide: one lookup per trial, or the exact computation ----
+
+BUCKET_WIDTH = TWO_PI / PHASE_BUCKETS
+
+
+def ulps_around(x: float, k: int = 3) -> list[float]:
+    """x and the k floats on either side of it."""
+    out, up, down = [x], x, x
+    for _ in range(k):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return out
+
+
+# θ on every bucket edge over two turns either way (each k·2π/K and a few
+# ulps around it), near ±2π, and large: beyond the guided range too.
+EDGE_THETAS = np.array(
+    [t for k in range(-2 * PHASE_BUCKETS, 2 * PHASE_BUCKETS + 1)
+     for t in ulps_around(k * BUCKET_WIDTH)]
+    + [t for x in (TWO_PI, -TWO_PI, 2.0**20, -(2.0**20)) for t in ulps_around(x)]
+    + [1e6 + 0.3, -1e6 - 2.9, 2.0**20 + 1.0, 1e7, 1e12 + 0.5, -1e15, 1e20]
+)
+
+
+def window_draws(window: PhaseWindow, thetas: np.ndarray, rng) -> tuple:
+    """(row, θ, u) over every row and θ: u on each of the window's CDF steps at
+    that θ (as the exact path computes it), on the table's steps, on the guide's
+    u-bucket edges, a float either side of each, and at random."""
+    rows = len(window.table.total)
+    row, theta = np.repeat(np.arange(rows), len(thetas)), np.tile(thetas, rows)
+    total = window.table.total[row]
+    cos, sin = np.cos(theta), np.sin(theta)
+    on_step = [(a[row] + b[row] * cos + c[row] * sin) / total for a, b, c in zip(*window.steps)]
+    on_step += [window.table.cdf[row, j] / total for j in range(window.table.cdf.shape[1])]
+    draws = []
+    for u in on_step:
+        draws += [u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)]
+    edge = rng.integers(0, GUIDE_BUCKETS + 1, len(row)) / GUIDE_BUCKETS
+    draws += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), rng.random(len(row))]
+    u = np.concatenate(draws)
+    keep = (u >= 0.0) & (u < 1.0)
+    n = len(draws)
+    return np.tile(row, n)[keep], np.tile(theta, n)[keep], u[keep]
+
+
+def assert_guide_equals_exact(window: PhaseWindow, row, theta, u) -> None:
+    np.testing.assert_array_equal(
+        window.sample(row, theta, u), window._sample_exact(row, theta, u)
+    )
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_phase_window_guide_equals_exact_path_on_edges(scheme, rng):
+    window = session._kernel(scheme).window
+    thetas = np.concatenate([EDGE_THETAS, rng.uniform(-TWO_PI, TWO_PI, 200)])
+    assert_guide_equals_exact(window, *window_draws(window, thetas, rng))
+
+
+def random_window(rng, outcomes: int, rows: int, lo: int, hi: int) -> PhaseWindow:
+    """The window of random columns x·e^{iθ} + y, normalized at every θ: x is
+    nonzero only on outcomes lo..hi, so the window lies within them; lo > hi
+    gives a window with no moving outcome."""
+    x = np.zeros((outcomes, rows), complex)
+    if lo <= hi:
+        shape = hi + 1 - lo, rows
+        x[lo:hi + 1] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    y = rng.normal(size=(outcomes, rows)) + 1j * rng.normal(size=(outcomes, rows))
+    y[rng.random(y.shape) < 0.2] = 0.0  # zero-probability outcomes, and still steps
+    x[:, 0] = 0.0  # a column that does not move at all
+    # Σ x·ȳ = 0 keeps each column's norm the same at every θ.
+    y -= x * (np.sum(x.conj() * y, axis=0) / np.maximum(np.sum(np.abs(x) ** 2, axis=0), 1e-300))
+    y[:, 0] += 1.0
+    scale = np.sqrt(np.sum(np.abs(x) ** 2 + np.abs(y) ** 2, axis=0))
+    x, y = x / scale, y / scale
+    return PhaseWindow.from_amplitudes(x + y, y - x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    outcomes=st.integers(2, 12),
+    rows=st.integers(1, 5),
+    span=st.tuples(st.integers(0, 11), st.integers(0, 11)),
+    thetas=st.lists(st.floats(-1e7, 1e7, allow_nan=False), max_size=20),
+)
+def test_phase_window_guide_equals_exact_path(seed, outcomes, rows, span, thetas):
+    rng = np.random.default_rng(seed)
+    lo, hi = min(span[0], outcomes - 1), min(span[1], outcomes - 1)
+    window = random_window(rng, outcomes, rows, lo, hi)
+    if lo > hi:
+        assert (window.lo, window.hi) == (0, 0)
+    thetas = np.concatenate([EDGE_THETAS[::5], thetas, rng.uniform(-TWO_PI, TWO_PI, 30)])
+    assert_guide_equals_exact(window, *window_draws(window, thetas, rng))
+
+
+def test_phase_window_guide_of_a_window_with_no_moving_outcome():
+    # The columns of test_phase_window_rejects_unnormalized_columns that stay
+    # normalized: no outcome moves, so the guide is the table's at every θ.
+    window = PhaseWindow.from_amplitudes(np.array([[0.6], [0.8]], dtype=complex),
+                                         np.array([[0.6], [-0.8]], dtype=complex))
+    assert (window.lo, window.hi) == (0, 0)
+    guide = window.guide.reshape(PHASE_BUCKETS, GUIDE_BUCKETS)
+    np.testing.assert_array_equal(guide, np.broadcast_to(window.table.guide, guide.shape))
+    row, theta, u = window_draws(window, EDGE_THETAS, np.random.default_rng(3))
+    assert_guide_equals_exact(window, row, theta, u)
+
+
+def test_phase_window_guides_are_small_and_decide_most_trials():
+    # The three guides hold 0.5 MB; under 4% of a uniform θ and u fall back.
+    sizes = 0
+    for scheme in SCHEMES:
+        window = session._kernel(scheme).window
+        rows = len(window.table.total)
+        assert window.guide.shape == (rows * PHASE_BUCKETS * GUIDE_BUCKETS,)
+        assert window.guide.dtype == np.uint8 and not window.guide.flags.writeable
+        sizes += window.guide.nbytes
+        assert np.mean(window.guide == qstate._STEP) < 0.04
+    assert sizes <= 0.6 * 2**20
+
+
+def test_theta_bucket_roundoff_is_within_the_slack(rng):
+    # Up to the guided limit, θ·K/2π as the sampler rounds it is within
+    # _THETA_SLACK (in θ) of the exact real number, with π to 50 digits: so
+    # the bucket it names, widened by the slack, holds θ mod 2π.
+    pi = decimal.Decimal("3.14159265358979323846264338327950288419716939937510")
+    limit = qstate._GUIDED_THETA
+    thetas = np.concatenate([
+        rng.uniform(-limit, limit, 3000), limit * (1 - 1e-9 * rng.random(100)),
+        -limit * (1 - 1e-9 * rng.random(100)), [limit, -limit],
+    ])
+    turns = thetas * (PHASE_BUCKETS / (2 * np.pi))  # as PhaseWindow.sample computes it
+    with decimal.localcontext() as context:
+        context.prec = 60
+        worst = max(
+            abs(decimal.Decimal(x) - decimal.Decimal(t) * PHASE_BUCKETS / (2 * pi))
+            for t, x in zip(thetas.tolist(), turns.tolist())
+        )
+    assert worst * decimal.Decimal(BUCKET_WIDTH) < decimal.Decimal(qstate._THETA_SLACK) / 10
+
+
+LAZY_SESSIONS = {
+    "passive-sweep fig1": [SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 3000, 4, phase=k * math.pi / 8)
+                           for k in range(9)],
+    "passive-sweep combined": [SessionConfig(SchemeId.COMBINED, 3000, 4, phase=k * math.pi / 4)
+                               for k in range(5)],
+    "combined collective=random": [SessionConfig(SchemeId.COMBINED, 3000, 4, phase=PHASE_RANDOM,
+                                                 channel=ChannelSpec("collective", phi=None))],
+    "fig1 phase 0 with Eve": [SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 3000, 4, phase=0.0,
+                                            eavesdropper="intercept_resend")],
+}
+
+
+@pytest.mark.parametrize("name", list(LAZY_SESSIONS))
+def test_sessions_sharing_one_theta_build_no_phase_guide(name):
+    session._kernel.cache_clear()
+    for config in LAZY_SESSIONS[name]:
+        run_session(config)
+    for scheme in SCHEMES:
+        assert "guide" not in vars(session._kernel(scheme).window)
+    # A trial-by-trial θ builds its scheme's guide, and only that one.
+    run_session(SessionConfig(SchemeId.OWA_FOUR_PHASE, 10, 4, channel=ChannelSpec("independent")))
+    built = {s for s in SCHEMES if "guide" in vars(session._kernel(s).window)}
+    assert built == {SchemeId.OWA_FOUR_PHASE}
+
+
+# fig1 behind a fixed collective phase PHI at a random φ: θ = PHI − φ. These
+# stats+trace digests were recorded before the phase window had a guide. θ
+# near 1e6 lies inside the guided range; beyond it, θ is computed exactly.
+LARGE_THETA_DIGESTS = {
+    1e6: "32ffd773f22669ce7ee9c356e1e8bf4c4bc63c24747254addc3b86a7377caeea",
+    1e12: "1caa5e0cfe1d8b8f9e795d2117f437e56eb4588c3cc966090acea66cd60f5a84",
+    1e20: "336c706cad22946d354074b07fca66241bd0eb98d5def5b60c323ba2696da103",
+    -1e15: "2781ba6e6d201f3057a38bfdf657b4b38f793520c43b2e36c39573f3c3811ab2",
+}
+
+
+@pytest.mark.parametrize("phi", list(LARGE_THETA_DIGESTS))
+def test_fig1_at_a_large_collective_phase_keeps_its_digest(phi):
+    config = SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 200_000, 2026, phase=PHASE_RANDOM,
+                           channel=ChannelSpec("collective", phi=phi))
+    stats, records = run_session(config)
+    text = session.stats_json(stats) + trace_csv(records)
+    assert hashlib.sha256(text.encode()).hexdigest() == LARGE_THETA_DIGESTS[phi]
 
 
 # --- draw helpers: each equals the plain Generator call it stands for -----------
