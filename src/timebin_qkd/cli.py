@@ -56,12 +56,15 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_complex(z: complex) -> str:
-    re, im = _fmt(z.real), _fmt(z.imag)
-    if z.imag == 0:
+    # A part under 1e-12·|z| is the roundoff of a unit phase, such as
+    # e^{iπ} = −1 + 1.2e-16i, and prints as 0.
+    x, y = (0.0 if abs(part) < 1e-12 * abs(z) else part for part in (z.real, z.imag))
+    re, im = _fmt(x), _fmt(y)
+    if y == 0:
         return re
-    if z.real == 0:
+    if x == 0:
         return f"{im}i"
-    sign = "+" if z.imag >= 0 else ""
+    sign = "+" if y >= 0 else ""
     return f"{re}{sign}{im}i"
 
 

@@ -165,6 +165,23 @@ def born_cdf(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cdf, total
 
 
+def _guide_cells(low, high, first, last, base: int) -> np.ndarray:
+    """The guide entries of a block of cells, uint8, by Chen & Asau's rule.
+
+    A trial's outcome is base plus the count of CDF entries at or below its
+    u·total, which rounds monotonically in u, so a u bucket's trials lie
+    between its two ends. `low` and `high` bound each entry (entries first,
+    then the cells' leading axes) and `first` and `last` are the u·total at
+    the ends of each cell's u bucket (u buckets last). An entry is surely
+    counted in a cell where high ≤ first, and possibly counted where
+    low ≤ last. A cell where the two counts agree holds base plus that
+    count, the outcome of every trial in it; any other holds _STEP.
+    """
+    sure = (high[..., None] <= first).sum(axis=0, dtype=np.uint8)
+    maybe = (low[..., None] <= last).sum(axis=0, dtype=np.uint8)
+    return np.where(sure == maybe, sure + base, _STEP)
+
+
 @dataclass(frozen=True)
 class BornTable:
     """The inverse-CDF reference sampler of tests/oracles.py, by lookup in fixed columns.
@@ -172,11 +189,10 @@ class BornTable:
     Row r holds born_cdf of column r. Sampling is Chen & Asau's indexed
     search: [0, 1) is cut into GUIDE_BUCKETS equal intervals of u, and
     guide[r·GUIDE_BUCKETS + b] is the outcome of row r for every u in
-    bucket b, or _STEP where a CDF step falls inside the bucket and the
-    outcome is found by comparing u·total[r] with the row's CDF. Since u·t
-    rounds monotonically in u, a bucket whose two ends give one outcome
-    gives it for all u between them, so the lookup returns exactly what
-    the reference returns.
+    bucket b (`_guide_cells`, with each CDF entry its own bounds), or _STEP
+    where a CDF step falls inside the bucket and the outcome is found by
+    comparing u·total[r] with the row's CDF. So the lookup returns exactly
+    what the reference returns.
     """
 
     cdf: np.ndarray  # rows × outcomes
@@ -191,12 +207,10 @@ class BornTable:
         last = cdf.shape[1] - 1
         if last >= _STEP:
             raise ValueError(f"a guide of uint8 holds at most {_STEP} outcomes, not {last + 1}")
-        guide = []
-        for row, t in zip(cdf, total):
-            lo = np.minimum(np.searchsorted(row, _BUCKET_FIRST * t, side="right"), last)
-            hi = np.minimum(np.searchsorted(row, _BUCKET_LAST * t, side="right"), last)
-            guide.append(np.where(lo == hi, lo, _STEP))
-        arrays = cdf, total.copy(), np.concatenate(guide).astype(np.uint8)
+        ends = _BUCKET_FIRST * total[:, None], _BUCKET_LAST * total[:, None]
+        entries = cdf[:, :last].T  # the total only pushes a count past the last outcome
+        guide = _guide_cells(entries, entries, *ends, 0).ravel()
+        arrays = cdf, total.copy(), guide
         for a in arrays:  # shared by every caller of a cache
             a.setflags(write=False)
         return cls(*arrays)
@@ -227,11 +241,10 @@ class PhaseWindow:
     of the columns at θ = 0. Outside the window its CDF is that table's row,
     so a trial the table places outside lo..hi keeps the table's outcome.
     For one it places inside, the window's own CDF steps lo..hi−1 are
-    computed at its θ, as a + b·cos θ + c·sin θ, and compared with u·total;
-    an entry whose b and c are 0 in every row (`still`) is a alone, and only
-    a is compared. The window's ends are the table's own CDF entries, so the
-    table decides exactly which trials enter it. The steps differ from a CDF
-    summed from the amplitudes at θ only by roundoff.
+    computed at its θ, as a + b·cos θ + c·sin θ, and compared with u·total.
+    The window's ends are the table's own CDF entries, so the table decides
+    exactly which trials enter it. The steps differ from a CDF summed from
+    the amplitudes at θ only by roundoff.
 
     `sample` extends the table's indexed search to θ: its guide has a cell
     per (row, θ bucket, u bucket), PHASE_BUCKETS θ buckets over a turn and
@@ -249,7 +262,6 @@ class PhaseWindow:
     lo: int  # first outcome of the window
     hi: int  # last outcome of the window
     steps: np.ndarray  # 3 × (hi − lo) × rows: a, b, c of CDF entries lo..hi−1
-    still: tuple[bool, ...]  # per CDF entry lo..hi−1: b = c = 0 in every row
 
     @classmethod
     def from_amplitudes(cls, at_zero: np.ndarray, at_pi: np.ndarray) -> "PhaseWindow":
@@ -275,29 +287,20 @@ class PhaseWindow:
         swing = 2 * np.cumsum(cross[lo:hi], axis=0)
         steps = np.stack([before + mean, swing.real, -swing.imag])
         steps.setflags(write=False)
-        still = tuple(bool(s) for s in np.all(steps[1:] == 0.0, axis=(0, 2)))
-        return cls(table, lo, hi, steps, still)
+        return cls(table, lo, hi, steps)
 
     @cached_property
     def guide(self) -> np.ndarray:
         """The outcome, or _STEP, of each (row, θ bucket, u bucket) cell, flat, uint8.
 
-        The exact computation is monotone in u·total, which rounds
-        monotonically in u, so a u bucket's trials lie between its two ends.
-        A u bucket whose both ends the table puts in lo..hi sends every trial
-        into the window: those run from the first bucket whose lowest u·total
-        reaches the table's CDF entry lo − 1 to the last whose largest stays
-        below entry hi. Any other bucket keeps the table's own guide entry.
-        In the window, a trial's outcome is lo plus the count of steps at or
+        A u bucket whose lowest u·total reaches the table's CDF entry lo − 1
+        and whose largest stays below entry hi sends every trial into the
+        window (`inside`); any other keeps the table's own guide entry. In
+        the window, a trial's outcome is lo plus the count of steps at or
         below u·total. Over θ bucket k, widened by _THETA_SLACK, a step
-        a + ρ·cos(θ − ψ) lies between `low` and `high`, the extremes of
-        cos over the bucket, widened by _STEP_MARGIN. From the first u bucket
-        whose lowest u·total reaches `high` on, the step is surely counted;
-        before the first whose largest u·total reaches `low`, surely not.
-        A cell where every step is one or the other holds lo plus the count
-        of the first kind, and _STEP otherwise. Those counts change only at
-        the two buckets of each step, so the window cells of each (row, θ
-        bucket) are laid down as runs starting there.
+        a + ρ·cos(θ − ψ) lies between `low` and `high`, the extremes of cos
+        over the bucket, widened by _STEP_MARGIN; `_guide_cells` turns those
+        bounds into cells, over only the u buckets some row sends inside.
         """
         table, lo, hi = self.table, self.lo, self.hi
         rows, outcomes = table.cdf.shape
@@ -318,32 +321,13 @@ class PhaseWindow:
         high, low = a + high + _STEP_MARGIN, a + low - _STEP_MARGIN
         enter = table.cdf[:, lo - 1] if lo else np.full(rows, -np.inf)
         leave = table.cdf[:, hi] if hi < outcomes - 1 else np.full(rows, np.inf)
-        # Per row: its window buckets begin..stop − 1, and each step's two
-        # buckets, θ buckets × steps.
-        edges = []
-        for r, t in enumerate(table.total):
-            first, last = _BUCKET_FIRST * t, _BUCKET_LAST * t  # u·total at each bucket's ends
-            edges.append((np.searchsorted(first, enter[r]), np.searchsorted(last, leave[r]),
-                          np.searchsorted(first, high[:, r].T), np.searchsorted(last, low[:, r].T)))
-        begin, stop, below, maybe = (np.array(x) for x in zip(*edges))
-        begin = begin[:, None, None]
-        stop = np.maximum(stop[:, None, None], begin)
-        # A run starts at begin and at each step's buckets (clipped to the
-        # window cells). Run i follows i of those, `counted` of them a step's
-        # first sure bucket; its cells are sure when every step whose first
-        # maybe bucket it follows is counted, that is when i is twice that.
-        edge = np.concatenate([below, maybe], axis=2).clip(begin, stop)
-        order = np.argsort(edge, axis=2, kind="stable")
-        shape = rows, PHASE_BUCKETS, 1
-        run = np.concatenate([np.broadcast_to(begin, shape), np.take_along_axis(edge, order, 2)], 2)
-        length = np.diff(run, axis=2, append=np.broadcast_to(stop, shape))
-        counted = np.concatenate([np.zeros(shape, bool), order < below.shape[2]], 2).cumsum(axis=2)
-        value = np.where(np.arange(run.shape[2]) == 2 * counted, lo + counted, _STEP).astype(np.uint8)
-        guide = np.empty((rows, PHASE_BUCKETS, GUIDE_BUCKETS), np.uint8)
-        guide[:] = table.guide.reshape(rows, 1, GUIDE_BUCKETS)
-        for r, (i, j) in enumerate(zip(begin.ravel(), stop.ravel())):
-            cells = np.repeat(value[r].ravel(), length[r].ravel())
-            guide[r, :, i:j] = cells.reshape(PHASE_BUCKETS, j - i)
+        first, last = _BUCKET_FIRST * table.total[:, None], _BUCKET_LAST * table.total[:, None]
+        inside = (first >= enter[:, None]) & (last < leave[:, None])  # rows × u buckets
+        some = np.flatnonzero(inside.any(axis=0))
+        span = slice(some.min(initial=0), some.max(initial=-1) + 1)
+        guide = np.repeat(table.guide.reshape(rows, 1, GUIDE_BUCKETS), PHASE_BUCKETS, axis=1)
+        cells = _guide_cells(low, high, first[:, None, span], last[:, None, span], lo)
+        np.copyto(guide[:, :, span], cells, where=inside[:, None, span])
         guide = guide.ravel()
         guide.setflags(write=False)
         return guide
@@ -378,11 +362,9 @@ class PhaseWindow:
         if len(inside):
             r, t = row[inside], theta[inside]
             cos, sin = np.cos(t), np.sin(t)
-            at = u[inside] * self.table.total[r]
-            count = np.full(len(inside), self.lo)
-            for a, b, c, still in zip(*self.steps, self.still):  # one CDF entry at a time
-                count += (a[r] <= at) if still else (a[r] + b[r] * cos + c[r] * sin <= at)
-            idx[inside] = count
+            a, b, c = self.steps[:, :, r]  # steps × trials
+            count = (a + b * cos + c * sin <= u[inside] * self.table.total[r]).sum(axis=0)
+            idx[inside] = self.lo + count
         return idx
 
 

@@ -31,15 +31,9 @@ phase window, the rows as x·e^{iθ} + y, where θ moves only the outcomes
 where x and y interfere. The window lo..hi that holds them is 1..2 (the
 middle slot) for `fig1`, and 7..14 for pairs, whose both-middle outcomes
 are 7, 8, 13 and 14. Its table is the scheme's only θ = 0 table. A
-session that shares one θ is sampled by lookup in `born_table(scheme, θ)`.
-A trial with its own θ is sampled by the window (`qstate.PhaseWindow`):
-by one lookup in its guide over (row, θ bucket, u bucket), whose cells
-hold an outcome only where it is provably the same for every θ and u of
-the cell. The guide is built on the scheme's first such trial, so a
-session that shares one θ never builds it. The other trials, about 2–3%,
-and every trial with |θ| > 2²⁰ (where the roundoff of its bucket is no
-longer bounded), are computed exactly: looked up in the θ = 0 table, and
-only one that lands in the window has the window's CDF computed at its θ.
+session that shares one θ is sampled by lookup in `born_table(scheme, θ)`;
+a trial with its own θ is sampled by the window (`qstate.PhaseWindow`
+says how).
 
 Both samplers compare u·total with the trial's CDF, as the inverse-CDF
 reference of `tests/oracles.py` does on the trial's own detection
@@ -310,8 +304,8 @@ def _signal_rows(signals: np.ndarray, late: complex) -> np.ndarray:
 def _kernel(scheme: SchemeId | str) -> _Kernel:
     """Built once per scheme from signal_state, phase_modulator, classify_*, INDEX_FOR and sift.
 
-    The window is built at late = ±1.0 exactly (θ = 0 and π), so its bounds
-    and still entries carry no roundoff of e^{iπ}.
+    The window is built at late = ±1.0 exactly (θ = 0 and π), so its bounds,
+    and the steps of entries that do not move, carry no roundoff of e^{iπ}.
     """
     scheme_id = SchemeId(scheme)
     if scheme is not scheme_id:  # "owa" is a cache key apart from its SchemeId: share one record

@@ -320,6 +320,17 @@ class TestStates:
         assert "state 2  basis=time  bit=1" in lines
         assert "  amplitudes: (0, 1)" in lines
 
+    def test_owa_listing_prints_no_roundoff(self, capsys):
+        code, out, _ = run_cli(capsys, "states", "--protocol", "owa")
+        assert code == 0
+        amplitudes = [line for line in out.splitlines() if "amplitudes:" in line]
+        assert amplitudes == [
+            "  amplitudes: (0, 0.707106781187, 0.707106781187, 0)",
+            "  amplitudes: (0, 0.707106781187, -0.707106781187, 0)",
+            "  amplitudes: (0, 0.707106781187, 0.707106781187i, 0)",
+            "  amplitudes: (0, 0.707106781187, -0.707106781187i, 0)",
+        ]
+
 
 class TestSweep:
     def test_combined_sweep_flat(self, capsys):

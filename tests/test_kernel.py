@@ -1,6 +1,5 @@
 """The batched session kernel against the scalar ModeState reference path."""
 import csv
-import dataclasses
 import decimal
 import hashlib
 import io
@@ -409,29 +408,6 @@ def test_phase_window_sampler_at_window_steps(scheme, rng):
         assert np.all((got == sides[0][on]) | (got == sides[1][on]))
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_phase_window_still_entries_equal_the_full_formula(scheme, rng):
-    # An entry flagged still is compared as a alone; a + 0·cos θ + 0·sin θ is
-    # a exactly, so the samples equal those of the unflagged window, with
-    # u·total landing exactly on each still entry too.
-    window = session._kernel(scheme).window
-    assert sum(window.still) == (0 if scheme is SchemeId.FIG1_SINGLE_PHOTON else 5)
-    full = dataclasses.replace(window, still=(False,) * len(window.still))
-    rows, draws = [], []
-    for j in np.flatnonzero(window.still):
-        for r, (a, total) in enumerate(zip(window.steps[0, j], window.table.total)):
-            for u in (np.nextafter(a / total, 0.0), a / total, np.nextafter(a / total, 1.0)):
-                if u * total == a:
-                    rows.append(r)
-                    draws.append(u)
-    assert len(draws) >= len(window.table.total) * sum(window.still)
-    random_rows = rng.integers(0, len(window.table.total), 5000)
-    row = np.concatenate([np.array(rows, dtype=np.intp), random_rows])
-    u = np.concatenate([draws, rng.random(5000)])
-    theta = rng.uniform(0.0, TWO_PI, len(row))
-    np.testing.assert_array_equal(window.sample(row, theta, u), full.sample(row, theta, u))
-
-
 def test_phase_window_rejects_unnormalized_columns():
     # Normalized at θ = 0 and θ = π, but the norm² at θ is 1 + sin θ.
     x = np.array([[0.5], [0.5]], dtype=complex)
@@ -505,7 +481,17 @@ def assert_guide_equals_exact(window: PhaseWindow, row, theta, u) -> None:
 def test_phase_window_guide_equals_exact_path_on_edges(scheme, rng):
     window = session._kernel(scheme).window
     thetas = np.concatenate([EDGE_THETAS, rng.uniform(-TWO_PI, TWO_PI, 200)])
-    assert_guide_equals_exact(window, *window_draws(window, thetas, rng))
+    row, theta, u = window_draws(window, thetas, rng)
+    assert_guide_equals_exact(window, row, theta, u)
+    # A CDF entry whose b and c are 0 in every row is a at every θ; in every
+    # row, some draws put u·total exactly on it.
+    a, b, c = window.steps
+    fixed = np.flatnonzero(np.all((b == 0.0) & (c == 0.0), axis=1))
+    assert len(fixed) == (0 if scheme is SchemeId.FIG1_SINGLE_PHOTON else 5)
+    at = u * window.table.total[row]
+    for j in fixed:
+        landed = np.unique(row[at == a[j, row]])
+        np.testing.assert_array_equal(landed, np.arange(len(window.table.total)))
 
 
 def random_window(rng, outcomes: int, rows: int, lo: int, hi: int) -> PhaseWindow:
@@ -522,6 +508,7 @@ def random_window(rng, outcomes: int, rows: int, lo: int, hi: int) -> PhaseWindo
     # Σ x·ȳ = 0 keeps each column's norm the same at every θ.
     y -= x * (np.sum(x.conj() * y, axis=0) / np.maximum(np.sum(np.abs(x) ** 2, axis=0), 1e-300))
     y[:, 0] += 1.0
+    y[0, ~np.any(x, axis=0) & ~np.any(y, axis=0)] = 1.0  # a column that lost every amplitude
     scale = np.sqrt(np.sum(np.abs(x) ** 2 + np.abs(y) ** 2, axis=0))
     x, y = x / scale, y / scale
     return PhaseWindow.from_amplitudes(x + y, y - x)
@@ -568,6 +555,33 @@ def test_phase_window_guides_are_small_and_decide_most_trials():
         sizes += window.guide.nbytes
         assert np.mean(window.guide == qstate._STEP) < 0.04
     assert sizes <= 0.6 * 2**20
+
+
+# sha256 of each scheme's θ = 0 table guide and phase window guide, recorded
+# before both were built by counting (qstate._guide_cells). A build that turns
+# a decided cell into _STEP, or the reverse, samples the same outcomes and
+# fails only here.
+GUIDE_DIGESTS = {
+    SchemeId.FIG1_SINGLE_PHOTON: (
+        "6413bb08229beff6b293543dcb4589b94034d23933ae6f559d9cc57df76a18e0",
+        "8cb1c30d85797ff794bcdaf37c662ef30a817b061a068f258eab33240a9206a8",
+    ),
+    SchemeId.OWA_FOUR_PHASE: (
+        "13e2e90462be876f0b1bda8e77d83ef1e61c878299eea67af64b155d46f9b451",
+        "c49a89a75c2e6eab99c7d9ed04f0961749634c3885e531af9345ea2220d67bb1",
+    ),
+    SchemeId.COMBINED: (
+        "ec73d25d7929c6cd994e1663a3ce280017258536b379a5466f6e0b76d6f2c032",
+        "8f1ff802c98b66aaee5ef1b12cbf1cc7c6911930f1e0852dedf0ef19c55ec42d",
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_guides_keep_their_digests(scheme):
+    window = session._kernel(scheme).window
+    guides = window.table.guide, window.guide
+    assert tuple(hashlib.sha256(g.tobytes()).hexdigest() for g in guides) == GUIDE_DIGESTS[scheme]
 
 
 def test_theta_bucket_roundoff_is_within_the_slack(rng):
