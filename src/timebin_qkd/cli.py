@@ -193,7 +193,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     writer.writerow(["phi", "sifted_rate", "qber"])
     for phi, config in zip(grid, configs):
         stats, _ = run_session(config)
-        writer.writerow([_fmt(phi), _fmt(stats.sifted_rate), _fmt(stats.qber)])
+        qber = "" if stats.qber is None else _fmt(stats.qber)
+        writer.writerow([_fmt(phi), _fmt(stats.sifted_rate), qber])
     _write_output(buf.getvalue(), args.out)
     return 0
 

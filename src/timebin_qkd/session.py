@@ -21,8 +21,10 @@ they are a global phase and drop out of every outcome probability. So
 θ = 0 for a pair behind no channel, loss or collective dephasing, and for
 Eve's measurements; θ = φ₂ − φ₁ for a pair behind independent dephasing;
 and θ = φ_c − φ, the channel's phase less the interferometer's, for
-`fig1`. `_phase_draws` makes the draws that set θ, and no other code
-applies this rule.
+`fig1`. Only θ mod 2π reaches the law, so a θ that varies per trial is
+drawn as one uniform: θ = offset + 2π·u, with the offset 0 for a pair and
+the fixed channel phase less the fixed interferometer phase for `fig1`.
+`_theta` applies this rule, and no other code does.
 
 Each scheme has one record, `_kernel(scheme)`, built from `protocols`
 (signal states, classify_*, sift) and `optics`: its signal rows, the
@@ -41,18 +43,26 @@ amplitudes, and their CDFs differ from that one only by roundoff; the
 tests hold them to it. The kernel as a whole is checked against the scalar
 ModeState path through the exact session expectations of the same file.
 
-Determinism contract: chunk k draws from its own Philox counter-based
-stream keyed by (seed, k), in the style of Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3" (SC'11). Each thread holds one Philox
-Generator, made on its first session and re-keyed to (seed, k) for every
-chunk, which starts it where a new Generator keyed so would start; so
-sessions in different threads share no generator. Every chunk takes all of
-its draws from the stream in a fixed order, so each draw has a fixed
-position. A draw that the trial's path cannot read (φ, and a collective
-phase, of a pair scheme) is skipped by advancing the counter, with every
-stream position unchanged; small integers are read off raw words where that
-gives the values `Generator.integers` gives. One config therefore gives
-byte-identical stats and traces.
+Determinism contract: chunk k draws from its own Philox4x64-10
+counter-based stream keyed by (seed, k), in the style of Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3" (SC'11). Each thread holds
+one Philox bit generator, made on its first session and re-keyed to
+(seed, k) by the state setter for every chunk; so sessions in different
+threads share no stream. A chunk of n trials makes one random_raw(W·n),
+and trial k's fields are cut from its own W words, k·W .. k·W + W − 1:
+
+- word 0: Bob's uniform u, its top 53 bits × 2⁻⁵³ (as numpy's next_double
+  takes them); its low bits give Alice's index − 1 (bits 0–1), Bob's
+  setting (bit 2, `owa`), Eve's setting (bit 3, `owa` with Eve) and Eve's
+  fallback index − 1 (bits 4–5, with Eve);
+- then, only where the config reads them, in this order: Eve's uniform;
+  one loss uniform, the trial lost iff it is ≥ (1 − p)^photons; and the
+  uniform of θ (`_theta`).
+
+W = 1 + Eve + loss + a per-trial θ is fixed per config, and no draw is made
+that no trial reads. The stream rests only on random_raw and the state
+setter, whose output Philox's specification fixes. One config therefore
+gives byte-identical stats and traces.
 """
 from __future__ import annotations
 
@@ -81,7 +91,9 @@ from .qstate import BornTable, PhaseWindow
 #: the RNG identity: changing it changes every sampled number.
 CHUNK_TRIALS = 4096
 
-RNG_IDENTITY = f"numpy-philox4x64 keyed (seed, chunk), {CHUNK_TRIALS}-trial chunks"
+RNG_IDENTITY = (
+    f"philox4x64-10 keyed (seed, chunk), {CHUNK_TRIALS}-trial chunks, raw words per trial"
+)
 
 #: Seeds are Philox key words: integers in [0, 2**64).
 SEED_LIMIT = 2**64
@@ -246,8 +258,9 @@ class SessionStats:
         return self.sifted / self.trials
 
     @property
-    def qber(self) -> float:
-        return self.errors / self.sifted if self.sifted else 0.0
+    def qber(self) -> float | None:
+        """errors / sifted; None when nothing is sifted, since no error rate was measured."""
+        return self.errors / self.sifted if self.sifted else None
 
 
 # --- batched kernel ------------------------------------------------------------
@@ -365,66 +378,35 @@ def _born_table(scheme_id: SchemeId, theta: float) -> BornTable:
     return BornTable.from_amplitudes(_signal_rows(_kernel(scheme_id).signals, np.exp(1j * theta)))
 
 
-#: 64-bit words in one Philox block: one counter value's output.
-_PHILOX_WORDS = 4
+_thread = threading.local()  # .bits: the thread's Philox bit generator, made on its first session
 
 
-def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
-
-
-_thread = threading.local()  # .rng: the thread's Philox Generator, made on its first session
-
-
-def _rekey(rng: np.random.Generator, seed: int, chunk: int) -> None:
-    """Put a Philox Generator where _chunk_rng(seed, chunk) starts, cheaper than a new one."""
-    rng.bit_generator.state = {
+def _rekey(bits: np.random.Philox, seed: int, chunk: int) -> None:
+    """Put a Philox bit generator where Philox(key=[seed, chunk]) starts, cheaper than a new one."""
+    bits.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0,) * _PHILOX_WORDS, "key": (seed, chunk)},
-        "buffer": (0,) * _PHILOX_WORDS,
-        "buffer_pos": _PHILOX_WORDS,
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, chunk)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # the buffered block spent: the next word is counter 1's first
         "has_uint32": 0,
         "uinteger": 0,
     }
 
 
-def _skip(rng: np.random.Generator, k: int) -> None:
-    """Move rng past k uniform doubles that nothing reads, as rng.random(k) would.
+def _theta(config: SessionConfig, photons: int) -> tuple[bool, float]:
+    """(drawn, offset): θ = offset + 2π·u per trial when drawn, else offset (module docstring).
 
-    Philox is counter-based, and each double takes one 64-bit word. With no
-    buffered word left (buffer_pos at the end), no uint32 half held and k a
-    whole number of blocks, the k draws are a counter advance; otherwise
-    they are drawn. Either way every later draw is the same (advance also
-    zeroes the spent buffer words and the stale half, which no draw reads).
+    A pair draws θ only behind independent dephasing; fig1 draws it when its
+    phase or its channel's is uniform per trial, and a uniform one counts as
+    0 in the offset.
     """
-    bit_generator = rng.bit_generator
-    state = bit_generator.state
-    spent = state["buffer_pos"] == _PHILOX_WORDS and not state["has_uint32"]
-    if spent and k % _PHILOX_WORDS == 0:
-        bit_generator.advance(k // _PHILOX_WORDS)
-    else:
-        rng.random(k)
-
-
-def _integers(rng: np.random.Generator, high: int, n: int) -> np.ndarray:
-    """rng.integers(0, high, n), read off raw words when high is a power of two >= 2.
-
-    integers applies Lemire's method to next_uint32, which never rejects
-    when high is a power of two: each value is the top log2(high) bits of
-    one uint32. Philox's next_uint32 returns a word's low half, then its high
-    half, so with no half held and n even the uint32s are random_raw(n // 2)
-    read as little-endian pairs. Otherwise the values are drawn by integers.
-    """
-    bit_generator = rng.bit_generator
-    if high > 1 and high & (high - 1) == 0 and n % 2 == 0 and not bit_generator.state["has_uint32"]:
-        halves = bit_generator.random_raw(n // 2).astype("<u8", copy=False).view("<u4")
-        return halves >> (33 - high.bit_length())
-    return rng.integers(0, high, n)
-
-
-def _settings(rng: np.random.Generator, count: int, n: int) -> np.ndarray | None:
-    """Uniform modulator settings; None (setting 0 for every trial, no draw) when there is one."""
-    return _integers(rng, count, n) if count > 1 else None
+    channel = config.channel
+    if photons == 2:
+        return channel.kind == "independent", 0.0
+    random_phase = config.phase == PHASE_RANDOM
+    drawn = random_phase or channel.kind == "independent" or (
+        channel.kind == "collective" and channel.phi is None)
+    return drawn, (channel.phi or 0.0) - (0.0 if random_phase else config.phase)
 
 
 def _flat(major: np.ndarray, minor: np.ndarray | None, width: int) -> np.ndarray:
@@ -432,91 +414,53 @@ def _flat(major: np.ndarray, minor: np.ndarray | None, width: int) -> np.ndarray
     return major if minor is None else major * width + minor
 
 
-def _phase_draws(
-    config: SessionConfig, photons: int, rng: np.random.Generator, n: int
-) -> tuple[np.ndarray | None, float | np.ndarray]:
-    """(lost mask, θ): the channel's draws, then the interferometer's, in that order.
-
-    θ is the one relative phase that reaches the outcome (module docstring):
-    a float when the whole session shares it, else one value per trial. The
-    mask is None without loss. Loss draws one uniform per photon and trial;
-    random dephasing one phase per trial, collective, or per photon,
-    independent; a random φ one phase per trial. A pair's φ and collective
-    phase are global, so no trial reads them: they are skipped by advancing
-    the stream (`_skip`), and every later draw keeps its position.
-    """
-    pair = photons == 2
-
-    def uniform_phase():
-        """One phase per trial, or a pair's global phase: 0.0, with its draw skipped."""
-        if pair:
-            _skip(rng, n)
-            return 0.0
-        return rng.uniform(0.0, TWO_PI, n)
-
-    channel = config.channel
-    lost, theta = None, 0.0
-    if channel.kind == "loss":
-        draws = rng.random((n, photons))
-        lost = draws[:, 0] < channel.loss
-        for photon in range(1, photons):
-            lost |= draws[:, photon] < channel.loss
-    elif channel.kind == "independent":
-        theta = rng.uniform(0.0, TWO_PI, n)
-        if pair:
-            theta = rng.uniform(0.0, TWO_PI, n) - theta  # φ₂ − φ₁
-    elif channel.kind == "collective":
-        if channel.phi is None:
-            theta = uniform_phase()
-        elif not pair:
-            theta = channel.phi
-    if config.phase == PHASE_RANDOM:
-        phi = uniform_phase()
-    else:
-        phi = 0.0 if pair else config.phase
-    return lost, theta if pair else theta - phi
+def _uniform(words: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from 64-bit words: their top 53 bits, as numpy's next_double takes them."""
+    return (words >> 11) * 2.0**-53
 
 
 def _session_codes(config: SessionConfig, kernel: _Kernel) -> np.ndarray:
-    """The session's trial codes, each chunk's drawn from this thread's Generator re-keyed to it.
+    """The session's trial codes, each chunk's cut from W raw words per trial.
 
-    A chunk's draws are all made first, in a fixed order. Every trial is
-    then sampled from the Born table at the session's θ, which is the same
-    in every chunk, or from the phase window at its own θ (see the module
-    docstring).
+    Per chunk the thread's bit generator is re-keyed to (seed, chunk) and
+    makes one random_raw(W·n); trial k reads words W·k .. W·k + W − 1, laid
+    out as the module docstring says. Every trial is then sampled from the
+    Born table at the session's θ, or from the phase window at its own θ.
     """
-    if not hasattr(_thread, "rng"):
-        _thread.rng = _chunk_rng(0, 0)
-    rng, table, parts = _thread.rng, None, []
+    if not hasattr(_thread, "bits"):
+        _thread.bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    bits, parts = _thread.bits, []
     n_settings, n_outcomes = len(kernel.betas), len(kernel.outcomes)
+    owa, eve = n_settings > 1, config.eavesdropper == "intercept_resend"
+    loss = config.channel.kind == "loss"
+    drawn, offset = _theta(config, kernel.photons)
+    eve_word, loss_word, theta_word = 1, 1 + eve, 1 + eve + loss  # each where it is drawn
+    width = theta_word + drawn
+    survive = (1.0 - config.channel.loss) ** kernel.photons
+    table = None if drawn else born_table(kernel.id, offset)  # the session's one θ's table
     for chunk in range(-(-config.trials // CHUNK_TRIALS)):
-        _rekey(rng, config.seed, chunk)
+        _rekey(bits, config.seed, chunk)
         n = min(CHUNK_TRIALS, config.trials - chunk * CHUNK_TRIALS)
-        alice = _integers(rng, 4, n)  # signal index - 1
-        eve = None
-        if config.eavesdropper == "intercept_resend":
-            # Her setting and uniform draw, and the index she resends when inconclusive.
-            eve = (_settings(rng, n_settings, n), rng.random(n), _integers(rng, 4, n))
-        lost, theta = _phase_draws(config, kernel.photons, rng, n)
-        setting = _settings(rng, n_settings, n)
-        u = rng.random(n)
+        words = bits.random_raw(width * n).reshape(n, width)
+        low = words[:, 0].view(np.int64)  # its low bits, as integers to index with
+        alice = low & 3  # signal index − 1
+        setting = (low >> 2) & 1 if owa else None
         sent = alice
-        if eve is not None:
+        if eve:
             # Bob's apparatus at θ = 0; resend the named state, or a uniform one.
-            eve_setting, eve_u, fallback = eve
-            eve_row = _flat(alice, eve_setting, n_settings)
-            eve_outcome = kernel.window.table.sample(eve_row, eve_u)
+            eve_setting = (low >> 3) & 1 if owa else None
+            eve_outcome = kernel.window.table.sample(
+                _flat(alice, eve_setting, n_settings), _uniform(words[:, eve_word]))
             seen = eve_outcome if eve_setting is None else eve_setting * n_outcomes + eve_outcome
             named = kernel.announced[seen]
-            sent = np.where(named > 0, named - 1, fallback)
-        row = _flat(sent, setting, n_settings)
-        if isinstance(theta, np.ndarray):
-            outcome = kernel.window.sample(row, theta, u)
-        else:  # the session's one θ, and so its one table
-            table = table or born_table(kernel.id, theta)
+            sent = np.where(named > 0, named - 1, (low >> 4) & 3)
+        row, u = _flat(sent, setting, n_settings), _uniform(words[:, 0])
+        if drawn:
+            outcome = kernel.window.sample(row, offset + TWO_PI * _uniform(words[:, theta_word]), u)
+        else:
             outcome = table.sample(row, u)
-        if lost is not None:
-            outcome[lost] = n_outcomes
+        if loss:
+            outcome[_uniform(words[:, loss_word]) >= survive] = n_outcomes
         code = _flat(alice, setting, n_settings) * (n_outcomes + 1) + outcome
         parts.append(code.astype(np.uint16))
     return np.concatenate(parts)
@@ -587,7 +531,7 @@ def stats_document(stats: SessionStats) -> dict:
         "sifted": stats.sifted,
         "errors": stats.errors,
         "sifted_rate": _sig12(stats.sifted_rate),
-        "qber": _sig12(stats.qber),
+        "qber": None if stats.qber is None else _sig12(stats.qber),
         "histogram": {k: stats.histogram[k] for k in sorted(stats.histogram)},
         "per_signal": per_signal,
         "rng": RNG_IDENTITY,

@@ -2,10 +2,11 @@
 
 The enumeration oracles expand the interferometer action term by term with
 plain dicts and loops, independently of the matrix/kron implementation
-under test. The session expectations are exact, and are built on the
-library's scalar ModeState path, the reference for the batched session
-kernel. The amplitude reference at the end samples each trial from its own
-detection amplitudes, the reference for the kernel's tables trial by trial.
+under test. The session expectations, and the law of each trial code, are
+exact, and are built on the library's scalar ModeState path, the reference
+for the batched session kernel. The amplitude reference at the end samples
+each trial from its own detection amplitudes, the reference for the
+kernel's tables trial by trial.
 """
 from __future__ import annotations
 
@@ -149,19 +150,26 @@ def channel_states(state, channel, two_photon: bool) -> list:
     return [dephase_single(state, p) for p in PHASE_GRID]
 
 
+def outcome_law(scheme: SchemeId, states, phases, beta) -> np.ndarray:
+    """Mean P(outcome), in the interferometer's outcome order, over states and phases at beta."""
+    single = scheme is SchemeId.FIG1_SINGLE_PHOTON
+    total = 0.0
+    for state in states:
+        for phi in phases:
+            s = modulated(state, beta)
+            total = total + outcome_distribution(mzi_single(s, phi) if single else mzi_pair(s, phi))
+    return total / (len(states) * len(phases))
+
+
 def announced_distribution(scheme: SchemeId, states, phases) -> np.ndarray:
     """Mean P(Bob announces index v), v = 0 (inconclusive) .. 4, over states, phases and β."""
     betas = bob_betas(scheme)
+    outcomes = DETECTION_BASIS if scheme is SchemeId.FIG1_SINGLE_PHOTON else JOINT_BASIS
     total = np.zeros(5)
-    for state in states:
-        for phi in phases:
-            for beta in betas:
-                s = modulated(state, beta)
-                single = scheme is SchemeId.FIG1_SINGLE_PHOTON
-                out = mzi_single(s, phi) if single else mzi_pair(s, phi)
-                for o, p in zip(out.basis, outcome_distribution(out)):
-                    total[announced_index(scheme, o, beta)] += p
-    return total / (len(states) * len(phases) * len(betas))
+    for beta in betas:
+        for o, p in zip(outcomes, outcome_law(scheme, states, phases, beta)):
+            total[announced_index(scheme, o, beta)] += p
+    return total / len(betas)
 
 
 def session_expectation(scheme, phase, channel, eve: bool) -> tuple[float, float]:
@@ -195,6 +203,35 @@ def session_expectation(scheme, phase, channel, eve: bool) -> tuple[float, float
                     if BIT_FOR_INDEX[v] != BIT_FOR_INDEX[a]:
                         errors += w * bob[r][v] / 4
     return sifted * survive, errors * survive
+
+
+def code_law(config) -> np.ndarray:
+    """Exact P(code) of each of a session's 4 × S × (O + 1) trial codes.
+
+    code = (alice·S + setting)·(O + 1) + outcome, with alice = index − 1, S
+    Bob's settings and outcome O "lost", as the session kernel numbers them.
+    Alice's index and Bob's setting are uniform; Eve resends as in
+    session_expectation; every photon survives loss, or the trial is lost.
+    """
+    scheme = SchemeId(config.scheme)
+    two_photon = scheme is not SchemeId.FIG1_SINGLE_PHOTON
+    channel, betas = config.channel, bob_betas(scheme)
+    phases = PHASE_GRID if config.phase == "random" else (config.phase,)
+    survive = (1 - channel.loss) ** (2 if two_photon else 1)
+    law = []
+    for a in (1, 2, 3, 4):
+        resend = {a: 1.0}
+        if config.eavesdropper == "intercept_resend":
+            p = announced_distribution(scheme, [signal_state(scheme, a).state], (0.0,))
+            resend = {r: p[r] + p[0] / 4 for r in (1, 2, 3, 4)}
+        for beta in betas:
+            bob = sum(
+                w * outcome_law(scheme, channel_states(signal_state(scheme, r).state, channel,
+                                                       two_photon), phases, beta)
+                for r, w in resend.items()
+            )
+            law.append(np.append(survive * bob, 1 - survive) / (4 * len(betas)))
+    return np.concatenate(law)
 
 
 # --- the trial-by-trial amplitude reference -----------------------------------

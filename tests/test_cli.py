@@ -172,6 +172,19 @@ class TestRun:
         assert out.startswith("key,value\n")
         assert "sifted_rate," in out
 
+    def test_qber_is_null_when_nothing_is_sifted(self, capsys):
+        # With every photon lost nothing is sifted, and no error rate was
+        # measured: a QBER of 0 would read as a perfect key.
+        args = ["run", "--protocol", "fig1", "--trials", "5", "--seed", "1", "--channel", "loss=1"]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["sifted"] == 0 and doc["qber"] is None
+        assert '"qber": null' in out
+        code, out, _ = run_cli(capsys, *args, "--format", "csv")
+        assert code == 0
+        assert "\nsifted,0\n" in out and "\nqber,\n" in out
+
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551617"])
     def test_seed_outside_philox_key_range_exits_2(self, capsys, seed):
         code, out, err = run_cli(
@@ -354,6 +367,21 @@ class TestSweep:
         assert code == 0
         qbers = [float(line.split(",")[2]) for line in out.strip().splitlines()[1:]]
         assert max(qbers) - min(qbers) > 0.2
+
+    def test_qber_cell_is_empty_when_nothing_is_sifted(self, capsys):
+        # One trial per phase: a session sifts it or not, and one that sifts
+        # nothing has no QBER.
+        rows = []
+        for seed in range(1, 9):
+            code, out, _ = run_cli(
+                capsys, "sweep", "--protocol", "fig1", "--phase-grid", "0,1.5,3",
+                "--trials", "1", "--seed", str(seed),
+            )
+            assert code == 0
+            rows += [line.split(",") for line in out.splitlines()[1:]]
+        assert {rate for _, rate, _ in rows} == {"0", "1"}  # both kinds of row occur
+        for _, rate, qber in rows:
+            assert (qber == "") == (rate == "0")
 
     def test_empty_grid_exits_2(self, capsys):
         code, _, err = run_cli(

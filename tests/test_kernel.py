@@ -629,234 +629,168 @@ def test_sessions_sharing_one_theta_build_no_phase_guide(name):
     assert built == {SchemeId.OWA_FOUR_PHASE}
 
 
-# fig1 behind a fixed collective phase PHI at a random φ: θ = PHI − φ. These
-# stats+trace digests were recorded before the phase window had a guide. θ
-# near 1e6 lies inside the guided range; beyond it, θ is computed exactly.
+# fig1 behind a fixed collective phase PHI at a random φ: θ = PHI + 2π·u, one
+# uniform standing for −φ. θ near 1e6 lies inside the guided range; beyond it,
+# θ is computed exactly. These stats+trace digests change only with
+# RNG_IDENTITY; to re-record them, run from the repository root:
+#
+#     PYTHONPATH=src python tests/test_kernel.py
 LARGE_THETA_DIGESTS = {
-    1e6: "32ffd773f22669ce7ee9c356e1e8bf4c4bc63c24747254addc3b86a7377caeea",
-    1e12: "1caa5e0cfe1d8b8f9e795d2117f437e56eb4588c3cc966090acea66cd60f5a84",
-    1e20: "336c706cad22946d354074b07fca66241bd0eb98d5def5b60c323ba2696da103",
-    -1e15: "2781ba6e6d201f3057a38bfdf657b4b38f793520c43b2e36c39573f3c3811ab2",
+    1e6: "40218df4bde6c414cd2bd58d679aec2d7396fff526c6127e7ff1be06af8dd569",
+    1e12: "c2fe162f2eb0baa7f6edf37282717e3b53bfdc143aa94e519b73b48d520f73c4",
+    1e20: "9350ed2eaed1d7599ade78f57f4db6d7516e37ea334564944d2844c0f50fb6d0",
+    -1e15: "5692a9688dad3bb7b38a5a3b7b15aaaf65fabb32e0f5abc523c05a3306ef0f39",
 }
+
+
+def large_theta_digest(phi: float) -> str:
+    config = SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 200_000, 2026, phase=PHASE_RANDOM,
+                           channel=ChannelSpec("collective", phi=phi))
+    stats, records = run_session(config)
+    return hashlib.sha256((session.stats_json(stats) + trace_csv(records)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("phi", list(LARGE_THETA_DIGESTS))
 def test_fig1_at_a_large_collective_phase_keeps_its_digest(phi):
-    config = SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 200_000, 2026, phase=PHASE_RANDOM,
-                           channel=ChannelSpec("collective", phi=phi))
-    stats, records = run_session(config)
-    text = session.stats_json(stats) + trace_csv(records)
-    assert hashlib.sha256(text.encode()).hexdigest() == LARGE_THETA_DIGESTS[phi]
+    assert large_theta_digest(phi) == LARGE_THETA_DIGESTS[phi]
 
 
-# --- draw helpers: each equals the plain Generator call it stands for -----------
-
-def philox(key: int = 11) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([key, 3], dtype=np.uint64)))
-
-
-def live_state(rng: np.random.Generator) -> tuple:
-    """The part of a Philox state that later draws read: counter, key, the
-    unread buffer words, and the held uint32 half when one is held.
-    (A counter advance zeroes the spent words and a stale half; no draw
-    reads those.)"""
-    state = rng.bit_generator.state
-    pos, held = state["buffer_pos"], state["has_uint32"]
-    return (
-        tuple(state["state"]["counter"]), tuple(state["state"]["key"]), pos,
-        tuple(state["buffer"][pos:]), held, state["uinteger"] if held else None,
-    )
-
-
-# Draws that leave (buffer_pos, has_uint32) at each of (1..4) × (0, 1).
-PRIOR_DRAWS = {
-    "fresh": (lambda rng: None, (4, 0)),
-    "1 double": (lambda rng: rng.random(1), (1, 0)),
-    "2 doubles": (lambda rng: rng.random(2), (2, 0)),
-    "3 doubles": (lambda rng: rng.random(3), (3, 0)),
-    "8 doubles": (lambda rng: rng.random(8), (4, 0)),
-    "1 uint32": (lambda rng: rng.integers(0, 4, 1), (1, 1)),
-    "1 uint32, 1 double": (lambda rng: (rng.integers(0, 4, 1), rng.random(1)), (2, 1)),
-    "1 uint32, 2 doubles": (lambda rng: (rng.integers(0, 4, 1), rng.random(2)), (3, 1)),
-    "1 uint32, 7 doubles": (lambda rng: (rng.integers(0, 4, 1), rng.random(7)), (4, 1)),
-}
-DRAW_COUNTS = [0, 1, 2, 3, 4, 5, 7, 8, 4095, 4096]
-
-
-def assert_same_stream(a: np.random.Generator, b: np.random.Generator) -> None:
-    """The same live state, and the same next 8 draws of each kind."""
-    assert live_state(a) == live_state(b)
-    np.testing.assert_array_equal(a.random(8), b.random(8))
-    np.testing.assert_array_equal(a.integers(0, 4, 8), b.integers(0, 4, 8))
-    np.testing.assert_array_equal(a.integers(0, 3, 7), b.integers(0, 3, 7))
-    np.testing.assert_array_equal(a.uniform(0.0, TWO_PI, 8), b.uniform(0.0, TWO_PI, 8))
-    np.testing.assert_array_equal(a.bit_generator.random_raw(8), b.bit_generator.random_raw(8))
-    assert live_state(a) == live_state(b)
-
-
-@pytest.mark.parametrize("prior", list(PRIOR_DRAWS))
-def test_prior_draws_reach_each_buffer_state(prior):
-    draw, expected = PRIOR_DRAWS[prior]
-    rng = philox()
-    draw(rng)
-    state = rng.bit_generator.state
-    assert (state["buffer_pos"], state["has_uint32"]) == expected
-
-
-@pytest.mark.parametrize("prior", list(PRIOR_DRAWS))
-def test_skip_equals_drawing(prior):
-    draw, _ = PRIOR_DRAWS[prior]
-    for k in DRAW_COUNTS:
-        skipped, drawn = philox(), philox()
-        draw(skipped)
-        draw(drawn)
-        session._skip(skipped, k)
-        drawn.random(k)
-        assert_same_stream(skipped, drawn)
-
-
-@pytest.mark.parametrize("prior", list(PRIOR_DRAWS))
-def test_integers_helper_equals_generator_integers(prior):
-    draw, _ = PRIOR_DRAWS[prior]
-    for high in (2, 3, 4, 8):
-        for n in DRAW_COUNTS:
-            fast, plain = philox(), philox()
-            draw(fast)
-            draw(plain)
-            np.testing.assert_array_equal(session._integers(fast, high, n), plain.integers(0, high, n))
-            assert_same_stream(fast, plain)
-
-
-@pytest.mark.parametrize("photons", [1, 2])
-def test_loss_mask_equals_any_over_photons(photons):
-    scheme = SchemeId.FIG1_SINGLE_PHOTON if photons == 1 else SchemeId.COMBINED
-    config = SessionConfig(scheme, 1, 0, phase=0.0, channel=ChannelSpec("loss", loss=0.3))
-    for n in DRAW_COUNTS:
-        fast, plain = philox(), philox()
-        lost, theta = session._phase_draws(config, photons, fast, n)
-        assert theta == 0.0
-        np.testing.assert_array_equal(lost, (plain.random((n, photons)) < 0.3).any(axis=1))
-        assert_same_stream(fast, plain)
-
-
-def test_rekey_equals_a_new_chunk_generator():
-    rng = session._chunk_rng(9, 0)
-    for chunk, (draw, _) in enumerate(PRIOR_DRAWS.values()):
-        draw(rng)
-        session._rekey(rng, 2**64 - 1, chunk)
-        fresh = session._chunk_rng(2**64 - 1, chunk)
-        assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
-        assert_same_stream(rng, fresh)
-
-
-def reference_codes(config: SessionConfig) -> np.ndarray:
-    """A session's trial codes from its own draw schedule of plain Generator
-    calls, with every outcome sampled by born_sample_batch from the trial's
-    own detection amplitudes.
-
-    Each chunk draws, in order: Alice's index; with Eve, her setting, her
-    uniform and her fallback index; the channel's loss uniforms or dephasing
-    phases; the interferometer phase when random; Bob's setting; his uniform.
-    Every draw is made, read or not, and none goes through session helpers.
-    """
-    scheme = scheme_tables(config.scheme)
-    n_settings, n_outcomes = len(scheme.betas), len(scheme.outcomes)
-    channel = config.channel
-
-    def settings(rng, n):
-        return rng.integers(0, n_settings, n) if n_settings > 1 else np.zeros(n, dtype=np.intp)
-
-    parts = []
-    for chunk in range(-(-config.trials // CHUNK_TRIALS)):
-        rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, chunk], dtype=np.uint64)))
-        n = min(CHUNK_TRIALS, config.trials - chunk * CHUNK_TRIALS)
-        alice = rng.integers(0, 4, n)
-        eve = None
-        if config.eavesdropper == "intercept_resend":
-            eve = (settings(rng, n), rng.random(n), rng.integers(0, 4, n))
-        lost, phases = None, None
-        if channel.kind == "loss":
-            lost = (rng.random((n, scheme.photons)) < channel.loss).any(axis=1)
-        elif channel.kind == "collective" and channel.phi is None:
-            phases = [rng.uniform(0.0, TWO_PI, n)] * scheme.photons
-        elif channel.kind == "independent":
-            phases = [rng.uniform(0.0, TWO_PI, n) for _ in range(scheme.photons)]
-        elif channel.phi is not None:
-            phases = [np.full(n, channel.phi)] * scheme.photons
-        phi = rng.uniform(0.0, TWO_PI, n) if config.phase == PHASE_RANDOM else config.phase
-        setting = settings(rng, n)
-        u = rng.random(n)
-        sent = alice
-        if eve is not None:
-            eve_setting, eve_u, fallback = eve
-            seen = born_sample_batch(
-                detection_amplitudes(scheme, alice, eve_setting, None, 0.0), eve_u
-            )
-            named = scheme.announced[eve_setting, seen]
-            sent = np.where(named > 0, named - 1, fallback)
-        diagonal = None if phases is None else dephasing_diagonal(*phases)
-        outcome = born_sample_batch(detection_amplitudes(scheme, sent, setting, diagonal, phi), u)
-        if lost is not None:
-            outcome[lost] = n_outcomes
-        parts.append((alice * n_settings + setting) * (n_outcomes + 1) + outcome)
-    return np.concatenate(parts)
-
+# --- the stream: the re-key, the θ rule, and the trial-by-trial reference -------
 
 REFERENCE_CHANNELS = {
     "none": ChannelSpec("none"),
     "collective=1.1": ChannelSpec("collective", phi=1.1),
+    "collective=1e12": ChannelSpec("collective", phi=1e12),  # fig1's θ past the guided range
     "collective=random": ChannelSpec("collective", phi=None),
     "independent": ChannelSpec("independent"),
     "loss=0.2": ChannelSpec("loss", loss=0.2),
 }
 
 
+@pytest.mark.parametrize("prior", [0, 1, 3, 4, 5, 8, "uint32"])
+def test_rekey_equals_a_new_chunk_generator(prior):
+    # Whatever the bit generator drew before (part of a block, or a held
+    # uint32 half), the re-key starts it where a new one keyed so starts.
+    bits = np.random.Philox(key=np.array([9, 0], dtype=np.uint64))
+    if prior == "uint32":
+        np.random.Generator(bits).integers(0, 4, 1)
+    else:
+        bits.random_raw(prior)
+    for chunk in (0, 1, 2**64 - 1):
+        session._rekey(bits, 2**64 - 1, chunk)
+        fresh = np.random.Philox(key=np.array([2**64 - 1, chunk], dtype=np.uint64))
+        assert repr(bits.state) == repr(fresh.state)
+        np.testing.assert_array_equal(bits.random_raw(9), fresh.random_raw(9))
+
+
+def theta_rule_law(scheme, drawn: bool, offset: float) -> np.ndarray:
+    """Each signal row's outcome law under the θ rule: at θ = offset, or its mean
+    over θ = offset + 2π·U (over PHASE_GRID, exact for laws of degree 1 in e^{iθ})."""
+    signals = session._kernel(scheme).signals
+    thetas = [offset + t for t in oracles.PHASE_GRID] if drawn else [offset]
+    return np.mean([np.abs(session._signal_rows(signals, np.exp(1j * t))) ** 2 for t in thetas],
+                   axis=0)
+
+
 @pytest.mark.parametrize("channel", list(REFERENCE_CHANNELS))
 @pytest.mark.parametrize("phase", [0.7, PHASE_RANDOM])
 @pytest.mark.parametrize("scheme", SCHEMES, ids=[s.value for s in SCHEMES])
-def test_phase_draws_give_the_one_relative_phase(scheme, phase, channel):
-    # θ is a float when no draw reaches the outcome, else one value per
-    # trial: a pair's is 0 outside independent dephasing, where it is
-    # φ₂ − φ₁; fig1's is φ_c − φ. The expected per-trial values come from
-    # plain draws in the kernel's order, the channel's then φ's, and the
-    # skipped draws leave the stream where the plain ones do.
+def test_theta_rule_gives_the_one_relative_phase(scheme, phase, channel):
+    # A pair draws θ only behind independent dephasing, at offset 0: its φ
+    # and a collective phase are global. fig1 draws θ when φ or the channel's
+    # phase is uniform per trial, at offset φ_c − φ of the fixed ones. Each
+    # row's law under the rule is the scalar path's, averaged over the
+    # config's random phases; to the roundoff of θ itself at a large offset.
     spec = REFERENCE_CHANNELS[channel]
-    photons = scheme_tables(scheme).photons
-    n = 256
-    fast = philox()
-    lost, theta = session._phase_draws(SessionConfig(scheme, 1, 0, phase, spec), photons, fast, n)
-    assert (lost is None) == (spec.kind != "loss")
-
-    plain = philox()
-    if spec.kind == "loss":
-        plain.random((n, photons))
-    phases = [spec.phi or 0.0] * photons  # late-bin phases, one per photon
-    if spec.kind == "independent":
-        phases = [plain.uniform(0.0, TWO_PI, n) for _ in range(photons)]
-    elif spec.kind == "collective" and spec.phi is None:
-        phases = [plain.uniform(0.0, TWO_PI, n)] * photons
-    phi = plain.uniform(0.0, TWO_PI, n) if phase == PHASE_RANDOM else phase
-    assert_same_stream(fast, plain)
-
-    if photons == 2:
-        per_trial = spec.kind == "independent"
-        expected = phases[1] - phases[0] if per_trial else 0.0
+    single = scheme is SchemeId.FIG1_SINGLE_PHOTON
+    drawn, offset = session._theta(SessionConfig(scheme, 1, 0, phase, spec), 1 if single else 2)
+    random_channel = spec.kind == "independent" or spec.kind == "collective" and spec.phi is None
+    if single:
+        assert drawn == (random_channel or phase == PHASE_RANDOM)
+        assert offset == (spec.phi or 0.0) - (0.0 if phase == PHASE_RANDOM else phase)
     else:
-        per_trial = np.ndim(phases[0]) == 1 or phase == PHASE_RANDOM
-        expected = phases[0] - phi
-    assert np.ndim(theta) == per_trial
-    np.testing.assert_array_equal(theta, expected)
+        assert (drawn, offset) == (spec.kind == "independent", 0.0)
     if (scheme, phase, channel) == (SchemeId.FIG1_SINGLE_PHOTON, 0.7, "collective=1.1"):
-        assert theta == pytest.approx(0.4, abs=1e-15)
+        assert offset == pytest.approx(0.4, abs=1e-15)
+
+    law = theta_rule_law(scheme, drawn, offset)
+    phases = oracles.PHASE_GRID if phase == PHASE_RANDOM else (phase,)
+    betas = oracles.bob_betas(scheme)
+    for index in (1, 2, 3, 4):
+        states = oracles.channel_states(signal_state(scheme, index).state, spec, not single)
+        for s, beta in enumerate(betas):
+            expected = oracles.outcome_law(scheme, states, phases, beta)
+            np.testing.assert_allclose(law[:, (index - 1) * len(betas) + s], expected,
+                                       rtol=0, atol=1e-12 + np.spacing(abs(offset)))
+
+
+def reference_codes(config: SessionConfig) -> np.ndarray:
+    """A session's trial codes from the documented layout of its raw words, with
+    every outcome sampled by born_sample_batch from the trial's own detection
+    amplitudes.
+
+    Chunk k's words come from a new Philox keyed (seed, k), W per trial. Word w
+    gives Alice's index − 1 (w % 4), Bob's setting ((w >> 2) % 2, owa), Eve's
+    setting ((w >> 3) % 2, owa) and fallback index − 1 ((w >> 4) % 4), and
+    Bob's uniform ((w >> 11) / 2**53). Then come Eve's uniform, the loss
+    uniform and θ's, each only where the config reads it. No session helper
+    is used.
+    """
+    scheme = scheme_tables(config.scheme)
+    n_settings, n_outcomes = len(scheme.betas), len(scheme.outcomes)
+    channel, single = config.channel, scheme.photons == 1
+    random_phase = config.phase == PHASE_RANDOM
+    eve, loss = config.eavesdropper == "intercept_resend", channel.kind == "loss"
+    # A random phase reaches a pair's outcome only as independent dephasing;
+    # any reaches fig1's, and there one uniform stands for φ_c − φ.
+    per_trial = channel.kind == "independent" or single and (
+        random_phase or channel.kind == "collective" and channel.phi is None)
+    width = 1 + eve + loss + per_trial
+    fixed_channel = channel.phi if channel.kind == "collective" and channel.phi is not None else 0.0
+    phi = 0.0 if random_phase else config.phase
+
+    def field(w, shift, values):
+        return ((w >> shift) % values).astype(np.intp)
+
+    parts = []
+    for chunk in range(-(-config.trials // CHUNK_TRIALS)):
+        n = min(CHUNK_TRIALS, config.trials - chunk * CHUNK_TRIALS)
+        philox = np.random.Philox(key=np.array([config.seed, chunk], dtype=np.uint64))
+        words = philox.random_raw(width * n).reshape(n, width)
+        w = words[:, 0]
+        uniforms = iter((words[:, j] >> 11) / 2**53 for j in range(width))
+        alice, setting, u = field(w, 0, 4), field(w, 2, n_settings), next(uniforms)
+        sent = alice
+        if eve:
+            eve_setting = field(w, 3, n_settings)
+            seen = born_sample_batch(
+                detection_amplitudes(scheme, alice, eve_setting, None, 0.0), next(uniforms)
+            )
+            named = scheme.announced[eve_setting, seen]
+            sent = np.where(named > 0, named - 1, field(w, 4, 4))
+        lost = next(uniforms) >= (1 - channel.loss) ** scheme.photons if loss else None
+        if single:  # the late-bin phase θ = φ_c − φ, the interferometer at 0
+            theta = fixed_channel - phi + (TWO_PI * next(uniforms) if per_trial else 0.0)
+            diagonal, bob_phi = dephasing_diagonal(np.broadcast_to(theta, n)), 0.0
+        else:  # the collective phase on both photons, or θ on the second; φ as it is
+            second = TWO_PI * next(uniforms) if per_trial else np.full(n, fixed_channel)
+            first = np.zeros(n) if per_trial else second
+            diagonal, bob_phi = dephasing_diagonal(first, second), phi
+        amps = detection_amplitudes(scheme, sent, setting, diagonal, bob_phi)
+        outcome = born_sample_batch(amps, u)
+        if lost is not None:
+            outcome[lost] = n_outcomes
+        parts.append((alice * n_settings + setting) * (n_outcomes + 1) + outcome)
+    return np.concatenate(parts)
 
 
 @pytest.mark.parametrize("channel", list(REFERENCE_CHANNELS))
 @pytest.mark.parametrize("scheme", SCHEMES, ids=[s.value for s in SCHEMES])
 def test_kernel_equals_amplitude_reference(scheme, channel):
     # Both sampling paths, trial by trial: the Born tables and phase windows
-    # give what each trial's own amplitudes give, and the kernel's draws,
-    # skipped or read off raw words, land where the plain calls put them.
-    # Two chunks, the second odd-sized; and one short odd chunk.
+    # give what each trial's own amplitudes give, and the kernel cuts each
+    # trial's fields from the words the documented layout names. Two chunks,
+    # the second odd-sized; and one short odd chunk.
     for trials in (CHUNK_TRIALS + 300, CHUNK_TRIALS + 301, 7):
         for phase in (0.7, PHASE_RANDOM):
             for eve in ("off", "intercept_resend"):
@@ -976,3 +910,8 @@ def test_records_index_like_a_list():
         records[len(listed)]
     with pytest.raises(IndexError):
         records[-len(listed) - 1]
+
+
+if __name__ == "__main__":
+    for phi in LARGE_THETA_DIGESTS:
+        print(f"    {phi!r}: \"{large_theta_digest(phi)}\",")

@@ -1,10 +1,12 @@
 """Sampled numbers pinned: sha256 of stats and trace on a grid of configs.
 
-The digests in pinned_digests.json were recorded from the kernel before
-fixed-amplitude trials were sampled from Born tables; every sampler since
-must reproduce them byte for byte. They change only with the RNG identity.
-To re-record them after a deliberate change of RNG_IDENTITY, run from the
-repository root:
+The digests in pinned_digests.json pin every sampled number of the stream
+that RNG_IDENTITY names: each trial's fields cut from its own Philox raw
+words (session.py's docstring gives the layout). Every sampler must
+reproduce them byte for byte; they change only with the RNG identity, and
+are re-recorded only after tests/test_stream.py has checked the new stream
+against every config's exact law. To re-record them after a deliberate
+change of RNG_IDENTITY, run from the repository root:
 
     PYTHONPATH=src python tests/test_pinned_numbers.py > tests/pinned_digests.json
 """
@@ -98,8 +100,8 @@ def test_two_threads_give_the_serial_digests(pinned):
 
 
 def test_a_session_after_one_of_another_seed_is_unaffected(pinned):
-    # The 3-trial session leaves the thread's generator at another key, with
-    # its buffer partly spent.
+    # The 3-trial session leaves the thread's bit generator at another key,
+    # part of its last block unread.
     for name, config in CONFIGS.items():
         run_session(replace(config, seed=config.seed + 1, trials=3))
         assert digest(config) == pinned[name]
