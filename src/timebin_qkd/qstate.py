@@ -223,10 +223,13 @@ class BornTable:
         idx = self.guide[row * GUIDE_BUCKETS + (u * GUIDE_BUCKETS).astype(np.intp)]
         step = (idx == _STEP).nonzero()[0]
         if len(step):
-            rows = row[step]
-            at = (self.cdf[rows] <= (u[step] * self.total[rows])[:, None]).sum(axis=1)
-            idx[step] = np.minimum(at, self.cdf.shape[1] - 1)
+            idx[step] = self.search(row[step], u[step])
         return idx
+
+    def search(self, row: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """`sample` without the guide: the count of row[k]'s CDF entries at or below u[k]·total."""
+        at = (self.cdf[row] <= (u * self.total[row])[:, None]).sum(axis=1)
+        return np.minimum(at, self.cdf.shape[1] - 1)
 
 
 @dataclass(frozen=True)
@@ -300,7 +303,8 @@ class PhaseWindow:
         below u·total. Over θ bucket k, widened by _THETA_SLACK, a step
         a + ρ·cos(θ − ψ) lies between `low` and `high`, the extremes of cos
         over the bucket, widened by _STEP_MARGIN; `_guide_cells` turns those
-        bounds into cells, over only the u buckets some row sends inside.
+        bounds into cells, over each row's own run of u buckets inside (one
+        run, since both ends of a bucket grow with its index).
         """
         table, lo, hi = self.table, self.lo, self.hi
         rows, outcomes = table.cdf.shape
@@ -323,11 +327,11 @@ class PhaseWindow:
         leave = table.cdf[:, hi] if hi < outcomes - 1 else np.full(rows, np.inf)
         first, last = _BUCKET_FIRST * table.total[:, None], _BUCKET_LAST * table.total[:, None]
         inside = (first >= enter[:, None]) & (last < leave[:, None])  # rows × u buckets
-        some = np.flatnonzero(inside.any(axis=0))
-        span = slice(some.min(initial=0), some.max(initial=-1) + 1)
+        starts, stops = inside.argmax(axis=1), GUIDE_BUCKETS - inside[:, ::-1].argmax(axis=1)
         guide = np.repeat(table.guide.reshape(rows, 1, GUIDE_BUCKETS), PHASE_BUCKETS, axis=1)
-        cells = _guide_cells(low, high, first[:, None, span], last[:, None, span], lo)
-        np.copyto(guide[:, :, span], cells, where=inside[:, None, span])
+        for r in inside.any(axis=1).nonzero()[0]:
+            span = slice(starts[r], stops[r])
+            guide[r, :, span] = _guide_cells(low[:, r], high[:, r], first[r, span], last[r, span], lo)
         guide = guide.ravel()
         guide.setflags(write=False)
         return guide

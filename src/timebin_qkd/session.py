@@ -5,12 +5,16 @@ index, the state crosses an optional intercept-resend eavesdropper and an
 optional noise channel, Bob's interferometer and detectors sample an
 outcome, and matched conclusive rounds enter the sifted key.
 
-The rounds run as a batched kernel over chunks of CHUNK_TRIALS trials. A
-chunk makes its random draws, then runs a few array operations on its
-scheme's tables (`_kernel`), and each trial leaves one small integer code
+The rounds run as a batched kernel. The draws are made per chunk of
+CHUNK_TRIALS trials, each chunk from its own stream (below). The sampling
+runs once per block of chunks, BLOCK_CHUNKS of them where a trial is one
+word and one otherwise: a few array operations over the block's trials on
+its scheme's tables (`_kernel`). Each trial leaves one small integer code
 that fixes Alice's index, Bob's modulator setting and the outcome ("lost"
 included). The statistics, the records and the trace are derived from the
-codes.
+codes. Every trial is sampled from its own words alone, so the block size
+is not part of the RNG identity: it changes no code, only how many trials
+each array operation covers.
 
 Every trial's outcome law depends on one relative phase θ: the phase on
 the late bin of the last photon, with the interferometer at 0. Every `owa`
@@ -33,9 +37,10 @@ phase window, the rows as x·e^{iθ} + y, where θ moves only the outcomes
 where x and y interfere. The window lo..hi that holds them is 1..2 (the
 middle slot) for `fig1`, and 7..14 for pairs, whose both-middle outcomes
 are 7, 8, 13 and 14. Its table is the scheme's only θ = 0 table. A
-session that shares one θ is sampled by lookup in `born_table(scheme, θ)`;
-a trial with its own θ is sampled by the window (`qstate.PhaseWindow`
-says how).
+session that shares one θ is sampled from `born_table(scheme, θ)`, by one
+lookup per trial in its guide as trial codes (`_code_guide`), keyed by
+the trial's word 0 alone; a trial with its own θ is sampled by the window
+(`qstate.PhaseWindow` says how).
 
 Both samplers compare u·total with the trial's CDF, as the inverse-CDF
 reference of `tests/oracles.py` does on the trial's own detection
@@ -85,11 +90,16 @@ from .protocols import (
     INDEX_FOR, OWA_BETAS, SchemeId, classify_combined, classify_fig1, classify_owa, sift,
     signal_state,
 )
-from .qstate import BornTable, PhaseWindow
+from .qstate import _STEP, GUIDE_BUCKETS, BornTable, PhaseWindow
 
 #: Trials per chunk; each chunk owns one Philox stream, so this is part of
 #: the RNG identity: changing it changes every sampled number.
 CHUNK_TRIALS = 4096
+
+#: Chunks sampled together, after each has made its own draws, where a trial
+#: is one raw word (`_session_codes`). Not part of the RNG identity: every
+#: trial's words, and so its code, stay the same.
+BLOCK_CHUNKS = 4
 
 RNG_IDENTITY = (
     f"philox4x64-10 keyed (seed, chunk), {CHUNK_TRIALS}-trial chunks, raw words per trial"
@@ -414,9 +424,53 @@ def _flat(major: np.ndarray, minor: np.ndarray | None, width: int) -> np.ndarray
     return major if minor is None else major * width + minor
 
 
+#: A trial word's top bits are its u bucket: w >> _BUCKET_SHIFT is ⌊u·GUIDE_BUCKETS⌋.
+_BUCKET_BITS = GUIDE_BUCKETS.bit_length() - 1
+_BUCKET_SHIFT = 64 - _BUCKET_BITS
+
+#: A code guide's cell where the trial's code depends on u within the bucket.
+_UNDECIDED = np.iinfo(np.uint16).max
+
+
 def _uniform(words: np.ndarray) -> np.ndarray:
     """Doubles in [0, 1) from 64-bit words: their top 53 bits, as numpy's next_double takes them."""
     return (words >> 11) * 2.0**-53
+
+
+@lru_cache(maxsize=128)
+def _code_guide(scheme_id: SchemeId, theta: float) -> tuple[BornTable, np.ndarray, np.ndarray]:
+    """(table, guide, rows): born_table(scheme_id, theta), its guide as trial codes, and their rows.
+
+    A trial word w keys guide cell ((w & 4·S − 1) << _BUCKET_BITS) |
+    (w >> _BUCKET_SHIFT): first its raw bits alice + 4·setting, the key of
+    table row rows[key] = alice·S + setting, then its u bucket, for
+    w >> 54 = ⌊u·GUIDE_BUCKETS⌋ exactly when u = (w >> 11)·2⁻⁵³. The cell
+    holds the code of every trial of that row and u bucket, uint16, or
+    _UNDECIDED where the table's guide holds a CDF step.
+    """
+    kernel = _kernel(scheme_id)
+    n_settings, n_outcomes = len(kernel.betas), len(kernel.outcomes)
+    keys = np.arange(4 * n_settings)
+    rows = (keys & 3) * n_settings + (keys >> 2)
+    table = born_table(scheme_id, theta)
+    cells = table.guide.reshape(-1, GUIDE_BUCKETS)[rows]
+    guide = (cells + (rows * (n_outcomes + 1))[:, None]).astype(np.uint16)
+    guide[cells == _STEP] = _UNDECIDED
+    guide = guide.ravel()
+    for a in guide, rows:  # shared by every session of the cache
+        a.setflags(write=False)
+    return table, guide, rows
+
+
+def _block_words(bits: np.random.Philox, seed: int, start: int, stop: int, width: int) -> np.ndarray:
+    """The raw words of trials start..stop−1, W per trial: each chunk's from its own stream."""
+    parts = []
+    for chunk in range(start // CHUNK_TRIALS, -(-stop // CHUNK_TRIALS)):
+        _rekey(bits, seed, chunk)
+        n = min(CHUNK_TRIALS, stop - chunk * CHUNK_TRIALS)
+        parts.append(bits.random_raw(width * n))
+    words = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return words.reshape(-1, width)
 
 
 def _session_codes(config: SessionConfig, kernel: _Kernel) -> np.ndarray:
@@ -424,12 +478,20 @@ def _session_codes(config: SessionConfig, kernel: _Kernel) -> np.ndarray:
 
     Per chunk the thread's bit generator is re-keyed to (seed, chunk) and
     makes one random_raw(W·n); trial k reads words W·k .. W·k + W − 1, laid
-    out as the module docstring says. Every trial is then sampled from the
-    Born table at the session's θ, or from the phase window at its own θ.
+    out as the module docstring says. The trials of a block of chunks are
+    then sampled together: by one lookup in the code guide of the session's
+    θ (and the table's CDF for the few in undecided cells), or from the
+    phase window at each trial's own θ.
+
+    A block is BLOCK_CHUNKS chunks where a trial is one word (a shared θ,
+    no Eve, no loss): it then holds three arrays of 8 B per trial. With
+    more words a block holds about ten, and at 4 chunks those 1–2.4 MB were
+    returned by the C heap's trimming after every session and faulted back
+    in by the next; so such a session samples chunk by chunk.
     """
     if not hasattr(_thread, "bits"):
         _thread.bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    bits, parts = _thread.bits, []
+    bits = _thread.bits
     n_settings, n_outcomes = len(kernel.betas), len(kernel.outcomes)
     owa, eve = n_settings > 1, config.eavesdropper == "intercept_resend"
     loss = config.channel.kind == "loss"
@@ -437,33 +499,52 @@ def _session_codes(config: SessionConfig, kernel: _Kernel) -> np.ndarray:
     eve_word, loss_word, theta_word = 1, 1 + eve, 1 + eve + loss  # each where it is drawn
     width = theta_word + drawn
     survive = (1.0 - config.channel.loss) ** kernel.photons
-    table = None if drawn else born_table(kernel.id, offset)  # the session's one θ's table
-    for chunk in range(-(-config.trials // CHUNK_TRIALS)):
-        _rekey(bits, config.seed, chunk)
-        n = min(CHUNK_TRIALS, config.trials - chunk * CHUNK_TRIALS)
-        words = bits.random_raw(width * n).reshape(n, width)
-        low = words[:, 0].view(np.int64)  # its low bits, as integers to index with
-        alice = low & 3  # signal index − 1
-        setting = (low >> 2) & 1 if owa else None
-        sent = alice
+    if not drawn:  # the session's one θ
+        table, guide, rows = _code_guide(kernel.id, wrap_phase(offset))
+    block = CHUNK_TRIALS * (BLOCK_CHUNKS if width == 1 else 1)
+    codes = np.empty(config.trials, dtype=np.uint16) if config.trials > block else None
+    for start in range(0, config.trials, block):
+        stop = min(start + block, config.trials)
+        words = _block_words(bits, config.seed, start, stop, width)
+        word = words[:, 0]
+        low = word.view(np.int64)  # its low bits, as integers to index with
+        shift = None  # where Eve resends: the index she sends less Alice's
         if eve:
             # Bob's apparatus at θ = 0; resend the named state, or a uniform one.
+            alice = low & 3
             eve_setting = (low >> 3) & 1 if owa else None
             eve_outcome = kernel.window.table.sample(
                 _flat(alice, eve_setting, n_settings), _uniform(words[:, eve_word]))
             seen = eve_outcome if eve_setting is None else eve_setting * n_outcomes + eve_outcome
             named = kernel.announced[seen]
-            sent = np.where(named > 0, named - 1, (low >> 4) & 3)
-        row, u = _flat(sent, setting, n_settings), _uniform(words[:, 0])
+            shift = np.where(named > 0, named - 1, (low >> 4) & 3) - alice
         if drawn:
-            outcome = kernel.window.sample(row, offset + TWO_PI * _uniform(words[:, theta_word]), u)
+            alice, setting = low & 3, (low >> 2) & 1 if owa else None
+            sent = alice if shift is None else alice + shift
+            outcome = kernel.window.sample(_flat(sent, setting, n_settings),
+                                           offset + TWO_PI * _uniform(words[:, theta_word]),
+                                           _uniform(word))
+            code = _flat(alice, setting, n_settings) * (n_outcomes + 1) + outcome
         else:
-            outcome = table.sample(row, u)
+            cell = low & (4 * n_settings - 1)  # alice + 4·setting: the key of the row sampled
+            if shift is not None:
+                cell += shift
+            cell <<= _BUCKET_BITS
+            cell |= (word >> _BUCKET_SHIFT).view(np.int64)
+            code = guide.take(cell)
+            step = (code == _UNDECIDED).nonzero()[0]
+            if len(step):
+                row = rows[cell[step] >> _BUCKET_BITS]
+                code[step] = row * (n_outcomes + 1) + table.search(row, _uniform(word[step]))
+            if shift is not None:
+                code = code - shift * (n_settings * (n_outcomes + 1))
         if loss:
-            outcome[_uniform(words[:, loss_word]) >= survive] = n_outcomes
-        code = _flat(alice, setting, n_settings) * (n_outcomes + 1) + outcome
-        parts.append(code.astype(np.uint16))
-    return np.concatenate(parts)
+            lost = (_uniform(words[:, loss_word]) >= survive).nonzero()[0]
+            code[lost] += n_outcomes - code[lost] % (n_outcomes + 1)
+        if codes is None:  # the session is one block
+            return code.astype(np.uint16, copy=False)
+        codes[start:stop] = code
+    return codes
 
 
 class TrialRecords(Sequence):

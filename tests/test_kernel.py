@@ -1,9 +1,11 @@
 """The batched session kernel against the scalar ModeState reference path."""
 import csv
+import dataclasses
 import decimal
 import hashlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from timebin_qkd.qstate import (
     born_cdf,
 )
 from timebin_qkd.session import (
+    BLOCK_CHUNKS,
     CHUNK_TRIALS,
     PHASE_RANDOM,
     TRACE_COLUMNS,
@@ -800,6 +803,106 @@ def test_kernel_equals_amplitude_reference(scheme, channel):
                 )
                 _, records = run_session(cfg)
                 np.testing.assert_array_equal(records._codes, reference_codes(cfg))
+
+
+# --- blocks: draws per chunk, sampling per block of chunks ----------------------
+
+BLOCK_TRIALS = BLOCK_CHUNKS * CHUNK_TRIALS
+
+
+@pytest.mark.parametrize("trials", [1, CHUNK_TRIALS - 1, CHUNK_TRIALS + 1, 10_001,
+                                    BLOCK_TRIALS - 1, BLOCK_TRIALS + 1])
+@pytest.mark.parametrize("scheme", SCHEMES, ids=[s.value for s in SCHEMES])
+def test_kernel_equals_amplitude_reference_at_block_edges(scheme, trials):
+    # A session one short of, or one past, a chunk or a block samples each
+    # trial as its own amplitudes do.
+    for channel in REFERENCE_CHANNELS.values():
+        for phase in (0.7, PHASE_RANDOM):
+            for eve in ("off", "intercept_resend"):
+                cfg = SessionConfig(scheme, trials, 6, phase, channel, eve)
+                np.testing.assert_array_equal(run_session(cfg)[1]._codes, reference_codes(cfg))
+
+
+@pytest.mark.parametrize("channel", list(REFERENCE_CHANNELS))
+@pytest.mark.parametrize("scheme", SCHEMES, ids=[s.value for s in SCHEMES])
+def test_block_size_changes_no_code(scheme, channel, monkeypatch):
+    # Nine chunks, in blocks of 1, 4 and 7 chunks: 9 blocks, 4 + 4 + 1 and 7 + 2
+    # where a trial is one word; the other configs sample chunk by chunk.
+    trials = 8 * CHUNK_TRIALS + 1
+    for phase in (0.7, PHASE_RANDOM):
+        for eve in ("off", "intercept_resend"):
+            cfg = SessionConfig(scheme, trials, 9, phase, REFERENCE_CHANNELS[channel], eve)
+            codes = []
+            for chunks in (1, 4, 7):
+                monkeypatch.setattr(session, "BLOCK_CHUNKS", chunks)
+                codes.append(run_session(cfg)[1]._codes)
+            for other in codes[1:]:
+                np.testing.assert_array_equal(other, codes[0])
+
+
+def assert_top_bits_are_the_u_bucket(words: list[int]) -> None:
+    """w >> 54 is ⌊u·GUIDE_BUCKETS⌋ of u = (w >> 11)·2⁻⁵³, in Python floats and as
+    BornTable.sample takes it from the double u."""
+    w = np.array(words, dtype=np.uint64)
+    bucket = w >> session._BUCKET_SHIFT
+    assert bucket.tolist() == [math.floor((x >> 11) * 2.0**-53 * GUIDE_BUCKETS) for x in words]
+    np.testing.assert_array_equal(bucket, (session._uniform(w) * GUIDE_BUCKETS).astype(np.intp))
+
+
+def test_word_top_bits_are_the_u_bucket_at_edges():
+    assert session._BUCKET_SHIFT == 54
+    assert_top_bits_are_the_u_bucket([0, 2**54 - 1, 2**54, 2**64 - 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_word_top_bits_are_the_u_bucket(words):
+    assert_top_bits_are_the_u_bucket(words)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_code_guide_is_the_table_guide_as_codes(scheme):
+    # Cell (alice + 4·setting, u bucket) holds the code of the table's outcome
+    # for row alice·S + setting, and _UNDECIDED exactly where it holds _STEP.
+    n_settings, n_outcomes = len(session._kernel(scheme).betas), len(session._kernel(scheme).outcomes)
+    for theta in TABLE_THETAS:
+        table, guide, rows = session._code_guide(scheme, wrap_phase(theta))
+        np.testing.assert_array_equal(table.cdf, born_table(scheme, theta).cdf)
+        assert guide.dtype == np.uint16 and not guide.flags.writeable
+        assert guide.shape == (4 * n_settings * GUIDE_BUCKETS,)
+        cells = guide.reshape(4 * n_settings, GUIDE_BUCKETS)
+        steps = table.guide.reshape(4 * n_settings, GUIDE_BUCKETS).astype(np.intp)
+        for key in range(4 * n_settings):
+            row = (key % 4) * n_settings + key // 4
+            assert rows[key] == row
+            undecided = cells[key] == session._UNDECIDED
+            np.testing.assert_array_equal(undecided, steps[row] == qstate._STEP)
+            np.testing.assert_array_equal(cells[key][~undecided],
+                                          row * (n_outcomes + 1) + steps[row][~undecided])
+
+
+@pytest.mark.parametrize("config", [
+    SessionConfig(SchemeId.OWA_FOUR_PHASE, 1_000_000, 12, PHASE_RANDOM, ChannelSpec("independent"),
+                  "intercept_resend"),
+    SessionConfig(SchemeId.OWA_FOUR_PHASE, 1_000_000, 12, 0.7),  # one word per trial
+], ids=["independent-eve", "one-word"])
+def test_session_working_set_is_bounded_by_a_block(config):
+    # numpy reports its buffers to tracemalloc. Past the 2 B/trial of the codes
+    # a session holds one block's arrays at a time, whatever its length: here
+    # under 8 arrays of 8 B per trial of a 4-chunk block (1 MiB), stated apart
+    # from BLOCK_CHUNKS so that a larger block fails. Measured: 4.3 (one word)
+    # and 4.6 (three words, sampled chunk by chunk).
+    kernel = session._kernel(config.scheme)
+    session._session_codes(dataclasses.replace(config, trials=10), kernel)  # builds the guides
+    block_bytes = 8 * 4 * CHUNK_TRIALS
+    tracemalloc.start()
+    try:
+        codes = session._session_codes(config, kernel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert codes.nbytes == 2 * config.trials
+    assert peak < codes.nbytes + 8 * block_bytes
 
 
 # --- sampled sessions against the exact expectation ----------------------------
