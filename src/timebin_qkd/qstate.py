@@ -32,9 +32,10 @@ _STEP = 255
 _BUCKET_FIRST = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
 _BUCKET_LAST = np.nextafter(_BUCKET_FIRST + 1 / GUIDE_BUCKETS, 0.0)
 
-#: A PhaseWindow's guide finds the θ bucket of a θ with |θ| ≤ _GUIDED_THETA.
-#: There roundoff moves θ·PHASE_BUCKETS/2π by under 2e-9 of a bucket, so a
-#: bucket widened by _THETA_SLACK (radians) to either side holds θ mod 2π.
+#: A PhaseWindow's guide is looked up at the θ bucket of a θ with
+#: |θ| ≤ _GUIDED_THETA. There the roundoff of θ, and of the bucket found for
+#: it, is under 2e-9 of a bucket, so a bucket widened by _THETA_SLACK
+#: (radians) to either side holds θ mod 2π.
 _GUIDED_THETA = 2.0**20
 _THETA_SLACK = 1e-8
 
@@ -249,16 +250,16 @@ class PhaseWindow:
     exactly which trials enter it. The steps differ from a CDF summed from
     the amplitudes at θ only by roundoff.
 
-    `sample` extends the table's indexed search to θ: its guide has a cell
-    per (row, θ bucket, u bucket), PHASE_BUCKETS θ buckets over a turn and
+    `guide` extends the table's indexed search to θ: it has a cell per
+    (row, θ bucket, u bucket), PHASE_BUCKETS θ buckets over a turn and
     GUIDE_BUCKETS u buckets. A cell holds an outcome only where the exact
-    computation provably gives it for every θ and u of the cell, and _STEP
-    elsewhere; a trial in a _STEP cell, or with |θ| > _GUIDED_THETA (where
-    the roundoff of its bucket is no longer bounded), is computed exactly.
-    So `sample` returns what `_sample_exact` returns, with no cos or sin
-    for most trials. The guide is built on the first call of `sample` and
-    kept: sessions whose trials share one θ never build it. Every array
-    `sample` makes holds one entry per trial.
+    computation provably gives it for every θ and u of the cell, the θ
+    bucket widened by _THETA_SLACK to either side, and _STEP elsewhere. So a
+    sampler that finds each trial's cell to within that slack, and computes
+    a trial in a _STEP cell exactly, returns what `_sample_exact` returns,
+    with no cos or sin for most trials (`session._window_outcomes` finds the
+    cell from the bits of the trial's words). The guide is built on first
+    use and kept: sessions whose trials share one θ never build it.
     """
 
     table: BornTable  # the columns at θ = 0
@@ -336,31 +337,11 @@ class PhaseWindow:
         guide.setflags(write=False)
         return guide
 
-    def sample(self, row: np.ndarray, theta: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def _sample_exact(self, row: np.ndarray, theta: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The reference's outcomes of columns row[k] at phase theta[k], draws u[k] ∈ [0, 1).
 
-        Equal to `_sample_exact`; most trials take one lookup in the guide.
+        The table at θ = 0, then the window's steps computed at θ.
         """
-        turns = theta * (PHASE_BUCKETS / (2 * np.pi))  # θ in θ buckets
-        far = None
-        if not -_GUIDED_THETA <= theta.min(initial=0.0) <= theta.max(initial=0.0) <= _GUIDED_THETA:
-            far = ~(np.abs(theta) <= _GUIDED_THETA)  # NaN too
-            turns[far] = 0.0
-        cell = np.floor(turns).astype(np.intp)
-        cell &= PHASE_BUCKETS - 1
-        cell += row * PHASE_BUCKETS
-        cell *= GUIDE_BUCKETS
-        cell += (u * GUIDE_BUCKETS).astype(np.intp)
-        idx = self.guide.take(cell)
-        if far is not None:
-            idx[far] = _STEP
-        step = (idx == _STEP).nonzero()[0]
-        if len(step):
-            idx[step] = self._sample_exact(row[step], theta[step], u[step])
-        return idx
-
-    def _sample_exact(self, row: np.ndarray, theta: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """`sample` without the guide: the table at θ = 0, then the window's steps computed at θ."""
         idx = self.table.sample(row, u)
         inside = ((idx >= self.lo) & (idx <= self.hi)).nonzero()[0]
         if len(inside):

@@ -7,14 +7,14 @@ outcome, and matched conclusive rounds enter the sifted key.
 
 The rounds run as a batched kernel. The draws are made per chunk of
 CHUNK_TRIALS trials, each chunk from its own stream (below). The sampling
-runs once per block of chunks, BLOCK_CHUNKS of them where a trial is one
-word and one otherwise: a few array operations over the block's trials on
-its scheme's tables (`_kernel`). Each trial leaves one small integer code
-that fixes Alice's index, Bob's modulator setting and the outcome ("lost"
-included). The statistics, the records and the trace are derived from the
-codes. Every trial is sampled from its own words alone, so the block size
-is not part of the RNG identity: it changes no code, only how many trials
-each array operation covers.
+runs once per block of BLOCK_CHUNKS chunks, whatever the config: a few
+array operations over the block's trials on its scheme's tables
+(`_kernel`). Each trial leaves one small integer code that fixes Alice's
+index, Bob's modulator setting and the outcome ("lost" included). The
+statistics, the records and the trace are derived from the codes. Every
+trial is sampled from its own words alone, so the block size is not part
+of the RNG identity: it changes no code, only how many trials each array
+operation covers.
 
 Every trial's outcome law depends on one relative phase θ: the phase on
 the late bin of the last photon, with the interferometer at 0. Every `owa`
@@ -39,8 +39,12 @@ middle slot) for `fig1`, and 7..14 for pairs, whose both-middle outcomes
 are 7, 8, 13 and 14. Its table is the scheme's only θ = 0 table. A
 session that shares one θ is sampled from `born_table(scheme, θ)`, by one
 lookup per trial in its guide as trial codes (`_code_guide`), keyed by
-the trial's word 0 alone; a trial with its own θ is sampled by the window
-(`qstate.PhaseWindow` says how).
+the trial's word 0 alone; a trial with its own θ by one lookup in the
+window's guide, keyed by its θ word's top bits too (`_window_outcomes`;
+`qstate.PhaseWindow` says why that is exact). Eve's resend is one lookup
+in her scheme's resend guide (`_resend`), and the loss one comparison of
+the loss word. A float u or θ is made only for the few trials whose guide
+cell holds a CDF step.
 
 Both samplers compare u·total with the trial's CDF, as the inverse-CDF
 reference of `tests/oracles.py` does on the trial's own detection
@@ -79,10 +83,11 @@ import numbers
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
+from numpy.random import Philox
 
 from . import __version__
 from .optics import DETECTION_BASIS, JOINT_BASIS, TWO_PI, _mzi_matrices, phase_modulator, wrap_phase
@@ -90,15 +95,15 @@ from .protocols import (
     INDEX_FOR, OWA_BETAS, SchemeId, classify_combined, classify_fig1, classify_owa, sift,
     signal_state,
 )
-from .qstate import _STEP, GUIDE_BUCKETS, BornTable, PhaseWindow
+from .qstate import _GUIDED_THETA, _STEP, GUIDE_BUCKETS, PHASE_BUCKETS, BornTable, PhaseWindow
 
 #: Trials per chunk; each chunk owns one Philox stream, so this is part of
 #: the RNG identity: changing it changes every sampled number.
 CHUNK_TRIALS = 4096
 
-#: Chunks sampled together, after each has made its own draws, where a trial
-#: is one raw word (`_session_codes`). Not part of the RNG identity: every
-#: trial's words, and so its code, stay the same.
+#: Chunks sampled together, after each has made its own draws
+#: (`_session_codes`). Not part of the RNG identity: every trial's words, and
+#: so its code, stay the same.
 BLOCK_CHUNKS = 4
 
 RNG_IDENTITY = (
@@ -296,6 +301,35 @@ class _Kernel:
     rows: tuple[str, ...]  # per code: its trace CSV row after "trial,"
     tally: np.ndarray  # 0/1 per code: counts @ tally = errors, sent[4], kept[4], histogram[O + 1]
 
+    def eve_row(self, key: np.ndarray) -> np.ndarray:
+        """The table row Eve measures, from word 0's low bits: alice·S, plus her setting for owa."""
+        n_settings = len(self.betas)
+        return (key & 3) * n_settings + ((key >> 3) & 1 if n_settings > 1 else 0)
+
+    def resent(self, key: np.ndarray, outcome: np.ndarray) -> np.ndarray:
+        """The index − 1 Eve resends after `outcome` in row eve_row(key): the one her verdict
+        names, or her uniform fallback, key's bits 4–5."""
+        seen = outcome if len(self.betas) == 1 else ((key >> 3) & 1) * len(self.outcomes) + outcome
+        named = self.announced[seen]
+        return np.where(named > 0, named - 1, (key >> 4) & 3)
+
+    @cached_property
+    def resend(self) -> np.ndarray:
+        """Eve's resend guide: the index − 1 she resends, uint8, per (key, u bucket), flat.
+
+        key = w & 2^_EVE_BITS − 1 of the trial's word 0, the u bucket that of
+        her own uniform. A cell where the θ = 0 table's guide holds _STEP
+        holds _STEP too: there her outcome depends on u within the bucket.
+        Built on first use and kept.
+        """
+        key = np.arange(2**_EVE_BITS)
+        cells = self.window.table.guide.reshape(-1, GUIDE_BUCKETS)[self.eve_row(key)]
+        decided = cells != _STEP
+        guide = np.where(decided, self.resent(key[:, None], np.where(decided, cells, 0)), _STEP)
+        guide = guide.astype(np.uint8).ravel()
+        guide.setflags(write=False)
+        return guide
+
 
 def _trace_fields(r: TrialRecord) -> list:
     return [
@@ -391,7 +425,7 @@ def _born_table(scheme_id: SchemeId, theta: float) -> BornTable:
 _thread = threading.local()  # .bits: the thread's Philox bit generator, made on its first session
 
 
-def _rekey(bits: np.random.Philox, seed: int, chunk: int) -> None:
+def _rekey(bits: Philox, seed: int, chunk: int) -> None:
     """Put a Philox bit generator where Philox(key=[seed, chunk]) starts, cheaper than a new one."""
     bits.state = {
         "bit_generator": "Philox",
@@ -419,14 +453,16 @@ def _theta(config: SessionConfig, photons: int) -> tuple[bool, float]:
     return drawn, (channel.phi or 0.0) - (0.0 if random_phase else config.phase)
 
 
-def _flat(major: np.ndarray, minor: np.ndarray | None, width: int) -> np.ndarray:
-    """major·width + minor, the flat index into a grid `width` wide; major itself for minor None."""
-    return major if minor is None else major * width + minor
-
-
-#: A trial word's top bits are its u bucket: w >> _BUCKET_SHIFT is ⌊u·GUIDE_BUCKETS⌋.
+#: A raw word's top bits are the buckets of its uniform u = (w >> 11)·2⁻⁵³:
+#: w >> _BUCKET_SHIFT is ⌊u·GUIDE_BUCKETS⌋, and w >> _PHASE_SHIFT ⌊u·PHASE_BUCKETS⌋.
 _BUCKET_BITS = GUIDE_BUCKETS.bit_length() - 1
 _BUCKET_SHIFT = 64 - _BUCKET_BITS
+_PHASE_BITS = PHASE_BUCKETS.bit_length() - 1
+_PHASE_SHIFT = 64 - _PHASE_BITS
+
+#: Word 0's low bits that fix what Eve resends: Alice's index − 1 (bits 0–1),
+#: Bob's setting (bit 2, unread by Eve), Eve's setting (bit 3) and fallback (4–5).
+_EVE_BITS = 6
 
 #: A code guide's cell where the trial's code depends on u within the bucket.
 _UNDECIDED = np.iinfo(np.uint16).max
@@ -437,21 +473,29 @@ def _uniform(words: np.ndarray) -> np.ndarray:
     return (words >> 11) * 2.0**-53
 
 
+def _row(key: np.ndarray, n_settings: int) -> np.ndarray:
+    """The table rows alice·S + setting of keys alice + 4·setting, in place."""
+    if n_settings > 1:
+        setting = key >> 2
+        key &= 3
+        key *= n_settings
+        key += setting
+    return key
+
+
 @lru_cache(maxsize=128)
 def _code_guide(scheme_id: SchemeId, theta: float) -> tuple[BornTable, np.ndarray, np.ndarray]:
     """(table, guide, rows): born_table(scheme_id, theta), its guide as trial codes, and their rows.
 
     A trial word w keys guide cell ((w & 4·S − 1) << _BUCKET_BITS) |
     (w >> _BUCKET_SHIFT): first its raw bits alice + 4·setting, the key of
-    table row rows[key] = alice·S + setting, then its u bucket, for
-    w >> 54 = ⌊u·GUIDE_BUCKETS⌋ exactly when u = (w >> 11)·2⁻⁵³. The cell
+    table row rows[key] = alice·S + setting, then its u bucket. The cell
     holds the code of every trial of that row and u bucket, uint16, or
     _UNDECIDED where the table's guide holds a CDF step.
     """
     kernel = _kernel(scheme_id)
     n_settings, n_outcomes = len(kernel.betas), len(kernel.outcomes)
-    keys = np.arange(4 * n_settings)
-    rows = (keys & 3) * n_settings + (keys >> 2)
+    rows = _row(np.arange(4 * n_settings), n_settings)
     table = born_table(scheme_id, theta)
     cells = table.guide.reshape(-1, GUIDE_BUCKETS)[rows]
     guide = (cells + (rows * (n_outcomes + 1))[:, None]).astype(np.uint16)
@@ -462,88 +506,153 @@ def _code_guide(scheme_id: SchemeId, theta: float) -> tuple[BornTable, np.ndarra
     return table, guide, rows
 
 
-def _block_words(bits: np.random.Philox, seed: int, start: int, stop: int, width: int) -> np.ndarray:
-    """The raw words of trials start..stop−1, W per trial: each chunk's from its own stream."""
-    parts = []
-    for chunk in range(start // CHUNK_TRIALS, -(-stop // CHUNK_TRIALS)):
-        _rekey(bits, seed, chunk)
-        n = min(CHUNK_TRIALS, stop - chunk * CHUNK_TRIALS)
-        parts.append(bits.random_raw(width * n))
-    words = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return words.reshape(-1, width)
+def _resend(kernel: _Kernel, word: np.ndarray, eve_word: np.ndarray) -> np.ndarray:
+    """The index − 1 Eve resends, uint8, from each trial's word 0 and her own word.
+
+    One lookup in kernel.resend, keyed by (word's _EVE_BITS low bits, her u
+    bucket); a trial in a _STEP cell compares her u with the θ = 0 table's CDF.
+    """
+    key = (word & (2**_EVE_BITS - 1)).view(np.int64)
+    key <<= _BUCKET_BITS
+    key |= (eve_word >> _BUCKET_SHIFT).view(np.int64)
+    sent = kernel.resend.take(key)
+    step = (sent == _STEP).nonzero()[0]
+    if len(step):
+        key = key[step] >> _BUCKET_BITS
+        outcome = kernel.window.table.search(kernel.eve_row(key), _uniform(eve_word[step]))
+        sent[step] = kernel.resent(key, outcome)
+    return sent
+
+
+def _theta_buckets(theta_word: np.ndarray, offset: float) -> np.ndarray | None:
+    """The θ bucket of θ = offset + 2π·u for each θ word, uint64; None if |offset| + 2π > _GUIDED_THETA.
+
+    With offset·PHASE_BUCKETS/2π = k0 + f, k0 an integer and f ∈ [0, 1), θ
+    lies in bucket k0 + (w >> _PHASE_SHIFT), plus a carry where u's fraction
+    of a bucket and f reach 1: where w << _PHASE_BITS ≥ ⌈(1 − f)·2⁶⁴⌉. One
+    add does both: w + lift, modulo 2⁶⁴, carries into the top bits exactly
+    there, and its top bits are the bucket modulo PHASE_BUCKETS. This names
+    θ's bucket to within the roundoff of θ and f, far inside _THETA_SLACK up
+    to _GUIDED_THETA (tests/test_kernel.py checks it); beyond, it is not
+    bounded.
+    """
+    if abs(offset) + TWO_PI > _GUIDED_THETA:
+        return None
+    turns = offset * (PHASE_BUCKETS / TWO_PI)
+    k0 = math.floor(turns)
+    carry_at = math.ceil((1.0 - (turns - k0)) * 2.0**64)  # 2⁶⁴ at f = 0: never
+    lift = ((k0 + 1) << _PHASE_SHIFT) + (-carry_at >> _PHASE_BITS)  # less the least w mod 2⁵⁹ that carries
+    bucket = theta_word + lift % 2**64
+    bucket >>= _PHASE_SHIFT
+    return bucket
+
+
+def _window_outcomes(window: PhaseWindow, row: np.ndarray, word: np.ndarray,
+                     theta_word: np.ndarray, offset: float) -> np.ndarray:
+    """Outcomes of rows `row` at θ = offset + 2π·u(theta_word), with u(word): equal to
+    window._sample_exact, uint8.
+
+    One lookup in window.guide per trial, at (row, θ bucket, u bucket); θ as
+    a float only for trials in _STEP cells, and for every trial of a session
+    whose θ buckets are not bounded (`_theta_buckets`).
+    """
+    bucket = _theta_buckets(theta_word, offset)
+    if bucket is None:
+        return window._sample_exact(row, offset + TWO_PI * _uniform(theta_word), _uniform(word))
+    cell = row * PHASE_BUCKETS
+    cell += bucket.view(np.int64)
+    del bucket  # before the next temporary: it bounds a block's working set
+    cell <<= _BUCKET_BITS
+    cell |= (word >> _BUCKET_SHIFT).view(np.int64)
+    outcome = window.guide.take(cell)
+    step = (outcome == _STEP).nonzero()[0]
+    if len(step):
+        theta = offset + TWO_PI * _uniform(theta_word[step])
+        outcome[step] = window._sample_exact(row[step], theta, _uniform(word[step]))
+    return outcome
+
+
+def _lost_from(survive: float) -> int:
+    """The least w >> 11 of a lost trial's loss word w: ⌈survive·2⁵³⌉.
+
+    A trial is lost iff its loss uniform (w >> 11)·2⁻⁵³ is ≥ survive, so iff
+    w >> 11 ≥ survive·2⁵³, a product that is exact: none at survive 1, all at 0.
+    """
+    return math.ceil(survive * 2.0**53)
 
 
 def _session_codes(config: SessionConfig, kernel: _Kernel) -> np.ndarray:
-    """The session's trial codes, each chunk's cut from W raw words per trial.
+    """The session's trial codes, uint16, sampled per block of BLOCK_CHUNKS chunks.
 
     Per chunk the thread's bit generator is re-keyed to (seed, chunk) and
-    makes one random_raw(W·n); trial k reads words W·k .. W·k + W − 1, laid
-    out as the module docstring says. The trials of a block of chunks are
-    then sampled together: by one lookup in the code guide of the session's
-    θ (and the table's CDF for the few in undecided cells), or from the
-    phase window at each trial's own θ.
+    makes one random_raw(W·n) into the block's buffer of words; trial k reads
+    words W·k .. W·k + W − 1, laid out as the module docstring says. Then
+    every stage is a lookup keyed by the top and low bits of the trial's own
+    words: Eve's resend (`_resend`); Bob's outcome in the code guide of the
+    session's θ (`_code_guide`), or in the phase window's guide at the
+    trial's θ bucket (`_window_outcomes`); and the loss, by one comparison of
+    the loss word. Only the few trials in undecided cells compare u with a CDF.
 
-    A block is BLOCK_CHUNKS chunks where a trial is one word (a shared θ,
-    no Eve, no loss): it then holds three arrays of 8 B per trial. With
-    more words a block holds about ten, and at 4 chunks those 1–2.4 MB were
-    returned by the C heap's trimming after every session and faulted back
-    in by the next; so such a session samples chunk by chunk.
+    Each block runs in its own call, so its arrays are freed before the next
+    block draws: past the codes, a session holds one block's arrays at a time.
     """
     if not hasattr(_thread, "bits"):
-        _thread.bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    bits = _thread.bits
+        _thread.bits = Philox(key=np.zeros(2, dtype=np.uint64))
+    bits, seed = _thread.bits, config.seed
     n_settings, n_outcomes = len(kernel.betas), len(kernel.outcomes)
-    owa, eve = n_settings > 1, config.eavesdropper == "intercept_resend"
-    loss = config.channel.kind == "loss"
+    eve, loss = config.eavesdropper == "intercept_resend", config.channel.kind == "loss"
     drawn, offset = _theta(config, kernel.photons)
     eve_word, loss_word, theta_word = 1, 1 + eve, 1 + eve + loss  # each where it is drawn
     width = theta_word + drawn
-    survive = (1.0 - config.channel.loss) ** kernel.photons
+    lost_from = _lost_from((1.0 - config.channel.loss) ** kernel.photons)
     if not drawn:  # the session's one θ
         table, guide, rows = _code_guide(kernel.id, wrap_phase(offset))
-    block = CHUNK_TRIALS * (BLOCK_CHUNKS if width == 1 else 1)
-    codes = np.empty(config.trials, dtype=np.uint16) if config.trials > block else None
-    for start in range(0, config.trials, block):
-        stop = min(start + block, config.trials)
-        words = _block_words(bits, config.seed, start, stop, width)
+
+    def sample(start: int, stop: int) -> np.ndarray:
+        words = np.empty((stop - start, width), dtype=np.uint64)
+        for chunk in range(start // CHUNK_TRIALS, -(-stop // CHUNK_TRIALS)):
+            _rekey(bits, seed, chunk)
+            at = chunk * CHUNK_TRIALS - start
+            n = min(CHUNK_TRIALS, stop - start - at)
+            words[at:at + n] = bits.random_raw(width * n).reshape(n, width)
         word = words[:, 0]
         low = word.view(np.int64)  # its low bits, as integers to index with
-        shift = None  # where Eve resends: the index she sends less Alice's
-        if eve:
-            # Bob's apparatus at θ = 0; resend the named state, or a uniform one.
-            alice = low & 3
-            eve_setting = (low >> 3) & 1 if owa else None
-            eve_outcome = kernel.window.table.sample(
-                _flat(alice, eve_setting, n_settings), _uniform(words[:, eve_word]))
-            seen = eve_outcome if eve_setting is None else eve_setting * n_outcomes + eve_outcome
-            named = kernel.announced[seen]
-            shift = np.where(named > 0, named - 1, (low >> 4) & 3) - alice
+        key = low & (4 * n_settings - 1)  # alice + 4·setting: the key of Bob's row
+        if eve:  # Bob's row is the one of the state she resends
+            sent = _resend(kernel, word, words[:, eve_word])
+            key &= ~3
+            key |= sent
         if drawn:
-            alice, setting = low & 3, (low >> 2) & 1 if owa else None
-            sent = alice if shift is None else alice + shift
-            outcome = kernel.window.sample(_flat(sent, setting, n_settings),
-                                           offset + TWO_PI * _uniform(words[:, theta_word]),
-                                           _uniform(word))
-            code = _flat(alice, setting, n_settings) * (n_outcomes + 1) + outcome
+            code = _row(key, n_settings)
+            outcome = _window_outcomes(kernel.window, code, word, words[:, theta_word], offset)
+            code *= n_outcomes + 1
+            code += outcome
         else:
-            cell = low & (4 * n_settings - 1)  # alice + 4·setting: the key of the row sampled
-            if shift is not None:
-                cell += shift
-            cell <<= _BUCKET_BITS
-            cell |= (word >> _BUCKET_SHIFT).view(np.int64)
-            code = guide.take(cell)
+            key <<= _BUCKET_BITS
+            key |= (word >> _BUCKET_SHIFT).view(np.int64)
+            code = guide.take(key)
             step = (code == _UNDECIDED).nonzero()[0]
             if len(step):
-                row = rows[cell[step] >> _BUCKET_BITS]
+                row = rows[key[step] >> _BUCKET_BITS]
                 code[step] = row * (n_outcomes + 1) + table.search(row, _uniform(word[step]))
-            if shift is not None:
-                code = code - shift * (n_settings * (n_outcomes + 1))
+        del key  # freed before the shift below: it bounds a block's working set
+        if eve:  # back to Alice's row: add the code of (alice, setting) less that of (sent, setting)
+            shift = low & 3
+            shift -= sent
+            shift *= n_settings * (n_outcomes + 1)
+            code = code + shift
         if loss:
-            lost = (_uniform(words[:, loss_word]) >= survive).nonzero()[0]
+            lost = (words[:, loss_word] >> 11 >= lost_from).nonzero()[0]
             code[lost] += n_outcomes - code[lost] % (n_outcomes + 1)
-        if codes is None:  # the session is one block
-            return code.astype(np.uint16, copy=False)
-        codes[start:stop] = code
+        return code
+
+    block = BLOCK_CHUNKS * CHUNK_TRIALS
+    if config.trials <= block:
+        return sample(0, config.trials).astype(np.uint16, copy=False)
+    codes = np.empty(config.trials, dtype=np.uint16)
+    for start in range(0, config.trials, block):
+        stop = min(start + block, config.trials)
+        codes[start:stop] = sample(start, stop)
     return codes
 
 

@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import decimal
+import fractions
 import hashlib
 import io
 import math
@@ -380,12 +381,26 @@ def window_trials(scheme, rng, n):
     return row, theta, columns
 
 
+def guided(window: PhaseWindow, row, theta, u) -> np.ndarray:
+    """What the window's guide claims at a float θ: the cell (row, θ bucket,
+    u bucket) with θ's bucket ⌊θ·K/2π⌋ mod K as floats round it, and
+    _sample_exact where that cell holds _STEP or |θ| > _GUIDED_THETA."""
+    near = np.abs(theta) <= qstate._GUIDED_THETA
+    bucket = np.floor(np.where(near, theta, 0.0) * (PHASE_BUCKETS / (2 * np.pi))).astype(np.intp)
+    bucket &= PHASE_BUCKETS - 1
+    idx = window.guide[(row * PHASE_BUCKETS + bucket) * GUIDE_BUCKETS
+                       + (u * GUIDE_BUCKETS).astype(np.intp)]
+    exact = (idx == qstate._STEP) | ~near
+    idx[exact] = window._sample_exact(row[exact], theta[exact], u[exact])
+    return idx
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_phase_window_sampler_equals_born_sample_batch(scheme, rng):
     window = session._kernel(scheme).window
     row, theta, columns = window_trials(scheme, rng, 20_000)
     for u in (rng.random(len(row)), np.zeros(len(row))):
-        np.testing.assert_array_equal(window.sample(row, theta, u), born_sample_batch(columns, u))
+        np.testing.assert_array_equal(guided(window, row, theta, u), born_sample_batch(columns, u))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -404,10 +419,10 @@ def test_phase_window_sampler_at_window_steps(scheme, rng):
         sides = []
         for u in (below, above):
             expected = born_sample_batch(columns, u)
-            np.testing.assert_array_equal(window.sample(row, theta, u), expected)
+            np.testing.assert_array_equal(guided(window, row, theta, u), expected)
             sides.append(expected)
         on = on_step < 1.0
-        got = window.sample(row[on], theta[on], on_step[on])
+        got = guided(window, row[on], theta[on], on_step[on])
         assert np.all((got == sides[0][on]) | (got == sides[1][on]))
 
 
@@ -476,7 +491,7 @@ def window_draws(window: PhaseWindow, thetas: np.ndarray, rng) -> tuple:
 
 def assert_guide_equals_exact(window: PhaseWindow, row, theta, u) -> None:
     np.testing.assert_array_equal(
-        window.sample(row, theta, u), window._sample_exact(row, theta, u)
+        guided(window, row, theta, u), window._sample_exact(row, theta, u)
     )
 
 
@@ -588,16 +603,17 @@ def test_guides_keep_their_digests(scheme):
 
 
 def test_theta_bucket_roundoff_is_within_the_slack(rng):
-    # Up to the guided limit, θ·K/2π as the sampler rounds it is within
+    # Up to the guided limit, θ·K/2π as `guided` rounds it is within
     # _THETA_SLACK (in θ) of the exact real number, with π to 50 digits: so
-    # the bucket it names, widened by the slack, holds θ mod 2π.
+    # the bucket it names, widened by the slack, holds θ mod 2π, and the
+    # float-θ tests of the guide test its cells.
     pi = decimal.Decimal("3.14159265358979323846264338327950288419716939937510")
     limit = qstate._GUIDED_THETA
     thetas = np.concatenate([
         rng.uniform(-limit, limit, 3000), limit * (1 - 1e-9 * rng.random(100)),
         -limit * (1 - 1e-9 * rng.random(100)), [limit, -limit],
     ])
-    turns = thetas * (PHASE_BUCKETS / (2 * np.pi))  # as PhaseWindow.sample computes it
+    turns = thetas * (PHASE_BUCKETS / (2 * np.pi))
     with decimal.localcontext() as context:
         context.prec = 60
         worst = max(
@@ -605,6 +621,113 @@ def test_theta_bucket_roundoff_is_within_the_slack(rng):
             for t, x in zip(thetas.tolist(), turns.tolist())
         )
     assert worst * decimal.Decimal(BUCKET_WIDTH) < decimal.Decimal(qstate._THETA_SLACK) / 10
+
+
+# --- θ keys from the θ word: θ = offset + 2π·u, its bucket from the word's top bits ---
+
+THETA_OFFSETS = [0.0, 0.7, -2.2, 2.0**20 - 7, 3e6]
+
+
+def carry_low_bits(offset: float) -> int:
+    """The least w mod 2⁵⁹ whose θ carries into the next bucket: (w << 5) ≥ ⌈(1 − f)·2⁶⁴⌉."""
+    turns = offset * PHASE_BUCKETS / TWO_PI
+    return -(-math.ceil((1.0 - (turns - math.floor(turns))) * 2.0**64) // PHASE_BUCKETS)
+
+
+def theta_edge_words(offset: float) -> list[int]:
+    """θ words on every θ-bucket edge of the word (b·2⁵⁹), at the carry threshold
+    of `offset`, a word to either side of each, and 2⁶⁴ − 1."""
+    top = 2**64 // PHASE_BUCKETS
+    carry = carry_low_bits(offset)
+    low = [0, 1, top - 1, carry - 1, carry, carry + 1]
+    return [b * top + x for b in range(PHASE_BUCKETS) for x in low if 0 <= x < top] + [2**64 - 1]
+
+
+def theta_of_words(theta_word: np.ndarray, offset: float) -> np.ndarray:
+    """θ as the session computes it for a trial in a _STEP cell."""
+    return offset + TWO_PI * session._uniform(theta_word)
+
+
+def word_draws(window: PhaseWindow, theta_words: list[int], offset: float, rng) -> tuple:
+    """(row, word, θ word) over every row and θ word: words whose u = (w >> 11)·2⁻⁵³
+    lies on each of the window's CDF steps at that θ, on the table's steps and on
+    the u-bucket edges, a 53-bit unit either side of each, and at random."""
+    rows = len(window.table.total)
+    row = np.repeat(np.arange(rows), len(theta_words))
+    theta_word = np.tile(np.array(theta_words, dtype=np.uint64), rows)
+    theta, total = theta_of_words(theta_word, offset), window.table.total[row]
+    cos, sin = np.cos(theta), np.sin(theta)
+    on_step = [(a[row] + b[row] * cos + c[row] * sin) / total for a, b, c in zip(*window.steps)]
+    on_step += [window.table.cdf[row, j] / total for j in range(window.table.cdf.shape[1])]
+    on_step.append(rng.integers(0, GUIDE_BUCKETS + 1, len(row)) / GUIDE_BUCKETS)
+    units = [np.floor(np.clip(u, 0.0, 1.0) * 2.0**53) + d for u in on_step for d in (-1, 0, 1)]
+    units.append(rng.integers(0, 2**53, len(row)).astype(float))
+    units = np.concatenate(units)
+    keep = (units >= 0) & (units < 2.0**53)
+    word = units[keep].astype(np.uint64) << np.uint64(11)
+    word |= rng.integers(0, 2**11, len(word)).astype(np.uint64)  # bits u does not read
+    n = len(units) // len(row)
+    return np.tile(row, n)[keep], word, np.tile(theta_word, n)[keep]
+
+
+def assert_window_outcomes_equal_exact(window, row, word, theta_word, offset) -> None:
+    np.testing.assert_array_equal(
+        session._window_outcomes(window, row, word, theta_word, offset),
+        window._sample_exact(row, theta_of_words(theta_word, offset), session._uniform(word)),
+    )
+
+
+@pytest.mark.parametrize("offset", THETA_OFFSETS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_theta_word_keys_equal_exact_path(scheme, offset, rng):
+    window = session._kernel(scheme).window
+    words = theta_edge_words(offset) + rng.integers(0, 2**64, 100, dtype=np.uint64).tolist()
+    assert_window_outcomes_equal_exact(window, *word_draws(window, words, offset, rng), offset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scheme=st.sampled_from(SCHEMES),
+    offset=st.one_of(st.sampled_from(THETA_OFFSETS), st.floats(-(2.0**21), 2.0**21)),
+    theta_words=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20),
+)
+def test_theta_word_keys_equal_exact_path_on_any_words(seed, scheme, offset, theta_words):
+    rng = np.random.default_rng(seed)
+    window = session._kernel(scheme).window
+    words = theta_words + theta_edge_words(offset)[::7]
+    assert_window_outcomes_equal_exact(window, *word_draws(window, words, offset, rng), offset)
+
+
+def test_theta_word_buckets_are_within_the_slack(rng):
+    # The bucket the session names from a θ word, widened by _THETA_SLACK, holds
+    # θ mod 2π, θ as the exact path computes it and 2π to 50 digits; and past
+    # _GUIDED_THETA no bucket is named.
+    pi = decimal.Decimal("3.14159265358979323846264338327950288419716939937510")
+    slack = decimal.Decimal(qstate._THETA_SLACK) / 10 * PHASE_BUCKETS / (2 * pi)  # in buckets
+    offsets = THETA_OFFSETS + [-(2.0**20) + 7, 1e-300, -1e-300, math.pi, -math.pi / 16]
+    top = 2**64 // PHASE_BUCKETS
+    for offset in offsets:
+        # Also words 2^j either side of each edge and the carry threshold, so
+        # that a threshold off by more than the slack names a wrong bucket.
+        near = [b * top + x + sign * 2**j for b in (0, 13, PHASE_BUCKETS - 1)
+                for x in (0, carry_low_bits(offset), top) for sign in (-1, 1) for j in range(0, 59, 3)]
+        words = theta_edge_words(offset) + rng.integers(0, 2**64, 300, dtype=np.uint64).tolist()
+        words = np.array(words + [w for w in near if 0 <= w < 2**64], dtype=np.uint64)
+        buckets = session._theta_buckets(words, offset)
+        if abs(offset) + TWO_PI > qstate._GUIDED_THETA:
+            assert buckets is None
+            continue
+        assert buckets.max() < PHASE_BUCKETS
+        with decimal.localcontext() as context:
+            context.prec = 60
+            for theta, bucket in zip(theta_of_words(words, offset).tolist(), buckets.tolist()):
+                turns = decimal.Decimal(theta) * PHASE_BUCKETS / (2 * pi) % PHASE_BUCKETS
+                turns += PHASE_BUCKETS if turns < 0 else 0
+                # the distance from [bucket, bucket + 1], around the turn
+                off = min(abs(turns - bucket - end - turn) for end in (0, 1)
+                          for turn in (-PHASE_BUCKETS, 0, PHASE_BUCKETS))
+                assert bucket <= turns <= bucket + 1 or off < slack, (offset, theta, bucket)
 
 
 LAZY_SESSIONS = {
@@ -826,8 +949,8 @@ def test_kernel_equals_amplitude_reference_at_block_edges(scheme, trials):
 @pytest.mark.parametrize("channel", list(REFERENCE_CHANNELS))
 @pytest.mark.parametrize("scheme", SCHEMES, ids=[s.value for s in SCHEMES])
 def test_block_size_changes_no_code(scheme, channel, monkeypatch):
-    # Nine chunks, in blocks of 1, 4 and 7 chunks: 9 blocks, 4 + 4 + 1 and 7 + 2
-    # where a trial is one word; the other configs sample chunk by chunk.
+    # Nine chunks, in blocks of 1, 4 and 7 chunks: 9 blocks, 4 + 4 + 1 and 7 + 2,
+    # for every config, one word per trial or up to four.
     trials = 8 * CHUNK_TRIALS + 1
     for phase in (0.7, PHASE_RANDOM):
         for eve in ("off", "intercept_resend"):
@@ -881,17 +1004,97 @@ def test_code_guide_is_the_table_guide_as_codes(scheme):
                                           row * (n_outcomes + 1) + steps[row][~undecided])
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_resend_guide_is_eves_rule(scheme):
+    # Cell (key, u bucket), key word 0's 6 low bits: _STEP exactly where the
+    # θ = 0 table's guide holds _STEP in the row Eve measures, and elsewhere
+    # the index − 1 she resends: the one her verdict names, or her fallback.
+    kernel = session._kernel(scheme)
+    n_settings, n_outcomes = len(kernel.betas), len(kernel.outcomes)
+    guide = kernel.resend
+    assert guide.dtype == np.uint8 and not guide.flags.writeable
+    cells = guide.reshape(2**session._EVE_BITS, GUIDE_BUCKETS)
+    table_cells = kernel.window.table.guide.reshape(4 * n_settings, GUIDE_BUCKETS)
+    for key in range(2**session._EVE_BITS):
+        eve_setting = (key >> 3) % 2 if n_settings > 1 else 0
+        row = table_cells[(key % 4) * n_settings + eve_setting]
+        step = row == qstate._STEP
+        np.testing.assert_array_equal(cells[key] == qstate._STEP, step)
+        named = kernel.announced[eve_setting * n_outcomes + row[~step]]
+        np.testing.assert_array_equal(cells[key][~step], np.where(named > 0, named - 1, (key >> 4) % 4))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_resend_equals_eves_rule_on_her_table(scheme, rng):
+    # Every key, with Eve's word on each CDF step of her row, on the u-bucket
+    # edges, a 53-bit unit either side, and at random: what she resends is what
+    # the θ = 0 table samples for her, then the rule, undecided cells included.
+    kernel = session._kernel(scheme)
+    table = kernel.window.table
+    n_settings, n_outcomes = len(kernel.betas), len(kernel.outcomes)
+    key = np.repeat(np.arange(2**session._EVE_BITS), 40)
+    eve_setting = (key >> 3) % 2 if n_settings > 1 else np.zeros_like(key)
+    row = (key % 4) * n_settings + eve_setting
+    on = [table.cdf[row, j] / table.total[row] for j in range(n_outcomes - 1)]
+    on.append(rng.integers(0, GUIDE_BUCKETS + 1, len(key)) / GUIDE_BUCKETS)
+    units = np.concatenate([np.floor(u * 2.0**53) + d for u in on for d in (-1, 0, 1)]
+                           + [rng.integers(0, 2**53, len(key)).astype(float)])
+    n = len(units) // len(key)
+    keep = (units >= 0) & (units < 2.0**53)
+    key, eve_setting, row = (np.tile(a, n)[keep] for a in (key, eve_setting, row))
+    eve_word = units[keep].astype(np.uint64) << np.uint64(11)
+    word = rng.integers(0, 2**64, len(key), dtype=np.uint64) & ~np.uint64(63) | key.astype(np.uint64)
+    named = kernel.announced[eve_setting * n_outcomes + table.sample(row, session._uniform(eve_word))]
+    np.testing.assert_array_equal(session._resend(kernel, word, eve_word),
+                                  np.where(named > 0, named - 1, (key >> 4) % 4))
+
+
+@pytest.mark.parametrize("photons", [1, 2])
+@pytest.mark.parametrize("loss", [0.0, 0.2, 1.0, 0.7])
+def test_loss_threshold_is_the_loss_uniforms(loss, photons):
+    # A trial is lost iff its loss uniform (w >> 11)·2⁻⁵³ is ≥ survive: the
+    # session compares w >> 11 with ⌈survive·2⁵³⌉ instead. At that threshold
+    # << 11, a word either side, and the ends of the range, both give the
+    # same verdict, in exact fractions and in doubles.
+    survive = (1.0 - loss) ** photons
+    first = session._lost_from(survive)
+    exact = fractions.Fraction(survive) * 2**53
+    assert first == math.ceil(exact)
+    edge = first << 11
+    words = [w for w in (edge - 2049, edge - 1, edge, edge + 1, 0, 2**64 - 1) if 0 <= w < 2**64]
+    w = np.array(words, dtype=np.uint64)
+    lost = (w >> 11 >= first).tolist()
+    assert lost == [fractions.Fraction(x >> 11) >= exact for x in words]
+    assert lost == (session._uniform(w) >= survive).tolist()
+    if loss == 0.0:
+        assert not any(lost)
+    if loss == 1.0:
+        assert all(lost)
+    # survive·2⁵³ is an integer for one photon at p = 0.2, and not for a pair
+    # at p = 0.7: the ceiling is tested on both kinds.
+    if (loss, photons) in ((0.2, 1), (0.7, 2)):
+        assert (exact.denominator == 1) == (photons == 1)
+
+
 @pytest.mark.parametrize("config", [
+    # Measured: 7.1 arrays (three words: owa + independent + Eve).
     SessionConfig(SchemeId.OWA_FOUR_PHASE, 1_000_000, 12, PHASE_RANDOM, ChannelSpec("independent"),
                   "intercept_resend"),
-    SessionConfig(SchemeId.OWA_FOUR_PHASE, 1_000_000, 12, 0.7),  # one word per trial
-], ids=["independent-eve", "one-word"])
+    # Measured: 3.0 arrays (one word per trial).
+    SessionConfig(SchemeId.OWA_FOUR_PHASE, 1_000_000, 12, 0.7),
+    # Measured: 6.3 arrays (three words: fig1 at a random φ + collective=random + Eve).
+    SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 1_000_000, 12, PHASE_RANDOM,
+                  ChannelSpec("collective", phi=None), "intercept_resend"),
+    # Measured: 7.4 arrays (four words: fig1 at a random φ + loss=0.2 + Eve).
+    SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 1_000_000, 12, PHASE_RANDOM,
+                  ChannelSpec("loss", loss=0.2), "intercept_resend"),
+], ids=["independent-eve", "one-word", "fig1-collective-eve", "fig1-loss-eve"])
 def test_session_working_set_is_bounded_by_a_block(config):
     # numpy reports its buffers to tracemalloc. Past the 2 B/trial of the codes
     # a session holds one block's arrays at a time, whatever its length: here
     # under 8 arrays of 8 B per trial of a 4-chunk block (1 MiB), stated apart
-    # from BLOCK_CHUNKS so that a larger block fails. Measured: 4.3 (one word)
-    # and 4.6 (three words, sampled chunk by chunk).
+    # from BLOCK_CHUNKS so that a larger block fails. The words alone take W
+    # arrays; each case's measured count is above it.
     kernel = session._kernel(config.scheme)
     session._session_codes(dataclasses.replace(config, trials=10), kernel)  # builds the guides
     block_bytes = 8 * 4 * CHUNK_TRIALS
