@@ -25,32 +25,29 @@ they are a global phase and drop out of every outcome probability. So
 θ = 0 for a pair behind no channel, loss or collective dephasing, and for
 Eve's measurements; θ = φ₂ − φ₁ for a pair behind independent dephasing;
 and θ = φ_c − φ, the channel's phase less the interferometer's, for
-`fig1`. Only θ mod 2π reaches the law, so a θ that varies per trial is
-drawn as one uniform: θ = offset + 2π·u, with the offset 0 for a pair and
-the fixed channel phase less the fixed interferometer phase for `fig1`.
-`_theta` applies this rule, and no other code does.
+`fig1`. Only θ mod 2π reaches the law. Where a phase is uniform per trial
+(a pair behind independent dephasing, `fig1` at a random φ or behind
+random or independent dephasing), so is θ mod 2π, and no output reports
+it: each outcome then has its θ-averaged law, the scheme's dephased table.
+So a session has one θ, or the dephased table; `_theta` applies this
+rule, and no other code does.
 
 Each scheme has one record, `_kernel(scheme)`, built from `protocols`
 (signal states, classify_*, sift) and `optics`: its signal rows, the
-signal index each verdict names, the lookups over its trial codes, and its
-phase window, the rows as x·e^{iθ} + y, where θ moves only the outcomes
-where x and y interfere. The window lo..hi that holds them is 1..2 (the
-middle slot) for `fig1`, and 7..14 for pairs, whose both-middle outcomes
-are 7, 8, 13 and 14. Its table is the scheme's only θ = 0 table. A
-session that shares one θ is sampled from `born_table(scheme, θ)`, by one
-lookup per trial in its guide as trial codes (`_code_guide`), keyed by
-the trial's word 0 alone; a trial with its own θ by one lookup in the
-window's guide, keyed by its θ word's top bits too (`_window_outcomes`;
-`qstate.PhaseWindow` says why that is exact). Eve's resend is one lookup
-in her scheme's resend guide (`_resend`), and the loss one comparison of
-the loss word. A float u or θ is made only for the few trials whose guide
-cell holds a CDF step.
+signal index each verdict names, the lookups over its trial codes, its
+θ = 0 table and its dephased table. A session is sampled from one table,
+`born_table(scheme, θ)` or the dephased one, by one lookup per trial in
+its guide as trial codes (`_code_guide`), keyed by the trial's word 0
+alone. Eve's resend is one lookup in her scheme's resend guide
+(`_resend`), and the loss one comparison of the loss word. A float u is
+made only for the few trials whose guide cell holds a CDF step.
 
-Both samplers compare u·total with the trial's CDF, as the inverse-CDF
-reference of `tests/oracles.py` does on the trial's own detection
-amplitudes, and their CDFs differ from that one only by roundoff; the
-tests hold them to it. The kernel as a whole is checked against the scalar
-ModeState path through the exact session expectations of the same file.
+A trial in such a cell compares u·total with its row's CDF, as the
+inverse-CDF reference of `tests/oracles.py` does on the trial's own Born
+law (averaged over θ for the dephased table). The tables' CDFs differ
+from that one only by roundoff; the tests hold them to it. The kernel as
+a whole is checked against the scalar ModeState path through the exact
+session expectations of the same file.
 
 Determinism contract: chunk k draws from its own Philox4x64-10
 counter-based stream keyed by (seed, k), in the style of Salmon et al.,
@@ -64,14 +61,13 @@ and trial k's fields are cut from its own W words, k·W .. k·W + W − 1:
   takes them); its low bits give Alice's index − 1 (bits 0–1), Bob's
   setting (bit 2, `owa`), Eve's setting (bit 3, `owa` with Eve) and Eve's
   fallback index − 1 (bits 4–5, with Eve);
-- then, only where the config reads them, in this order: Eve's uniform;
-  one loss uniform, the trial lost iff it is ≥ (1 − p)^photons; and the
-  uniform of θ (`_theta`).
+- then, only where the config reads them, in this order: Eve's uniform,
+  and one loss uniform, the trial lost iff it is ≥ (1 − p)^photons.
 
-W = 1 + Eve + loss + a per-trial θ is fixed per config, and no draw is made
-that no trial reads. The stream rests only on random_raw and the state
-setter, whose output Philox's specification fixes. One config therefore
-gives byte-identical stats and traces.
+W = 1 + Eve + loss is fixed per config, and no draw is made that no trial
+reads. The stream rests only on random_raw and the state setter, whose
+output Philox's specification fixes. One config therefore gives
+byte-identical stats and traces.
 """
 from __future__ import annotations
 
@@ -90,12 +86,12 @@ import numpy as np
 from numpy.random import Philox
 
 from . import __version__
-from .optics import DETECTION_BASIS, JOINT_BASIS, TWO_PI, _mzi_matrices, phase_modulator, wrap_phase
+from .optics import DETECTION_BASIS, JOINT_BASIS, _mzi_matrices, phase_modulator, wrap_phase
 from .protocols import (
     INDEX_FOR, OWA_BETAS, SchemeId, classify_combined, classify_fig1, classify_owa, sift,
     signal_state,
 )
-from .qstate import _GUIDED_THETA, _STEP, GUIDE_BUCKETS, PHASE_BUCKETS, BornTable, PhaseWindow
+from .qstate import _STEP, GUIDE_BUCKETS, BornTable
 
 #: Trials per chunk; each chunk owns one Philox stream, so this is part of
 #: the RNG identity: changing it changes every sampled number.
@@ -107,7 +103,8 @@ CHUNK_TRIALS = 4096
 BLOCK_CHUNKS = 4
 
 RNG_IDENTITY = (
-    f"philox4x64-10 keyed (seed, chunk), {CHUNK_TRIALS}-trial chunks, raw words per trial"
+    f"philox4x64-10 keyed (seed, chunk), {CHUNK_TRIALS}-trial chunks, raw words per trial,"
+    " theta-averaged dephasing"
 )
 
 #: Seeds are Philox key words: integers in [0, 2**64).
@@ -282,7 +279,7 @@ class SessionStats:
 
 @dataclass(frozen=True)
 class _Kernel:
-    """A scheme's one record: its tables, its phase window, and lookups over its trial codes.
+    """A scheme's one record: its θ = 0 and dephased tables, and lookups over its trial codes.
 
     code = (alice·S + setting)·(O + 1) + outcome, with alice = index − 1, S
     Bob's modulator settings, O outcomes and outcome O meaning "lost"; so
@@ -295,7 +292,7 @@ class _Kernel:
     outcomes: tuple  # the O outcomes of the detection basis the interferometer maps onto
     signals: np.ndarray  # 4·S × d: row (index − 1)·S + setting, after Bob's (diagonal) modulator
     announced: np.ndarray  # S·O, at setting·O + outcome: the index Bob's verdict names, or 0
-    window: PhaseWindow  # over θ; window.table is the scheme's θ = 0 Born table
+    table: BornTable  # at θ = 0, the one Eve measures with
     labels: tuple[str, ...]  # per outcome, "lost" last
     fields: tuple[tuple, ...]  # per code: the TrialRecord fields after `trial`
     rows: tuple[str, ...]  # per code: its trace CSV row after "trial,"
@@ -314,6 +311,18 @@ class _Kernel:
         return np.where(named > 0, named - 1, (key >> 4) & 3)
 
     @cached_property
+    def dephased(self) -> BornTable:
+        """The Born table of the signal rows averaged over a uniform θ.
+
+        Each outcome probability is |x·e^{iθ} + y|², whose mean |x|² + |y|²
+        is the mean of the θ = 0 and θ = π laws; so the table is built from
+        those two exactly, at late = ±1.0. Built on first use and kept.
+        """
+        rows = _signal_rows(self.signals, 1.0), _signal_rows(self.signals, -1.0)
+        p_zero, p_pi = (a.real**2 + a.imag**2 for a in rows)
+        return BornTable.from_probabilities((p_zero + p_pi) / 2)
+
+    @cached_property
     def resend(self) -> np.ndarray:
         """Eve's resend guide: the index − 1 she resends, uint8, per (key, u bucket), flat.
 
@@ -323,7 +332,7 @@ class _Kernel:
         Built on first use and kept.
         """
         key = np.arange(2**_EVE_BITS)
-        cells = self.window.table.guide.reshape(-1, GUIDE_BUCKETS)[self.eve_row(key)]
+        cells = self.table.guide.reshape(-1, GUIDE_BUCKETS)[self.eve_row(key)]
         decided = cells != _STEP
         guide = np.where(decided, self.resent(key[:, None], np.where(decided, cells, 0)), _STEP)
         guide = guide.astype(np.uint8).ravel()
@@ -359,11 +368,7 @@ def _signal_rows(signals: np.ndarray, late: complex) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _kernel(scheme: SchemeId | str) -> _Kernel:
-    """Built once per scheme from signal_state, phase_modulator, classify_*, INDEX_FOR and sift.
-
-    The window is built at late = ±1.0 exactly (θ = 0 and π), so its bounds,
-    and the steps of entries that do not move, carry no roundoff of e^{iπ}.
-    """
+    """Built once per scheme from signal_state, phase_modulator, classify_*, INDEX_FOR and sift."""
     scheme_id = SchemeId(scheme)
     if scheme is not scheme_id:  # "owa" is a cache key apart from its SchemeId: share one record
         return _kernel(scheme_id)
@@ -382,7 +387,7 @@ def _kernel(scheme: SchemeId | str) -> _Kernel:
         verdicts = [[(classify_fig1 if single else classify_combined)(o) for o in outcomes]]
     announced = np.array([INDEX_FOR[v.basis, v.bit] if v.conclusive else 0
                           for row in verdicts for v in row])
-    window = PhaseWindow.from_amplitudes(_signal_rows(signals, 1.0), _signal_rows(signals, -1.0))
+    table = BornTable.from_amplitudes(_signal_rows(signals, 1.0))
     fields = []
     for alice in alices:
         for row in verdicts:
@@ -400,7 +405,7 @@ def _kernel(scheme: SchemeId | str) -> _Kernel:
     errors = [f[6] and f[4] != f[5] for f in fields]  # kept, with bit_alice != bit_bob
     tally = np.column_stack([errors, sent, kept, outcome]).astype(np.intp)
     rows = tuple(_csv_line(_trace_fields(TrialRecord(0, *f))[1:]) for f in fields)
-    return _Kernel(scheme_id, 1 if single else 2, betas, outcomes, signals, announced, window,
+    return _Kernel(scheme_id, 1 if single else 2, betas, outcomes, signals, announced, table,
                    labels, tuple(fields), rows, tally)
 
 
@@ -409,12 +414,11 @@ def born_table(scheme_id: SchemeId, theta: float) -> BornTable:
 
     theta is the phase on the late bin of the last photon, with the
     interferometer at 0 (`_signal_rows`); the module docstring says which θ
-    each trial has. At a wrapped theta of 0 this is the table of the
-    scheme's phase window, held once in `_kernel`; other tables are cached
-    per (scheme, wrapped theta).
+    each trial has. At a wrapped theta of 0 this is the scheme's table held
+    once in `_kernel`; other tables are cached per (scheme, wrapped theta).
     """
     scheme_id, theta = SchemeId(scheme_id), wrap_phase(float(theta))
-    return _kernel(scheme_id).window.table if theta == 0.0 else _born_table(scheme_id, theta)
+    return _kernel(scheme_id).table if theta == 0.0 else _born_table(scheme_id, theta)
 
 
 @lru_cache(maxsize=128)
@@ -437,28 +441,26 @@ def _rekey(bits: Philox, seed: int, chunk: int) -> None:
     }
 
 
-def _theta(config: SessionConfig, photons: int) -> tuple[bool, float]:
-    """(drawn, offset): θ = offset + 2π·u per trial when drawn, else offset (module docstring).
+def _theta(config: SessionConfig, photons: int) -> float | None:
+    """The session's one θ, wrapped; None when θ is uniform per trial (module docstring).
 
-    A pair draws θ only behind independent dephasing; fig1 draws it when its
-    phase or its channel's is uniform per trial, and a uniform one counts as
-    0 in the offset.
+    A pair has a θ per trial only behind independent dephasing, and else
+    θ = 0; fig1 has one when its phase or its channel's is uniform per
+    trial, and else θ = φ_c − φ.
     """
     channel = config.channel
     if photons == 2:
-        return channel.kind == "independent", 0.0
-    random_phase = config.phase == PHASE_RANDOM
-    drawn = random_phase or channel.kind == "independent" or (
-        channel.kind == "collective" and channel.phi is None)
-    return drawn, (channel.phi or 0.0) - (0.0 if random_phase else config.phase)
+        return None if channel.kind == "independent" else 0.0
+    if config.phase == PHASE_RANDOM or channel.kind == "independent" or (
+            channel.kind == "collective" and channel.phi is None):
+        return None
+    return wrap_phase((channel.phi or 0.0) - config.phase)
 
 
-#: A raw word's top bits are the buckets of its uniform u = (w >> 11)·2⁻⁵³:
-#: w >> _BUCKET_SHIFT is ⌊u·GUIDE_BUCKETS⌋, and w >> _PHASE_SHIFT ⌊u·PHASE_BUCKETS⌋.
+#: A raw word's top bits are the bucket of its uniform u = (w >> 11)·2⁻⁵³:
+#: w >> _BUCKET_SHIFT is ⌊u·GUIDE_BUCKETS⌋.
 _BUCKET_BITS = GUIDE_BUCKETS.bit_length() - 1
 _BUCKET_SHIFT = 64 - _BUCKET_BITS
-_PHASE_BITS = PHASE_BUCKETS.bit_length() - 1
-_PHASE_SHIFT = 64 - _PHASE_BITS
 
 #: Word 0's low bits that fix what Eve resends: Alice's index − 1 (bits 0–1),
 #: Bob's setting (bit 2, unread by Eve), Eve's setting (bit 3) and fallback (4–5).
@@ -473,19 +475,10 @@ def _uniform(words: np.ndarray) -> np.ndarray:
     return (words >> 11) * 2.0**-53
 
 
-def _row(key: np.ndarray, n_settings: int) -> np.ndarray:
-    """The table rows alice·S + setting of keys alice + 4·setting, in place."""
-    if n_settings > 1:
-        setting = key >> 2
-        key &= 3
-        key *= n_settings
-        key += setting
-    return key
-
-
 @lru_cache(maxsize=128)
-def _code_guide(scheme_id: SchemeId, theta: float) -> tuple[BornTable, np.ndarray, np.ndarray]:
-    """(table, guide, rows): born_table(scheme_id, theta), its guide as trial codes, and their rows.
+def _code_guide(scheme_id: SchemeId, theta: float | None) -> tuple[BornTable, np.ndarray, np.ndarray]:
+    """(table, guide, rows): born_table(scheme_id, theta), or the scheme's dephased table when
+    theta is None (`_theta`), its guide as trial codes, and their rows.
 
     A trial word w keys guide cell ((w & 4·S − 1) << _BUCKET_BITS) |
     (w >> _BUCKET_SHIFT): first its raw bits alice + 4·setting, the key of
@@ -495,8 +488,9 @@ def _code_guide(scheme_id: SchemeId, theta: float) -> tuple[BornTable, np.ndarra
     """
     kernel = _kernel(scheme_id)
     n_settings, n_outcomes = len(kernel.betas), len(kernel.outcomes)
-    rows = _row(np.arange(4 * n_settings), n_settings)
-    table = born_table(scheme_id, theta)
+    key = np.arange(4 * n_settings)
+    rows = (key & 3) * n_settings + (key >> 2)
+    table = kernel.dephased if theta is None else born_table(scheme_id, theta)
     cells = table.guide.reshape(-1, GUIDE_BUCKETS)[rows]
     guide = (cells + (rows * (n_outcomes + 1))[:, None]).astype(np.uint16)
     guide[cells == _STEP] = _UNDECIDED
@@ -519,57 +513,9 @@ def _resend(kernel: _Kernel, word: np.ndarray, eve_word: np.ndarray) -> np.ndarr
     step = (sent == _STEP).nonzero()[0]
     if len(step):
         key = key[step] >> _BUCKET_BITS
-        outcome = kernel.window.table.search(kernel.eve_row(key), _uniform(eve_word[step]))
+        outcome = kernel.table.search(kernel.eve_row(key), _uniform(eve_word[step]))
         sent[step] = kernel.resent(key, outcome)
     return sent
-
-
-def _theta_buckets(theta_word: np.ndarray, offset: float) -> np.ndarray | None:
-    """The θ bucket of θ = offset + 2π·u for each θ word, uint64; None if |offset| + 2π > _GUIDED_THETA.
-
-    With offset·PHASE_BUCKETS/2π = k0 + f, k0 an integer and f ∈ [0, 1), θ
-    lies in bucket k0 + (w >> _PHASE_SHIFT), plus a carry where u's fraction
-    of a bucket and f reach 1: where w << _PHASE_BITS ≥ ⌈(1 − f)·2⁶⁴⌉. One
-    add does both: w + lift, modulo 2⁶⁴, carries into the top bits exactly
-    there, and its top bits are the bucket modulo PHASE_BUCKETS. This names
-    θ's bucket to within the roundoff of θ and f, far inside _THETA_SLACK up
-    to _GUIDED_THETA (tests/test_kernel.py checks it); beyond, it is not
-    bounded.
-    """
-    if abs(offset) + TWO_PI > _GUIDED_THETA:
-        return None
-    turns = offset * (PHASE_BUCKETS / TWO_PI)
-    k0 = math.floor(turns)
-    carry_at = math.ceil((1.0 - (turns - k0)) * 2.0**64)  # 2⁶⁴ at f = 0: never
-    lift = ((k0 + 1) << _PHASE_SHIFT) + (-carry_at >> _PHASE_BITS)  # less the least w mod 2⁵⁹ that carries
-    bucket = theta_word + lift % 2**64
-    bucket >>= _PHASE_SHIFT
-    return bucket
-
-
-def _window_outcomes(window: PhaseWindow, row: np.ndarray, word: np.ndarray,
-                     theta_word: np.ndarray, offset: float) -> np.ndarray:
-    """Outcomes of rows `row` at θ = offset + 2π·u(theta_word), with u(word): equal to
-    window._sample_exact, uint8.
-
-    One lookup in window.guide per trial, at (row, θ bucket, u bucket); θ as
-    a float only for trials in _STEP cells, and for every trial of a session
-    whose θ buckets are not bounded (`_theta_buckets`).
-    """
-    bucket = _theta_buckets(theta_word, offset)
-    if bucket is None:
-        return window._sample_exact(row, offset + TWO_PI * _uniform(theta_word), _uniform(word))
-    cell = row * PHASE_BUCKETS
-    cell += bucket.view(np.int64)
-    del bucket  # before the next temporary: it bounds a block's working set
-    cell <<= _BUCKET_BITS
-    cell |= (word >> _BUCKET_SHIFT).view(np.int64)
-    outcome = window.guide.take(cell)
-    step = (outcome == _STEP).nonzero()[0]
-    if len(step):
-        theta = offset + TWO_PI * _uniform(theta_word[step])
-        outcome[step] = window._sample_exact(row[step], theta, _uniform(word[step]))
-    return outcome
 
 
 def _lost_from(survive: float) -> int:
@@ -589,26 +535,24 @@ def _session_codes(config: SessionConfig, kernel: _Kernel) -> np.ndarray:
     words W·k .. W·k + W − 1, laid out as the module docstring says. Then
     every stage is a lookup keyed by the top and low bits of the trial's own
     words: Eve's resend (`_resend`); Bob's outcome in the code guide of the
-    session's θ (`_code_guide`), or in the phase window's guide at the
-    trial's θ bucket (`_window_outcomes`); and the loss, by one comparison of
-    the loss word. Only the few trials in undecided cells compare u with a CDF.
+    session's table (`_code_guide`); and the loss, by one comparison of the
+    loss word. Only the few trials in undecided cells compare u with a CDF.
 
-    Each block runs in its own call, so its arrays are freed before the next
-    block draws: past the codes, a session holds one block's arrays at a time.
+    Each block writes its codes into the session's array in its own call,
+    so its arrays are freed before the next block draws: past the codes, a
+    session holds one block's arrays at a time.
     """
     if not hasattr(_thread, "bits"):
         _thread.bits = Philox(key=np.zeros(2, dtype=np.uint64))
     bits, seed = _thread.bits, config.seed
     n_settings, n_outcomes = len(kernel.betas), len(kernel.outcomes)
     eve, loss = config.eavesdropper == "intercept_resend", config.channel.kind == "loss"
-    drawn, offset = _theta(config, kernel.photons)
-    eve_word, loss_word, theta_word = 1, 1 + eve, 1 + eve + loss  # each where it is drawn
-    width = theta_word + drawn
+    width = 1 + eve + loss  # word 0, then Eve's word and the loss word, each where it is drawn
     lost_from = _lost_from((1.0 - config.channel.loss) ** kernel.photons)
-    if not drawn:  # the session's one θ
-        table, guide, rows = _code_guide(kernel.id, wrap_phase(offset))
+    table, guide, rows = _code_guide(kernel.id, _theta(config, kernel.photons))
+    codes = np.empty(config.trials, dtype=np.uint16)
 
-    def sample(start: int, stop: int) -> np.ndarray:
+    def sample(start: int, stop: int) -> None:
         words = np.empty((stop - start, width), dtype=np.uint64)
         for chunk in range(start // CHUNK_TRIALS, -(-stop // CHUNK_TRIALS)):
             _rekey(bits, seed, chunk)
@@ -619,40 +563,29 @@ def _session_codes(config: SessionConfig, kernel: _Kernel) -> np.ndarray:
         low = word.view(np.int64)  # its low bits, as integers to index with
         key = low & (4 * n_settings - 1)  # alice + 4·setting: the key of Bob's row
         if eve:  # Bob's row is the one of the state she resends
-            sent = _resend(kernel, word, words[:, eve_word])
+            sent = _resend(kernel, word, words[:, 1])
             key &= ~3
             key |= sent
-        if drawn:
-            code = _row(key, n_settings)
-            outcome = _window_outcomes(kernel.window, code, word, words[:, theta_word], offset)
-            code *= n_outcomes + 1
-            code += outcome
-        else:
-            key <<= _BUCKET_BITS
-            key |= (word >> _BUCKET_SHIFT).view(np.int64)
-            code = guide.take(key)
-            step = (code == _UNDECIDED).nonzero()[0]
-            if len(step):
-                row = rows[key[step] >> _BUCKET_BITS]
-                code[step] = row * (n_outcomes + 1) + table.search(row, _uniform(word[step]))
+        key <<= _BUCKET_BITS
+        key |= (word >> _BUCKET_SHIFT).view(np.int64)
+        code = guide.take(key, out=codes[start:stop])
+        step = (code == _UNDECIDED).nonzero()[0]
+        if len(step):
+            row = rows[key[step] >> _BUCKET_BITS]
+            code[step] = row * (n_outcomes + 1) + table.search(row, _uniform(word[step]))
         del key  # freed before the shift below: it bounds a block's working set
         if eve:  # back to Alice's row: add the code of (alice, setting) less that of (sent, setting)
             shift = low & 3
             shift -= sent
             shift *= n_settings * (n_outcomes + 1)
-            code = code + shift
+            np.add(code, shift, out=code, casting="unsafe")  # the int64 sum is a code: it fits
         if loss:
-            lost = (words[:, loss_word] >> 11 >= lost_from).nonzero()[0]
+            lost = (words[:, 1 + eve] >> 11 >= lost_from).nonzero()[0]
             code[lost] += n_outcomes - code[lost] % (n_outcomes + 1)
-        return code
 
     block = BLOCK_CHUNKS * CHUNK_TRIALS
-    if config.trials <= block:
-        return sample(0, config.trials).astype(np.uint16, copy=False)
-    codes = np.empty(config.trials, dtype=np.uint16)
     for start in range(0, config.trials, block):
-        stop = min(start + block, config.trials)
-        codes[start:stop] = sample(start, stop)
+        sample(start, min(start + block, config.trials))
     return codes
 
 

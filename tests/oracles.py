@@ -5,8 +5,8 @@ plain dicts and loops, independently of the matrix/kron implementation
 under test. The session expectations, and the law of each trial code, are
 exact, and are built on the library's scalar ModeState path, the reference
 for the batched session kernel. The amplitude reference at the end samples
-each trial from its own detection amplitudes, the reference for the
-kernel's tables trial by trial.
+each trial from its own Born law, the reference for the kernel's tables
+trial by trial.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ from timebin_qkd.protocols import (
     classify_owa,
     signal_state,
 )
-from timebin_qkd.qstate import born_cdf
+from timebin_qkd.qstate import law_cdf
 from timebin_qkd.timebin import TWO_PHOTON_BASIS
 
 MINUS, PLUS = "minus", "plus"
@@ -339,7 +339,12 @@ def born_sample_batch(amps: np.ndarray, u: np.ndarray) -> np.ndarray:
     Column k is sampled by inverse CDF from the uniform draw u[k] ∈ [0, 1),
     after born_sample's normalization check on every column.
     """
-    cdf, total = born_cdf(amps)
+    return law_sample_batch(amps.real**2 + amps.imag**2, u)
+
+
+def law_sample_batch(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """born_sample_batch on a d×n probability matrix: column k's law p[:, k] sampled by u[k]."""
+    cdf, total = law_cdf(p)
     # index = how many CDF entries lie at or below u·total (searchsorted, side="right")
     idx = np.count_nonzero(cdf <= u * total, axis=0)
     return np.minimum(idx, len(cdf) - 1)

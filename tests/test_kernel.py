@@ -1,7 +1,6 @@
 """The batched session kernel against the scalar ModeState reference path."""
 import csv
 import dataclasses
-import decimal
 import fractions
 import hashlib
 import io
@@ -14,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import born_sample_batch, dephasing_diagonal, detection_amplitudes, scheme_tables
+from oracles import (
+    born_sample_batch, dephasing_diagonal, detection_amplitudes, law_sample_batch, scheme_tables,
+)
 from timebin_qkd import qstate, session
 from timebin_qkd.dfs import collective_dephase, dephase_single, independent_dephase
 from timebin_qkd.optics import (
@@ -28,13 +29,11 @@ from timebin_qkd.protocols import INDEX_FOR, SchemeId, sift, signal_state
 from timebin_qkd.optics import TWO_PI, wrap_phase
 from timebin_qkd.qstate import (
     GUIDE_BUCKETS,
-    PHASE_BUCKETS,
     BornTable,
     ModeState,
-    PhaseWindow,
     UnnormalizedStateError,
     born_sample,
-    born_cdf,
+    law_cdf,
 )
 from timebin_qkd.session import (
     BLOCK_CHUNKS,
@@ -228,6 +227,15 @@ def test_born_table_rows_are_scalar_cdfs(scheme):
             assert_rows_equal_scalar_path(born_table(scheme, theta), scheme, (0.0, theta), 0.0)
 
 
+def table_sample(table: BornTable, row: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The table's outcomes of rows row[k] at draws u[k] ∈ [0, 1): its guide cell at u's
+    bucket, and its search where that cell holds _STEP; uint8, the guide's own type."""
+    idx = table.guide[row * GUIDE_BUCKETS + (u * GUIDE_BUCKETS).astype(np.intp)]
+    step = (idx == qstate._STEP).nonzero()[0]
+    idx[step] = table.search(row[step], u[step])
+    return idx
+
+
 def step_draws(table: BornTable) -> tuple[np.ndarray, np.ndarray]:
     """(row, u) pairs with u on every CDF step of every row, and one float either side."""
     rows, draws = [], []
@@ -254,7 +262,7 @@ def test_born_table_sampler_equals_born_sample_batch(scheme, rng):
             (step_rows, step_u),  # u exactly on, and either side of, each CDF step
         ]:
             expected = born_sample_batch(columns[:, row], u)
-            np.testing.assert_array_equal(born.sample(row, u), expected)
+            np.testing.assert_array_equal(table_sample(born, row, u), expected)
 
 
 def test_born_table_sampler_on_arbitrary_columns(rng):
@@ -271,7 +279,7 @@ def test_born_table_sampler_on_arbitrary_columns(rng):
         table = BornTable.from_amplitudes(amps)
         rows = np.concatenate([rng.integers(0, 9, 5000), step_draws(table)[0]])
         u = np.concatenate([rng.random(5000), step_draws(table)[1]])
-        np.testing.assert_array_equal(table.sample(rows, u), born_sample_batch(amps[:, rows], u))
+        np.testing.assert_array_equal(table_sample(table, rows, u), born_sample_batch(amps[:, rows], u))
 
 
 def test_born_table_rejects_unnormalized_rows():
@@ -280,6 +288,8 @@ def test_born_table_rejects_unnormalized_rows():
         BornTable.from_amplitudes(amps)
     with pytest.raises(UnnormalizedStateError):
         BornTable.from_amplitudes(np.array([[np.nan], [0.0]], dtype=complex))
+    with pytest.raises(UnnormalizedStateError):  # a law that sums to 1.2
+        BornTable.from_probabilities(np.array([[0.6], [0.6]]))
 
 
 def test_theta_and_theta_plus_two_pi_share_one_table():
@@ -294,8 +304,8 @@ def test_theta_and_theta_plus_two_pi_share_one_table():
         assert born_table(scheme, theta + 1.1) is not first
 
 
-def test_theta_zero_is_the_window_table_and_never_cached_apart():
-    # A θ that wraps to 0 (tiny negatives included) gets the window's own
+def test_theta_zero_is_the_kernel_table_and_never_cached_apart():
+    # A θ that wraps to 0 (tiny negatives included) gets the kernel's own
     # table; _born_table holds only θ ≠ 0.
     for scheme in SCHEMES:
         misses = _born_table.cache_info().misses
@@ -305,7 +315,7 @@ def test_theta_zero_is_the_window_table_and_never_cached_apart():
         assert _born_table.cache_info().misses == misses
 
 
-# --- the decoherence-free subspace, and the phase window --------------------------
+# --- the decoherence-free subspace, and the dephased table -----------------------
 
 PAIRS = [SchemeId.COMBINED, SchemeId.OWA_FOUR_PHASE]
 DFS_PHASES = [k * TWO_PI / 13 + 0.05 for k in range(13)]
@@ -326,7 +336,7 @@ def test_pair_rows_do_not_depend_on_phi_or_collective_phase(scheme):
             if channel_phi is not None:
                 diagonal = dephasing_diagonal(*[np.full(len(rows), channel_phi)] * 2)
             amps = detection_amplitudes(table, rows // n_settings, rows % n_settings, diagonal, phi)
-            cdf, total = born_cdf(amps)
+            cdf, total = law_cdf(amps.real**2 + amps.imag**2)
             np.testing.assert_allclose(cdf.T, base.cdf, rtol=0, atol=1e-15)
             np.testing.assert_allclose(total, base.total, rtol=0, atol=1e-15)
 
@@ -350,435 +360,44 @@ def test_pair_session_trace_does_not_depend_on_phi_or_collective_phase(scheme):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_phase_window_bounds_the_interfering_outcomes(scheme):
-    window = session._kernel(scheme).window
-    single = scheme is SchemeId.FIG1_SINGLE_PHOTON
-    assert (window.lo, window.hi) == ((1, 2) if single else (7, 14))
-    assert window.table is born_table(scheme, 0.0)
-    # ... and that one table is the one summed at late = e^{i·0}.
-    signals = session._kernel(scheme).signals
-    fresh = BornTable.from_amplitudes(session._signal_rows(signals, np.exp(0j)))
-    np.testing.assert_array_equal(window.table.cdf, fresh.cdf)
-    np.testing.assert_array_equal(window.table.total, fresh.total)
-    np.testing.assert_array_equal(window.table.guide, fresh.guide)
+def test_kernel_tables_are_built_from_the_signal_rows(scheme):
+    # The θ = 0 table is the one summed at late = e^{i·0}, bit for bit, and
+    # the table born_table gives at 0; the dephased table is the one a
+    # session with a θ per trial samples.
+    kernel = session._kernel(scheme)
+    assert kernel.table is born_table(scheme, 0.0)
+    np.testing.assert_array_equal(session._code_guide(scheme, None)[0].cdf, kernel.dephased.cdf)
+    fresh = BornTable.from_amplitudes(session._signal_rows(kernel.signals, np.exp(0j)))
+    np.testing.assert_array_equal(kernel.table.cdf, fresh.cdf)
+    np.testing.assert_array_equal(kernel.table.total, fresh.total)
+    np.testing.assert_array_equal(kernel.table.guide, fresh.guide)
 
 
-def window_trials(scheme, rng, n):
-    """n random trials of a phase window: (row, θ, reference columns at their own phases).
-
-    A pair passes independent dephasing (φ₁, φ₂) and the interferometer at φ,
-    and θ = φ₂ − φ₁; fig1 passes a channel phase φ_c, and θ = φ_c − φ.
-    """
-    table = scheme_tables(scheme)
-    n_settings = len(table.betas)
-    row = rng.integers(0, 4 * n_settings, n)
-    phases = [rng.uniform(0.0, TWO_PI, n) for _ in range(table.photons)]
-    phi = rng.uniform(0.0, TWO_PI, n)
-    theta = phases[1] - phases[0] if table.photons == 2 else phases[0] - phi
-    columns = detection_amplitudes(
-        table, row // n_settings, row % n_settings, dephasing_diagonal(*phases), phi
-    )
-    return row, theta, columns
-
-
-def guided(window: PhaseWindow, row, theta, u) -> np.ndarray:
-    """What the window's guide claims at a float θ: the cell (row, θ bucket,
-    u bucket) with θ's bucket ⌊θ·K/2π⌋ mod K as floats round it, and
-    _sample_exact where that cell holds _STEP or |θ| > _GUIDED_THETA."""
-    near = np.abs(theta) <= qstate._GUIDED_THETA
-    bucket = np.floor(np.where(near, theta, 0.0) * (PHASE_BUCKETS / (2 * np.pi))).astype(np.intp)
-    bucket &= PHASE_BUCKETS - 1
-    idx = window.guide[(row * PHASE_BUCKETS + bucket) * GUIDE_BUCKETS
-                       + (u * GUIDE_BUCKETS).astype(np.intp)]
-    exact = (idx == qstate._STEP) | ~near
-    idx[exact] = window._sample_exact(row[exact], theta[exact], u[exact])
-    return idx
-
-
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_phase_window_sampler_equals_born_sample_batch(scheme, rng):
-    window = session._kernel(scheme).window
-    row, theta, columns = window_trials(scheme, rng, 20_000)
-    for u in (rng.random(len(row)), np.zeros(len(row))):
-        np.testing.assert_array_equal(guided(window, row, theta, u), born_sample_batch(columns, u))
-
-
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_phase_window_sampler_at_window_steps(scheme, rng):
-    # u on each CDF step of the window, and on both of its edges (entries
-    # lo − 1 and hi), of each trial's own columns. The window's CDF differs
-    # from those columns' only by roundoff, so 1e-12 to either side of a step
-    # the two samplers agree exactly, and on the step the window returns one
-    # of the two outcomes that meet there.
-    window = session._kernel(scheme).window
-    row, theta, columns = window_trials(scheme, rng, 300)
-    cdf, total = born_cdf(columns)
-    for entry in range(max(window.lo - 1, 0), window.hi + 1):
-        on_step = cdf[entry] / total
-        below, above = on_step * (1 - 1e-12), np.minimum(on_step * (1 + 1e-12), 1 - 1e-16)
-        sides = []
-        for u in (below, above):
-            expected = born_sample_batch(columns, u)
-            np.testing.assert_array_equal(guided(window, row, theta, u), expected)
-            sides.append(expected)
-        on = on_step < 1.0
-        got = guided(window, row[on], theta[on], on_step[on])
-        assert np.all((got == sides[0][on]) | (got == sides[1][on]))
-
-
-def test_phase_window_rejects_unnormalized_columns():
-    # Normalized at θ = 0 and θ = π, but the norm² at θ is 1 + sin θ.
-    x = np.array([[0.5], [0.5]], dtype=complex)
-    y = 1j * x
-    with pytest.raises(UnnormalizedStateError):
-        PhaseWindow.from_amplitudes(x + y, y - x)
-    with pytest.raises(UnnormalizedStateError):  # unnormalized at θ = π
-        PhaseWindow.from_amplitudes(np.array([[1.0], [0.0]], dtype=complex),
-                                    np.array([[0.6], [0.6]], dtype=complex))
-    with pytest.raises(UnnormalizedStateError):
-        PhaseWindow.from_amplitudes(np.array([[1.0], [0.0]], dtype=complex),
-                                    np.array([[np.nan], [0.0]], dtype=complex))
-    # The window coefficients of a column that stays normalized are accepted.
-    ok = PhaseWindow.from_amplitudes(np.array([[0.6], [0.8]], dtype=complex),
-                                     np.array([[0.6], [-0.8]], dtype=complex))
-    assert (ok.lo, ok.hi) == (0, 0)
-
-
-# --- the phase window's guide: one lookup per trial, or the exact computation ----
-
-BUCKET_WIDTH = TWO_PI / PHASE_BUCKETS
-
-
-def ulps_around(x: float, k: int = 3) -> list[float]:
-    """x and the k floats on either side of it."""
-    out, up, down = [x], x, x
-    for _ in range(k):
-        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
-        out += [up, down]
-    return out
-
-
-# θ on every bucket edge over two turns either way (each k·2π/K and a few
-# ulps around it), near ±2π, and large: beyond the guided range too.
-EDGE_THETAS = np.array(
-    [t for k in range(-2 * PHASE_BUCKETS, 2 * PHASE_BUCKETS + 1)
-     for t in ulps_around(k * BUCKET_WIDTH)]
-    + [t for x in (TWO_PI, -TWO_PI, 2.0**20, -(2.0**20)) for t in ulps_around(x)]
-    + [1e6 + 0.3, -1e6 - 2.9, 2.0**20 + 1.0, 1e7, 1e12 + 0.5, -1e15, 1e20]
-)
-
-
-def window_draws(window: PhaseWindow, thetas: np.ndarray, rng) -> tuple:
-    """(row, θ, u) over every row and θ: u on each of the window's CDF steps at
-    that θ (as the exact path computes it), on the table's steps, on the guide's
-    u-bucket edges, a float either side of each, and at random."""
-    rows = len(window.table.total)
-    row, theta = np.repeat(np.arange(rows), len(thetas)), np.tile(thetas, rows)
-    total = window.table.total[row]
-    cos, sin = np.cos(theta), np.sin(theta)
-    on_step = [(a[row] + b[row] * cos + c[row] * sin) / total for a, b, c in zip(*window.steps)]
-    on_step += [window.table.cdf[row, j] / total for j in range(window.table.cdf.shape[1])]
-    draws = []
-    for u in on_step:
-        draws += [u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)]
-    edge = rng.integers(0, GUIDE_BUCKETS + 1, len(row)) / GUIDE_BUCKETS
-    draws += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), rng.random(len(row))]
-    u = np.concatenate(draws)
-    keep = (u >= 0.0) & (u < 1.0)
-    n = len(draws)
-    return np.tile(row, n)[keep], np.tile(theta, n)[keep], u[keep]
-
-
-def assert_guide_equals_exact(window: PhaseWindow, row, theta, u) -> None:
-    np.testing.assert_array_equal(
-        guided(window, row, theta, u), window._sample_exact(row, theta, u)
-    )
-
-
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_phase_window_guide_equals_exact_path_on_edges(scheme, rng):
-    window = session._kernel(scheme).window
-    thetas = np.concatenate([EDGE_THETAS, rng.uniform(-TWO_PI, TWO_PI, 200)])
-    row, theta, u = window_draws(window, thetas, rng)
-    assert_guide_equals_exact(window, row, theta, u)
-    # A CDF entry whose b and c are 0 in every row is a at every θ; in every
-    # row, some draws put u·total exactly on it.
-    a, b, c = window.steps
-    fixed = np.flatnonzero(np.all((b == 0.0) & (c == 0.0), axis=1))
-    assert len(fixed) == (0 if scheme is SchemeId.FIG1_SINGLE_PHOTON else 5)
-    at = u * window.table.total[row]
-    for j in fixed:
-        landed = np.unique(row[at == a[j, row]])
-        np.testing.assert_array_equal(landed, np.arange(len(window.table.total)))
-
-
-def random_window(rng, outcomes: int, rows: int, lo: int, hi: int) -> PhaseWindow:
-    """The window of random columns x·e^{iθ} + y, normalized at every θ: x is
-    nonzero only on outcomes lo..hi, so the window lies within them; lo > hi
-    gives a window with no moving outcome."""
-    x = np.zeros((outcomes, rows), complex)
-    if lo <= hi:
-        shape = hi + 1 - lo, rows
-        x[lo:hi + 1] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    y = rng.normal(size=(outcomes, rows)) + 1j * rng.normal(size=(outcomes, rows))
-    y[rng.random(y.shape) < 0.2] = 0.0  # zero-probability outcomes, and still steps
-    x[:, 0] = 0.0  # a column that does not move at all
-    # Σ x·ȳ = 0 keeps each column's norm the same at every θ.
-    y -= x * (np.sum(x.conj() * y, axis=0) / np.maximum(np.sum(np.abs(x) ** 2, axis=0), 1e-300))
-    y[:, 0] += 1.0
-    y[0, ~np.any(x, axis=0) & ~np.any(y, axis=0)] = 1.0  # a column that lost every amplitude
-    scale = np.sqrt(np.sum(np.abs(x) ** 2 + np.abs(y) ** 2, axis=0))
-    x, y = x / scale, y / scale
-    return PhaseWindow.from_amplitudes(x + y, y - x)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    outcomes=st.integers(2, 12),
-    rows=st.integers(1, 5),
-    span=st.tuples(st.integers(0, 11), st.integers(0, 11)),
-    thetas=st.lists(st.floats(-1e7, 1e7, allow_nan=False), max_size=20),
-)
-def test_phase_window_guide_equals_exact_path(seed, outcomes, rows, span, thetas):
-    rng = np.random.default_rng(seed)
-    lo, hi = min(span[0], outcomes - 1), min(span[1], outcomes - 1)
-    window = random_window(rng, outcomes, rows, lo, hi)
-    if lo > hi:
-        assert (window.lo, window.hi) == (0, 0)
-    thetas = np.concatenate([EDGE_THETAS[::5], thetas, rng.uniform(-TWO_PI, TWO_PI, 30)])
-    assert_guide_equals_exact(window, *window_draws(window, thetas, rng))
-
-
-def test_phase_window_guide_of_a_window_with_no_moving_outcome():
-    # The columns of test_phase_window_rejects_unnormalized_columns that stay
-    # normalized: no outcome moves, so the guide is the table's at every θ.
-    window = PhaseWindow.from_amplitudes(np.array([[0.6], [0.8]], dtype=complex),
-                                         np.array([[0.6], [-0.8]], dtype=complex))
-    assert (window.lo, window.hi) == (0, 0)
-    guide = window.guide.reshape(PHASE_BUCKETS, GUIDE_BUCKETS)
-    np.testing.assert_array_equal(guide, np.broadcast_to(window.table.guide, guide.shape))
-    row, theta, u = window_draws(window, EDGE_THETAS, np.random.default_rng(3))
-    assert_guide_equals_exact(window, row, theta, u)
-
-
-def test_phase_window_guides_are_small_and_decide_most_trials():
-    # The three guides hold 0.5 MB; under 4% of a uniform θ and u fall back.
-    sizes = 0
-    for scheme in SCHEMES:
-        window = session._kernel(scheme).window
-        rows = len(window.table.total)
-        assert window.guide.shape == (rows * PHASE_BUCKETS * GUIDE_BUCKETS,)
-        assert window.guide.dtype == np.uint8 and not window.guide.flags.writeable
-        sizes += window.guide.nbytes
-        assert np.mean(window.guide == qstate._STEP) < 0.04
-    assert sizes <= 0.6 * 2**20
-
-
-# sha256 of each scheme's θ = 0 table guide and phase window guide, recorded
-# before both were built by counting (qstate._guide_cells). A build that turns
-# a decided cell into _STEP, or the reverse, samples the same outcomes and
-# fails only here.
+# sha256 of each scheme's θ = 0 table guide, recorded before it was built by
+# counting, and of its dephased table guide. A build that turns a decided
+# cell into _STEP, or the reverse, samples the same outcomes and fails only
+# here.
 GUIDE_DIGESTS = {
     SchemeId.FIG1_SINGLE_PHOTON: (
         "6413bb08229beff6b293543dcb4589b94034d23933ae6f559d9cc57df76a18e0",
-        "8cb1c30d85797ff794bcdaf37c662ef30a817b061a068f258eab33240a9206a8",
+        "c541d5e987705a2e40ca0d394007b3ffefe0459221da03a0d6f4c98288454217",
     ),
     SchemeId.OWA_FOUR_PHASE: (
         "13e2e90462be876f0b1bda8e77d83ef1e61c878299eea67af64b155d46f9b451",
-        "c49a89a75c2e6eab99c7d9ed04f0961749634c3885e531af9345ea2220d67bb1",
+        "1c061fcd907b93488a6d720c63db86ffb864c7f2e87ca084aebe01a5c0bb0b63",
     ),
     SchemeId.COMBINED: (
         "ec73d25d7929c6cd994e1663a3ce280017258536b379a5466f6e0b76d6f2c032",
-        "8f1ff802c98b66aaee5ef1b12cbf1cc7c6911930f1e0852dedf0ef19c55ec42d",
+        "ea496d4f21017317c941ecb21656d7a1c3b4f943a5a84c6d3cd44290f92cbdfa",
     ),
 }
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_guides_keep_their_digests(scheme):
-    window = session._kernel(scheme).window
-    guides = window.table.guide, window.guide
+    kernel = session._kernel(scheme)
+    guides = kernel.table.guide, kernel.dephased.guide
     assert tuple(hashlib.sha256(g.tobytes()).hexdigest() for g in guides) == GUIDE_DIGESTS[scheme]
-
-
-def test_theta_bucket_roundoff_is_within_the_slack(rng):
-    # Up to the guided limit, θ·K/2π as `guided` rounds it is within
-    # _THETA_SLACK (in θ) of the exact real number, with π to 50 digits: so
-    # the bucket it names, widened by the slack, holds θ mod 2π, and the
-    # float-θ tests of the guide test its cells.
-    pi = decimal.Decimal("3.14159265358979323846264338327950288419716939937510")
-    limit = qstate._GUIDED_THETA
-    thetas = np.concatenate([
-        rng.uniform(-limit, limit, 3000), limit * (1 - 1e-9 * rng.random(100)),
-        -limit * (1 - 1e-9 * rng.random(100)), [limit, -limit],
-    ])
-    turns = thetas * (PHASE_BUCKETS / (2 * np.pi))
-    with decimal.localcontext() as context:
-        context.prec = 60
-        worst = max(
-            abs(decimal.Decimal(x) - decimal.Decimal(t) * PHASE_BUCKETS / (2 * pi))
-            for t, x in zip(thetas.tolist(), turns.tolist())
-        )
-    assert worst * decimal.Decimal(BUCKET_WIDTH) < decimal.Decimal(qstate._THETA_SLACK) / 10
-
-
-# --- θ keys from the θ word: θ = offset + 2π·u, its bucket from the word's top bits ---
-
-THETA_OFFSETS = [0.0, 0.7, -2.2, 2.0**20 - 7, 3e6]
-
-
-def carry_low_bits(offset: float) -> int:
-    """The least w mod 2⁵⁹ whose θ carries into the next bucket: (w << 5) ≥ ⌈(1 − f)·2⁶⁴⌉."""
-    turns = offset * PHASE_BUCKETS / TWO_PI
-    return -(-math.ceil((1.0 - (turns - math.floor(turns))) * 2.0**64) // PHASE_BUCKETS)
-
-
-def theta_edge_words(offset: float) -> list[int]:
-    """θ words on every θ-bucket edge of the word (b·2⁵⁹), at the carry threshold
-    of `offset`, a word to either side of each, and 2⁶⁴ − 1."""
-    top = 2**64 // PHASE_BUCKETS
-    carry = carry_low_bits(offset)
-    low = [0, 1, top - 1, carry - 1, carry, carry + 1]
-    return [b * top + x for b in range(PHASE_BUCKETS) for x in low if 0 <= x < top] + [2**64 - 1]
-
-
-def theta_of_words(theta_word: np.ndarray, offset: float) -> np.ndarray:
-    """θ as the session computes it for a trial in a _STEP cell."""
-    return offset + TWO_PI * session._uniform(theta_word)
-
-
-def word_draws(window: PhaseWindow, theta_words: list[int], offset: float, rng) -> tuple:
-    """(row, word, θ word) over every row and θ word: words whose u = (w >> 11)·2⁻⁵³
-    lies on each of the window's CDF steps at that θ, on the table's steps and on
-    the u-bucket edges, a 53-bit unit either side of each, and at random."""
-    rows = len(window.table.total)
-    row = np.repeat(np.arange(rows), len(theta_words))
-    theta_word = np.tile(np.array(theta_words, dtype=np.uint64), rows)
-    theta, total = theta_of_words(theta_word, offset), window.table.total[row]
-    cos, sin = np.cos(theta), np.sin(theta)
-    on_step = [(a[row] + b[row] * cos + c[row] * sin) / total for a, b, c in zip(*window.steps)]
-    on_step += [window.table.cdf[row, j] / total for j in range(window.table.cdf.shape[1])]
-    on_step.append(rng.integers(0, GUIDE_BUCKETS + 1, len(row)) / GUIDE_BUCKETS)
-    units = [np.floor(np.clip(u, 0.0, 1.0) * 2.0**53) + d for u in on_step for d in (-1, 0, 1)]
-    units.append(rng.integers(0, 2**53, len(row)).astype(float))
-    units = np.concatenate(units)
-    keep = (units >= 0) & (units < 2.0**53)
-    word = units[keep].astype(np.uint64) << np.uint64(11)
-    word |= rng.integers(0, 2**11, len(word)).astype(np.uint64)  # bits u does not read
-    n = len(units) // len(row)
-    return np.tile(row, n)[keep], word, np.tile(theta_word, n)[keep]
-
-
-def assert_window_outcomes_equal_exact(window, row, word, theta_word, offset) -> None:
-    np.testing.assert_array_equal(
-        session._window_outcomes(window, row, word, theta_word, offset),
-        window._sample_exact(row, theta_of_words(theta_word, offset), session._uniform(word)),
-    )
-
-
-@pytest.mark.parametrize("offset", THETA_OFFSETS)
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_theta_word_keys_equal_exact_path(scheme, offset, rng):
-    window = session._kernel(scheme).window
-    words = theta_edge_words(offset) + rng.integers(0, 2**64, 100, dtype=np.uint64).tolist()
-    assert_window_outcomes_equal_exact(window, *word_draws(window, words, offset, rng), offset)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    scheme=st.sampled_from(SCHEMES),
-    offset=st.one_of(st.sampled_from(THETA_OFFSETS), st.floats(-(2.0**21), 2.0**21)),
-    theta_words=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20),
-)
-def test_theta_word_keys_equal_exact_path_on_any_words(seed, scheme, offset, theta_words):
-    rng = np.random.default_rng(seed)
-    window = session._kernel(scheme).window
-    words = theta_words + theta_edge_words(offset)[::7]
-    assert_window_outcomes_equal_exact(window, *word_draws(window, words, offset, rng), offset)
-
-
-def test_theta_word_buckets_are_within_the_slack(rng):
-    # The bucket the session names from a θ word, widened by _THETA_SLACK, holds
-    # θ mod 2π, θ as the exact path computes it and 2π to 50 digits; and past
-    # _GUIDED_THETA no bucket is named.
-    pi = decimal.Decimal("3.14159265358979323846264338327950288419716939937510")
-    slack = decimal.Decimal(qstate._THETA_SLACK) / 10 * PHASE_BUCKETS / (2 * pi)  # in buckets
-    offsets = THETA_OFFSETS + [-(2.0**20) + 7, 1e-300, -1e-300, math.pi, -math.pi / 16]
-    top = 2**64 // PHASE_BUCKETS
-    for offset in offsets:
-        # Also words 2^j either side of each edge and the carry threshold, so
-        # that a threshold off by more than the slack names a wrong bucket.
-        near = [b * top + x + sign * 2**j for b in (0, 13, PHASE_BUCKETS - 1)
-                for x in (0, carry_low_bits(offset), top) for sign in (-1, 1) for j in range(0, 59, 3)]
-        words = theta_edge_words(offset) + rng.integers(0, 2**64, 300, dtype=np.uint64).tolist()
-        words = np.array(words + [w for w in near if 0 <= w < 2**64], dtype=np.uint64)
-        buckets = session._theta_buckets(words, offset)
-        if abs(offset) + TWO_PI > qstate._GUIDED_THETA:
-            assert buckets is None
-            continue
-        assert buckets.max() < PHASE_BUCKETS
-        with decimal.localcontext() as context:
-            context.prec = 60
-            for theta, bucket in zip(theta_of_words(words, offset).tolist(), buckets.tolist()):
-                turns = decimal.Decimal(theta) * PHASE_BUCKETS / (2 * pi) % PHASE_BUCKETS
-                turns += PHASE_BUCKETS if turns < 0 else 0
-                # the distance from [bucket, bucket + 1], around the turn
-                off = min(abs(turns - bucket - end - turn) for end in (0, 1)
-                          for turn in (-PHASE_BUCKETS, 0, PHASE_BUCKETS))
-                assert bucket <= turns <= bucket + 1 or off < slack, (offset, theta, bucket)
-
-
-LAZY_SESSIONS = {
-    "passive-sweep fig1": [SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 3000, 4, phase=k * math.pi / 8)
-                           for k in range(9)],
-    "passive-sweep combined": [SessionConfig(SchemeId.COMBINED, 3000, 4, phase=k * math.pi / 4)
-                               for k in range(5)],
-    "combined collective=random": [SessionConfig(SchemeId.COMBINED, 3000, 4, phase=PHASE_RANDOM,
-                                                 channel=ChannelSpec("collective", phi=None))],
-    "fig1 phase 0 with Eve": [SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 3000, 4, phase=0.0,
-                                            eavesdropper="intercept_resend")],
-}
-
-
-@pytest.mark.parametrize("name", list(LAZY_SESSIONS))
-def test_sessions_sharing_one_theta_build_no_phase_guide(name):
-    session._kernel.cache_clear()
-    for config in LAZY_SESSIONS[name]:
-        run_session(config)
-    for scheme in SCHEMES:
-        assert "guide" not in vars(session._kernel(scheme).window)
-    # A trial-by-trial θ builds its scheme's guide, and only that one.
-    run_session(SessionConfig(SchemeId.OWA_FOUR_PHASE, 10, 4, channel=ChannelSpec("independent")))
-    built = {s for s in SCHEMES if "guide" in vars(session._kernel(s).window)}
-    assert built == {SchemeId.OWA_FOUR_PHASE}
-
-
-# fig1 behind a fixed collective phase PHI at a random φ: θ = PHI + 2π·u, one
-# uniform standing for −φ. θ near 1e6 lies inside the guided range; beyond it,
-# θ is computed exactly. These stats+trace digests change only with
-# RNG_IDENTITY; to re-record them, run from the repository root:
-#
-#     PYTHONPATH=src python tests/test_kernel.py
-LARGE_THETA_DIGESTS = {
-    1e6: "40218df4bde6c414cd2bd58d679aec2d7396fff526c6127e7ff1be06af8dd569",
-    1e12: "c2fe162f2eb0baa7f6edf37282717e3b53bfdc143aa94e519b73b48d520f73c4",
-    1e20: "9350ed2eaed1d7599ade78f57f4db6d7516e37ea334564944d2844c0f50fb6d0",
-    -1e15: "5692a9688dad3bb7b38a5a3b7b15aaaf65fabb32e0f5abc523c05a3306ef0f39",
-}
-
-
-def large_theta_digest(phi: float) -> str:
-    config = SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 200_000, 2026, phase=PHASE_RANDOM,
-                           channel=ChannelSpec("collective", phi=phi))
-    stats, records = run_session(config)
-    return hashlib.sha256((session.stats_json(stats) + trace_csv(records)).encode()).hexdigest()
-
-
-@pytest.mark.parametrize("phi", list(LARGE_THETA_DIGESTS))
-def test_fig1_at_a_large_collective_phase_keeps_its_digest(phi):
-    assert large_theta_digest(phi) == LARGE_THETA_DIGESTS[phi]
 
 
 # --- the stream: the re-key, the θ rule, and the trial-by-trial reference -------
@@ -786,7 +405,7 @@ def test_fig1_at_a_large_collective_phase_keeps_its_digest(phi):
 REFERENCE_CHANNELS = {
     "none": ChannelSpec("none"),
     "collective=1.1": ChannelSpec("collective", phi=1.1),
-    "collective=1e12": ChannelSpec("collective", phi=1e12),  # fig1's θ past the guided range
+    "collective=1e12": ChannelSpec("collective", phi=1e12),  # fig1's θ = φ_c − φ rounded
     "collective=random": ChannelSpec("collective", phi=None),
     "independent": ChannelSpec("independent"),
     "loss=0.2": ChannelSpec("loss", loss=0.2),
@@ -809,58 +428,52 @@ def test_rekey_equals_a_new_chunk_generator(prior):
         np.testing.assert_array_equal(bits.random_raw(9), fresh.random_raw(9))
 
 
-def theta_rule_law(scheme, drawn: bool, offset: float) -> np.ndarray:
-    """Each signal row's outcome law under the θ rule: at θ = offset, or its mean
-    over θ = offset + 2π·U (over PHASE_GRID, exact for laws of degree 1 in e^{iθ})."""
-    signals = session._kernel(scheme).signals
-    thetas = [offset + t for t in oracles.PHASE_GRID] if drawn else [offset]
-    return np.mean([np.abs(session._signal_rows(signals, np.exp(1j * t))) ** 2 for t in thetas],
-                   axis=0)
-
-
 @pytest.mark.parametrize("channel", list(REFERENCE_CHANNELS))
 @pytest.mark.parametrize("phase", [0.7, PHASE_RANDOM])
 @pytest.mark.parametrize("scheme", SCHEMES, ids=[s.value for s in SCHEMES])
 def test_theta_rule_gives_the_one_relative_phase(scheme, phase, channel):
-    # A pair draws θ only behind independent dephasing, at offset 0: its φ
-    # and a collective phase are global. fig1 draws θ when φ or the channel's
-    # phase is uniform per trial, at offset φ_c − φ of the fixed ones. Each
-    # row's law under the rule is the scalar path's, averaged over the
-    # config's random phases; to the roundoff of θ itself at a large offset.
+    # A pair has a θ per trial only behind independent dephasing, and else
+    # θ = 0: its φ and a collective phase are global. fig1 has one when φ or
+    # the channel's phase is uniform per trial, and else θ = φ_c − φ. The
+    # session's table at its θ has the scalar path's law, to the roundoff of
+    # φ_c − φ itself; the dephased table has the law averaged over the
+    # config's random phases.
     spec = REFERENCE_CHANNELS[channel]
     single = scheme is SchemeId.FIG1_SINGLE_PHOTON
-    drawn, offset = session._theta(SessionConfig(scheme, 1, 0, phase, spec), 1 if single else 2)
+    theta = session._theta(SessionConfig(scheme, 1, 0, phase, spec), 1 if single else 2)
     random_channel = spec.kind == "independent" or spec.kind == "collective" and spec.phi is None
-    if single:
-        assert drawn == (random_channel or phase == PHASE_RANDOM)
-        assert offset == (spec.phi or 0.0) - (0.0 if phase == PHASE_RANDOM else phase)
+    if not single:
+        assert theta == (None if spec.kind == "independent" else 0.0)
+    elif random_channel or phase == PHASE_RANDOM:
+        assert theta is None
     else:
-        assert (drawn, offset) == (spec.kind == "independent", 0.0)
+        assert theta == wrap_phase((spec.phi or 0.0) - phase)
     if (scheme, phase, channel) == (SchemeId.FIG1_SINGLE_PHOTON, 0.7, "collective=1.1"):
-        assert offset == pytest.approx(0.4, abs=1e-15)
+        assert theta == pytest.approx(0.4, abs=1e-15)
 
-    law = theta_rule_law(scheme, drawn, offset)
+    table = session._code_guide(scheme, theta)[0]
+    roundoff = np.spacing(abs(spec.phi or 0.0)) if single and theta is not None else 0.0
     phases = oracles.PHASE_GRID if phase == PHASE_RANDOM else (phase,)
     betas = oracles.bob_betas(scheme)
     for index in (1, 2, 3, 4):
         states = oracles.channel_states(signal_state(scheme, index).state, spec, not single)
         for s, beta in enumerate(betas):
             expected = oracles.outcome_law(scheme, states, phases, beta)
-            np.testing.assert_allclose(law[:, (index - 1) * len(betas) + s], expected,
-                                       rtol=0, atol=1e-12 + np.spacing(abs(offset)))
+            np.testing.assert_allclose(table.cdf[(index - 1) * len(betas) + s], np.cumsum(expected),
+                                       rtol=0, atol=1e-12 + roundoff)
 
 
 def reference_codes(config: SessionConfig) -> np.ndarray:
     """A session's trial codes from the documented layout of its raw words, with
-    every outcome sampled by born_sample_batch from the trial's own detection
-    amplitudes.
+    every outcome sampled by inverse CDF from the trial's own Born law.
 
     Chunk k's words come from a new Philox keyed (seed, k), W per trial. Word w
     gives Alice's index − 1 (w % 4), Bob's setting ((w >> 2) % 2, owa), Eve's
     setting ((w >> 3) % 2, owa) and fallback index − 1 ((w >> 4) % 4), and
-    Bob's uniform ((w >> 11) / 2**53). Then come Eve's uniform, the loss
-    uniform and θ's, each only where the config reads it. No session helper
-    is used.
+    Bob's uniform ((w >> 11) / 2**53). Then come Eve's uniform and the loss
+    uniform, each only where the config reads it. A trial whose θ is uniform
+    has as its law the mean of its Born laws over θ ∈ PHASE_GRID. No session
+    helper is used.
     """
     scheme = scheme_tables(config.scheme)
     n_settings, n_outcomes = len(scheme.betas), len(scheme.outcomes)
@@ -868,10 +481,10 @@ def reference_codes(config: SessionConfig) -> np.ndarray:
     random_phase = config.phase == PHASE_RANDOM
     eve, loss = config.eavesdropper == "intercept_resend", channel.kind == "loss"
     # A random phase reaches a pair's outcome only as independent dephasing;
-    # any reaches fig1's, and there one uniform stands for φ_c − φ.
+    # any reaches fig1's, and there θ = φ_c − φ is uniform mod 2π.
     per_trial = channel.kind == "independent" or single and (
         random_phase or channel.kind == "collective" and channel.phi is None)
-    width = 1 + eve + loss + per_trial
+    width = 1 + eve + loss
     fixed_channel = channel.phi if channel.kind == "collective" and channel.phi is not None else 0.0
     phi = 0.0 if random_phase else config.phase
 
@@ -895,15 +508,19 @@ def reference_codes(config: SessionConfig) -> np.ndarray:
             named = scheme.announced[eve_setting, seen]
             sent = np.where(named > 0, named - 1, field(w, 4, 4))
         lost = next(uniforms) >= (1 - channel.loss) ** scheme.photons if loss else None
-        if single:  # the late-bin phase θ = φ_c − φ, the interferometer at 0
-            theta = fixed_channel - phi + (TWO_PI * next(uniforms) if per_trial else 0.0)
-            diagonal, bob_phi = dephasing_diagonal(np.broadcast_to(theta, n)), 0.0
-        else:  # the collective phase on both photons, or θ on the second; φ as it is
-            second = TWO_PI * next(uniforms) if per_trial else np.full(n, fixed_channel)
-            first = np.zeros(n) if per_trial else second
-            diagonal, bob_phi = dephasing_diagonal(first, second), phi
-        amps = detection_amplitudes(scheme, sent, setting, diagonal, bob_phi)
-        outcome = born_sample_batch(amps, u)
+
+        def law(*late):
+            """Each trial's Born law behind late-bin phases: fig1's θ = φ_c − φ with the
+            interferometer at 0, or a pair's (φ₁, φ₂) on its photons with φ as it is."""
+            diagonal = dephasing_diagonal(*(np.full(n, p) for p in late))
+            amps = detection_amplitudes(scheme, sent, setting, diagonal, 0.0 if single else phi)
+            return amps.real**2 + amps.imag**2
+
+        if per_trial:  # θ on fig1's photon, or on a pair's second
+            p = np.mean([law(t) if single else law(0.0, t) for t in oracles.PHASE_GRID], axis=0)
+        else:  # the one θ, or the collective phase on both photons
+            p = law(fixed_channel - phi) if single else law(fixed_channel, fixed_channel)
+        outcome = law_sample_batch(p, u)
         if lost is not None:
             outcome[lost] = n_outcomes
         parts.append((alice * n_settings + setting) * (n_outcomes + 1) + outcome)
@@ -913,9 +530,10 @@ def reference_codes(config: SessionConfig) -> np.ndarray:
 @pytest.mark.parametrize("channel", list(REFERENCE_CHANNELS))
 @pytest.mark.parametrize("scheme", SCHEMES, ids=[s.value for s in SCHEMES])
 def test_kernel_equals_amplitude_reference(scheme, channel):
-    # Both sampling paths, trial by trial: the Born tables and phase windows
-    # give what each trial's own amplitudes give, and the kernel cuts each
-    # trial's fields from the words the documented layout names. Two chunks,
+    # Every config, trial by trial: the table at the session's θ, or the
+    # dephased table, gives what each trial's own Born law gives, and the
+    # kernel cuts each trial's fields from the words the documented layout
+    # names. Two chunks,
     # the second odd-sized; and one short odd chunk.
     for trials in (CHUNK_TRIALS + 300, CHUNK_TRIALS + 301, 7):
         for phase in (0.7, PHASE_RANDOM):
@@ -926,6 +544,60 @@ def test_kernel_equals_amplitude_reference(scheme, channel):
                 )
                 _, records = run_session(cfg)
                 np.testing.assert_array_equal(records._codes, reference_codes(cfg))
+
+
+@pytest.mark.parametrize("eve", ["off", "intercept_resend"])
+def test_fig1_at_a_random_phase_has_one_trace_behind_any_dephasing(eve):
+    # At a random φ, fig1's θ = φ_c − φ is uniform mod 2π whatever the
+    # channel's phase, a large one too: every session samples the dephased
+    # table from the same words.
+    trials = BLOCK_CHUNKS * CHUNK_TRIALS + 7
+    traces = {
+        trace_csv(run_session(SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, trials, 2026, PHASE_RANDOM,
+                                            REFERENCE_CHANNELS[channel], eve))[1])
+        for channel in ("none", "collective=1.1", "collective=1e12", "collective=random",
+                        "independent")
+    }
+    assert len(traces) == 1
+
+
+@pytest.mark.parametrize("scheme", PAIRS, ids=[s.value for s in PAIRS])
+def test_pair_behind_independent_dephasing_does_not_depend_on_phi(scheme):
+    # θ = φ₂ − φ₁ is uniform whatever φ: both sessions sample the dephased
+    # table from the same words.
+    trials = BLOCK_CHUNKS * CHUNK_TRIALS + 7
+    traces = {
+        trace_csv(run_session(SessionConfig(scheme, trials, 2026, phase,
+                                            ChannelSpec("independent"), "intercept_resend"))[1])
+        for phase in (0.7, PHASE_RANDOM)
+    }
+    assert len(traces) == 1
+
+
+LAZY_SESSIONS = {
+    "passive-sweep fig1": [SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 3000, 4, phase=k * math.pi / 8)
+                           for k in range(9)],
+    "passive-sweep combined": [SessionConfig(SchemeId.COMBINED, 3000, 4, phase=k * math.pi / 4)
+                               for k in range(5)],
+    "combined collective=random": [SessionConfig(SchemeId.COMBINED, 3000, 4, phase=PHASE_RANDOM,
+                                                 channel=ChannelSpec("collective", phi=None))],
+    "fig1 phase 0 with Eve": [SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 3000, 4, phase=0.0,
+                                            eavesdropper="intercept_resend")],
+}
+
+
+@pytest.mark.parametrize("name", list(LAZY_SESSIONS))
+def test_sessions_sharing_one_theta_build_no_dephased_table(name):
+    session._kernel.cache_clear()
+    session._code_guide.cache_clear()
+    for config in LAZY_SESSIONS[name]:
+        run_session(config)
+    for scheme in SCHEMES:
+        assert "dephased" not in vars(session._kernel(scheme))
+    # A trial-by-trial θ builds its scheme's dephased table, and only that one.
+    run_session(SessionConfig(SchemeId.OWA_FOUR_PHASE, 10, 4, channel=ChannelSpec("independent")))
+    built = {s for s in SCHEMES if "dephased" in vars(session._kernel(s))}
+    assert built == {SchemeId.OWA_FOUR_PHASE}
 
 
 # --- blocks: draws per chunk, sampling per block of chunks ----------------------
@@ -950,7 +622,7 @@ def test_kernel_equals_amplitude_reference_at_block_edges(scheme, trials):
 @pytest.mark.parametrize("scheme", SCHEMES, ids=[s.value for s in SCHEMES])
 def test_block_size_changes_no_code(scheme, channel, monkeypatch):
     # Nine chunks, in blocks of 1, 4 and 7 chunks: 9 blocks, 4 + 4 + 1 and 7 + 2,
-    # for every config, one word per trial or up to four.
+    # for every config, one word per trial or up to three.
     trials = 8 * CHUNK_TRIALS + 1
     for phase in (0.7, PHASE_RANDOM):
         for eve in ("off", "intercept_resend"):
@@ -965,7 +637,7 @@ def test_block_size_changes_no_code(scheme, channel, monkeypatch):
 
 def assert_top_bits_are_the_u_bucket(words: list[int]) -> None:
     """w >> 54 is ⌊u·GUIDE_BUCKETS⌋ of u = (w >> 11)·2⁻⁵³, in Python floats and as
-    BornTable.sample takes it from the double u."""
+    table_sample takes it from the double u."""
     w = np.array(words, dtype=np.uint64)
     bucket = w >> session._BUCKET_SHIFT
     assert bucket.tolist() == [math.floor((x >> 11) * 2.0**-53 * GUIDE_BUCKETS) for x in words]
@@ -986,11 +658,14 @@ def test_word_top_bits_are_the_u_bucket(words):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_code_guide_is_the_table_guide_as_codes(scheme):
     # Cell (alice + 4·setting, u bucket) holds the code of the table's outcome
-    # for row alice·S + setting, and _UNDECIDED exactly where it holds _STEP.
-    n_settings, n_outcomes = len(session._kernel(scheme).betas), len(session._kernel(scheme).outcomes)
-    for theta in TABLE_THETAS:
-        table, guide, rows = session._code_guide(scheme, wrap_phase(theta))
-        np.testing.assert_array_equal(table.cdf, born_table(scheme, theta).cdf)
+    # for row alice·S + setting, and _UNDECIDED exactly where it holds _STEP:
+    # for the table at each θ, and for the dephased table (θ None).
+    kernel = session._kernel(scheme)
+    n_settings, n_outcomes = len(kernel.betas), len(kernel.outcomes)
+    for theta in [wrap_phase(t) for t in TABLE_THETAS] + [None]:
+        table, guide, rows = session._code_guide(scheme, theta)
+        expected = kernel.dephased if theta is None else born_table(scheme, theta)
+        np.testing.assert_array_equal(table.cdf, expected.cdf)
         assert guide.dtype == np.uint16 and not guide.flags.writeable
         assert guide.shape == (4 * n_settings * GUIDE_BUCKETS,)
         cells = guide.reshape(4 * n_settings, GUIDE_BUCKETS)
@@ -1014,7 +689,7 @@ def test_resend_guide_is_eves_rule(scheme):
     guide = kernel.resend
     assert guide.dtype == np.uint8 and not guide.flags.writeable
     cells = guide.reshape(2**session._EVE_BITS, GUIDE_BUCKETS)
-    table_cells = kernel.window.table.guide.reshape(4 * n_settings, GUIDE_BUCKETS)
+    table_cells = kernel.table.guide.reshape(4 * n_settings, GUIDE_BUCKETS)
     for key in range(2**session._EVE_BITS):
         eve_setting = (key >> 3) % 2 if n_settings > 1 else 0
         row = table_cells[(key % 4) * n_settings + eve_setting]
@@ -1030,7 +705,7 @@ def test_resend_equals_eves_rule_on_her_table(scheme, rng):
     # edges, a 53-bit unit either side, and at random: what she resends is what
     # the θ = 0 table samples for her, then the rule, undecided cells included.
     kernel = session._kernel(scheme)
-    table = kernel.window.table
+    table = kernel.table
     n_settings, n_outcomes = len(kernel.betas), len(kernel.outcomes)
     key = np.repeat(np.arange(2**session._EVE_BITS), 40)
     eve_setting = (key >> 3) % 2 if n_settings > 1 else np.zeros_like(key)
@@ -1044,7 +719,8 @@ def test_resend_equals_eves_rule_on_her_table(scheme, rng):
     key, eve_setting, row = (np.tile(a, n)[keep] for a in (key, eve_setting, row))
     eve_word = units[keep].astype(np.uint64) << np.uint64(11)
     word = rng.integers(0, 2**64, len(key), dtype=np.uint64) & ~np.uint64(63) | key.astype(np.uint64)
-    named = kernel.announced[eve_setting * n_outcomes + table.sample(row, session._uniform(eve_word))]
+    seen = table_sample(table, row, session._uniform(eve_word))
+    named = kernel.announced[eve_setting * n_outcomes + seen]
     np.testing.assert_array_equal(session._resend(kernel, word, eve_word),
                                   np.where(named > 0, named - 1, (key >> 4) % 4))
 
@@ -1077,15 +753,15 @@ def test_loss_threshold_is_the_loss_uniforms(loss, photons):
 
 
 @pytest.mark.parametrize("config", [
-    # Measured: 7.1 arrays (three words: owa + independent + Eve).
+    # Measured: 5.0 arrays (two words: owa + independent + Eve).
     SessionConfig(SchemeId.OWA_FOUR_PHASE, 1_000_000, 12, PHASE_RANDOM, ChannelSpec("independent"),
                   "intercept_resend"),
     # Measured: 3.0 arrays (one word per trial).
     SessionConfig(SchemeId.OWA_FOUR_PHASE, 1_000_000, 12, 0.7),
-    # Measured: 6.3 arrays (three words: fig1 at a random φ + collective=random + Eve).
+    # Measured: 5.0 arrays (two words: fig1 at a random φ + collective=random + Eve).
     SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 1_000_000, 12, PHASE_RANDOM,
                   ChannelSpec("collective", phi=None), "intercept_resend"),
-    # Measured: 7.4 arrays (four words: fig1 at a random φ + loss=0.2 + Eve).
+    # Measured: 6.0 arrays (three words: fig1 at a random φ + loss=0.2 + Eve).
     SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 1_000_000, 12, PHASE_RANDOM,
                   ChannelSpec("loss", loss=0.2), "intercept_resend"),
 ], ids=["independent-eve", "one-word", "fig1-collective-eve", "fig1-loss-eve"])
@@ -1217,7 +893,3 @@ def test_records_index_like_a_list():
     with pytest.raises(IndexError):
         records[-len(listed) - 1]
 
-
-if __name__ == "__main__":
-    for phi in LARGE_THETA_DIGESTS:
-        print(f"    {phi!r}: \"{large_theta_digest(phi)}\",")
