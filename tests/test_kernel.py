@@ -282,6 +282,25 @@ def test_born_table_sampler_on_arbitrary_columns(rng):
         np.testing.assert_array_equal(table_sample(table, rows, u), born_sample_batch(amps[:, rows], u))
 
 
+def test_born_table_sampler_on_arbitrary_laws(rng):
+    # from_probabilities samples any law as law_sample_batch does: zero
+    # outcomes, a sure outcome, and a column short of 1 by roundoff.
+    for outcomes in (2, 6, 36):
+        p = rng.random((outcomes, 9))
+        p[rng.random(p.shape) < 0.3] = 0.0
+        p[rng.integers(0, outcomes, 9), np.arange(9)] += 0.5  # no column all zero
+        p[:, 0] = 0.0
+        p[0, 0] = 1.0  # a deterministic column
+        p[:, 1] = 0.0
+        p[-1, 1] = 1.0  # a column whose only outcome is the last
+        p[:, 2:] /= p[:, 2:].sum(axis=0)
+        p[:, 2] *= 1 - 1e-15
+        table = BornTable.from_probabilities(p)
+        rows = np.concatenate([rng.integers(0, 9, 5000), step_draws(table)[0]])
+        u = np.concatenate([rng.random(5000), step_draws(table)[1]])
+        np.testing.assert_array_equal(table_sample(table, rows, u), law_sample_batch(p[:, rows], u))
+
+
 def test_born_table_rejects_unnormalized_rows():
     amps = np.array([[1.0, 0.6], [0.0, 0.6]], dtype=complex)  # second column has norm² 0.72
     with pytest.raises(UnnormalizedStateError):
@@ -371,6 +390,58 @@ def test_kernel_tables_are_built_from_the_signal_rows(scheme):
     np.testing.assert_array_equal(kernel.table.cdf, fresh.cdf)
     np.testing.assert_array_equal(kernel.table.total, fresh.total)
     np.testing.assert_array_equal(kernel.table.guide, fresh.guide)
+
+
+def dephased_law(scheme) -> np.ndarray:
+    """The dephased table's law as _Kernel.dephased takes it: the mean of the
+    signal rows' θ = 0 and θ = π Born laws, outcomes × rows."""
+    rows = [session._signal_rows(session._kernel(scheme).signals, late) for late in (1.0, -1.0)]
+    return sum(a.real**2 + a.imag**2 for a in rows) / 2
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_dephased_table_sampler_equals_law_sample_batch(scheme, rng):
+    # Its guide and search sample, at every draw, what inverse CDF samples
+    # from its law: at random, at u = 0, and on and either side of each step.
+    table = session._kernel(scheme).dephased
+    p = dephased_law(scheme)
+    n_rows = len(table.cdf)
+    random_rows = rng.integers(0, n_rows, 5000)
+    step_rows, step_u = step_draws(table)
+    for row, u in [
+        (random_rows, rng.random(5000)),
+        (np.arange(n_rows), np.zeros(n_rows)),
+        (step_rows, step_u),
+    ]:
+        np.testing.assert_array_equal(table_sample(table, row, u), law_sample_batch(p[:, row], u))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scheme=st.sampled_from(SCHEMES),
+       draws=st.lists(st.tuples(st.integers(0, 2**16 - 1), st.integers(0, 2**53 - 1)),
+                      min_size=1, max_size=64))
+def test_dephased_table_sampler_on_any_draws(scheme, draws):
+    table = session._kernel(scheme).dephased
+    row = np.array([r % len(table.cdf) for r, _ in draws])
+    u = np.array([x * 2.0**-53 for _, x in draws])
+    np.testing.assert_array_equal(table_sample(table, row, u),
+                                  law_sample_batch(dephased_law(scheme)[:, row], u))
+
+
+OPPOSITE_THETAS = [0.0, 0.7, -2.2, math.pi / 2, 2.0**20 - 7, 3e6]
+
+
+@pytest.mark.parametrize("theta", OPPOSITE_THETAS)
+@pytest.mark.parametrize("scheme", SCHEMES, ids=[s.value for s in SCHEMES])
+def test_dephased_law_is_the_mean_of_any_two_opposite_phases(scheme, theta):
+    # Each outcome's probability at θ is a + b·cos θ + c·sin θ, so the laws at
+    # θ and θ + π average to a, the law averaged over a uniform θ, wherever
+    # θ is: the dephased table's rows, built at θ = 0 and π.
+    theta = wrap_phase(theta)
+    near, far = born_table(scheme, theta), born_table(scheme, theta + math.pi)
+    dephased = session._kernel(scheme).dephased
+    np.testing.assert_allclose(dephased.cdf, (near.cdf + far.cdf) / 2, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dephased.total, (near.total + far.total) / 2, rtol=0, atol=1e-12)
 
 
 # sha256 of each scheme's θ = 0 table guide, recorded before it was built by
@@ -561,6 +632,21 @@ def test_fig1_at_a_random_phase_has_one_trace_behind_any_dephasing(eve):
     assert len(traces) == 1
 
 
+@pytest.mark.parametrize("phi", [1e6, 1e12, 1e20, -1e15])
+def test_fig1_at_a_large_collective_phase_keeps_the_dephased_trace(phi):
+    # However large the channel's fixed phase, θ = φ_c − φ at a random φ is
+    # uniform: no arithmetic on φ_c reaches the trial, and the session has
+    # the trace and the tallies of one behind no channel.
+    trials = BLOCK_CHUNKS * CHUNK_TRIALS + 7
+    stats, records = run_session(SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, trials, 2026, PHASE_RANDOM,
+                                               ChannelSpec("collective", phi=phi), "intercept_resend"))
+    plain_stats, plain_records = run_session(SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, trials, 2026,
+                                                           PHASE_RANDOM, ChannelSpec("none"),
+                                                           "intercept_resend"))
+    assert trace_csv(records) == trace_csv(plain_records)
+    assert dataclasses.replace(stats, config=plain_stats.config) == plain_stats
+
+
 @pytest.mark.parametrize("scheme", PAIRS, ids=[s.value for s in PAIRS])
 def test_pair_behind_independent_dephasing_does_not_depend_on_phi(scheme):
     # θ = φ₂ − φ₁ is uniform whatever φ: both sessions sample the dephased
@@ -598,6 +684,33 @@ def test_sessions_sharing_one_theta_build_no_dephased_table(name):
     run_session(SessionConfig(SchemeId.OWA_FOUR_PHASE, 10, 4, channel=ChannelSpec("independent")))
     built = {s for s in SCHEMES if "dephased" in vars(session._kernel(s))}
     assert built == {SchemeId.OWA_FOUR_PHASE}
+
+
+PER_TRIAL_SESSIONS = {
+    "fig1 at a random phase": SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 3000, 4, PHASE_RANDOM),
+    "fig1 collective=random": SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 3000, 4, 0.7,
+                                            ChannelSpec("collective", phi=None)),
+    "fig1 independent": SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 3000, 4, 0.7,
+                                      ChannelSpec("independent")),
+    "owa independent": SessionConfig(SchemeId.OWA_FOUR_PHASE, 3000, 4, 0.7, ChannelSpec("independent")),
+    "combined independent with Eve": SessionConfig(SchemeId.COMBINED, 3000, 4, PHASE_RANDOM,
+                                                   ChannelSpec("independent"), "intercept_resend"),
+}
+
+
+@pytest.mark.parametrize("name", list(PER_TRIAL_SESSIONS))
+def test_sessions_with_a_theta_per_trial_sample_the_dephased_table(name):
+    # θ uniform per trial: no one θ, and the session samples its scheme's
+    # dephased table, the only one it builds.
+    config = PER_TRIAL_SESSIONS[name]
+    kernel = session._kernel(config.scheme)
+    assert session._theta(config, kernel.photons) is None
+    session._kernel.cache_clear()
+    session._code_guide.cache_clear()
+    run_session(config)
+    kernel = session._kernel(config.scheme)
+    assert session._code_guide(config.scheme, None)[0] is kernel.dephased
+    assert {s for s in SCHEMES if "dephased" in vars(session._kernel(s))} == {config.scheme}
 
 
 # --- blocks: draws per chunk, sampling per block of chunks ----------------------
