@@ -1,6 +1,9 @@
 """Command-line front end: run sessions, derive charts, list states, sweep phases.
 
 Exit codes: 0 success, 1 I/O failure, 2 usage error.
+
+`session`, and numpy.random with it, is imported only by the commands and
+flags that need it, so that `chart`, `states` and `--help` start without it.
 """
 from __future__ import annotations
 
@@ -11,24 +14,20 @@ import json
 import os
 import sys
 from collections import Counter
+from typing import TYPE_CHECKING
 
 from .optics import wrap_phase
 from .protocols import SchemeId, generate_chart, signal_state
-from .session import (
-    ConfigError,
-    PHASE_RANDOM,
-    SessionConfig,
-    config_from_dict,
-    run_session,
-    stats_document,
-    stats_json,
-    trace_csv,
-)
+
+if TYPE_CHECKING:
+    from .session import SessionConfig
 
 SCHEME_CHOICES = [s.value for s in SchemeId]
 
 
 def _parse_phase(text: str):
+    from .session import PHASE_RANDOM
+
     if text == PHASE_RANDOM:
         return PHASE_RANDOM
     try:
@@ -39,6 +38,8 @@ def _parse_phase(text: str):
 
 def _parse_channel(text: str) -> str | dict:
     """A --channel flag as its config document's "channel" value."""
+    from .session import PHASE_RANDOM
+
     if text in ("none", "independent"):
         return text
     if text.startswith("collective="):
@@ -89,6 +90,8 @@ def _stats_csv(doc: dict) -> str:
 
 def _object(pairs: list) -> dict:
     """A JSON object of a config file; a key given twice is a ConfigError, not the last one kept."""
+    from .session import ConfigError
+
     twice = [key for key, count in Counter(key for key, _ in pairs).items() if count > 1]
     if twice:
         raise ConfigError(f"duplicate key(s) {', '.join(map(repr, twice))} in a JSON object")
@@ -97,6 +100,8 @@ def _object(pairs: list) -> dict:
 
 def _run_config(args: argparse.Namespace) -> SessionConfig:
     """The session of `run`: the given flags, merged over the --config document if there is one."""
+    from .session import ConfigError, config_from_dict
+
     doc = {}
     if args.config is None:
         required = {"--protocol": args.protocol, "--trials": args.trials, "--seed": args.seed}
@@ -144,6 +149,8 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .session import ConfigError, run_session, stats_document, stats_json, trace_csv
+
     config = _run_config(args)
     if args.out is not None and args.trace is not None and _same_file(args.out, args.trace):
         raise ConfigError(f"--out and --trace name the same file: {args.out!r}, {args.trace!r}")
@@ -180,6 +187,8 @@ def cmd_states(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .session import ConfigError, SessionConfig, run_session
+
     try:
         grid = [float(x) for x in args.phase_grid.split(",") if x.strip() != ""]
     except ValueError:
@@ -245,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # a session.ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

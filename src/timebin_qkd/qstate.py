@@ -183,17 +183,24 @@ class BornTable:
         u·total, which rounds monotonically in u, so a u bucket's trials lie
         between its two ends. A bucket where the counts at both ends agree
         holds that count, the outcome of every trial in it; any other holds
-        _STEP.
+        _STEP. No probability may be negative: then every CDF row is
+        non-decreasing (a float sum never falls by adding a non-negative
+        term), and a count is a binary search of the row.
         """
+        if (p < 0).any():
+            raise UnnormalizedStateError("cannot sample a law with a negative probability")
         cdf, total = law_cdf(p)
         cdf = np.ascontiguousarray(cdf.T)
         last = cdf.shape[1] - 1
         if last >= _STEP:
             raise ValueError(f"a guide of uint8 holds at most {_STEP} outcomes, not {last + 1}")
-        entries = cdf[:, :last].T[..., None]  # the total only pushes a count past the last outcome
-        sure = (entries <= _BUCKET_FIRST * total[:, None]).sum(axis=0, dtype=np.uint8)
-        maybe = (entries <= _BUCKET_LAST * total[:, None]).sum(axis=0, dtype=np.uint8)
-        guide = np.where(sure == maybe, sure, _STEP).ravel()
+        guide = np.empty((len(cdf), GUIDE_BUCKETS), dtype=np.uint8)
+        for row, entries, t in zip(guide, cdf[:, :last], total.tolist()):
+            # the total only pushes a count past the last outcome, so it is left out
+            sure = entries.searchsorted(_BUCKET_FIRST * t, side="right")
+            maybe = entries.searchsorted(_BUCKET_LAST * t, side="right")
+            row[:] = np.where(sure == maybe, sure, _STEP)
+        guide = guide.ravel()
         arrays = cdf, total.copy(), guide
         for a in arrays:  # shared by every caller of a cache
             a.setflags(write=False)

@@ -34,13 +34,19 @@ rule, and no other code does.
 
 Each scheme has one record, `_kernel(scheme)`, built from `protocols`
 (signal states, classify_*, sift) and `optics`: its signal rows, the
-signal index each verdict names, the lookups over its trial codes, its
-θ = 0 table and its dephased table. A session is sampled from one table,
-`born_table(scheme, θ)` or the dephased one, by one lookup per trial in
-its guide as trial codes (`_code_guide`), keyed by the trial's word 0
-alone. Eve's resend is one lookup in her scheme's resend guide
-(`_resend`), and the loss one comparison of the loss word. A float u is
-made only for the few trials whose guide cell holds a CDF step.
+signal index each verdict names, its θ = 0 table, and its tally per trial
+code, from one sift call per Alice index and verdict. The rest is built on
+first use and kept in the record, so that `_kernel.cache_clear()` drops it
+all: the dephased table, a table and a code guide per θ, Eve's resend
+guide, and the records' fields and trace rows per code, which only a
+session whose records or trace are read builds. Each build is array work
+over its table, a few calls per row or per verdict, not a call per code or
+cell. A session is sampled from one table, `born_table(scheme, θ)` or the
+dephased one, by one lookup per trial in its guide as trial codes
+(`_Kernel.code_guide`), keyed by the trial's word 0 alone. Eve's resend
+is one lookup in her scheme's resend guide (`_resend`), and the loss one
+comparison of the loss word. A float u is made only for the few trials
+whose guide cell holds a CDF step.
 
 A trial in such a cell compares u·total with its row's CDF, as the
 inverse-CDF reference of `tests/oracles.py` does on the trial's own Born
@@ -277,13 +283,18 @@ class SessionStats:
 
 # --- batched kernel ------------------------------------------------------------
 
+#: The verdict slot of a lost trial, past the indices 0..4 Bob's verdict names.
+_LOST = 5
+
+
 @dataclass(frozen=True)
 class _Kernel:
-    """A scheme's one record: its θ = 0 and dephased tables, and lookups over its trial codes.
+    """A scheme's one record: its tables, and lookups over its trial codes.
 
     code = (alice·S + setting)·(O + 1) + outcome, with alice = index − 1, S
     Bob's modulator settings, O outcomes and outcome O meaning "lost"; so
-    code counts reshape to a 4 × S × (O + 1) grid.
+    code counts reshape to a 4 × S × (O + 1) grid. A verdict slot is the
+    index Bob's verdict names, 0 when inconclusive, or _LOST.
     """
 
     id: SchemeId
@@ -294,8 +305,8 @@ class _Kernel:
     announced: np.ndarray  # S·O, at setting·O + outcome: the index Bob's verdict names, or 0
     table: BornTable  # at θ = 0, the one Eve measures with
     labels: tuple[str, ...]  # per outcome, "lost" last
-    fields: tuple[tuple, ...]  # per code: the TrialRecord fields after `trial`
-    rows: tuple[str, ...]  # per code: its trace CSV row after "trial,"
+    slots: np.ndarray  # per code: its verdict slot
+    sifted: dict  # per (alice, verdict slot): the TrialRecord fields after `outcome_label`
     tally: np.ndarray  # 0/1 per code: counts @ tally = errors, sent[4], kept[4], histogram[O + 1]
 
     def eve_row(self, key: np.ndarray) -> np.ndarray:
@@ -310,6 +321,16 @@ class _Kernel:
         named = self.announced[seen]
         return np.where(named > 0, named - 1, (key >> 4) & 3)
 
+    def born_table(self, theta: float) -> BornTable:
+        """The Born table at a wrapped theta: `table` at 0, else one of the 128 last built."""
+        return self.table if theta == 0.0 else self._tables(theta)
+
+    @cached_property
+    def _tables(self):
+        def table(theta: float) -> BornTable:
+            return BornTable.from_amplitudes(_signal_rows(self.signals, np.exp(1j * theta)))
+        return lru_cache(maxsize=128)(table)
+
     @cached_property
     def dephased(self) -> BornTable:
         """The Born table of the signal rows averaged over a uniform θ.
@@ -323,21 +344,65 @@ class _Kernel:
         return BornTable.from_probabilities((p_zero + p_pi) / 2)
 
     @cached_property
+    def code_guide(self):
+        """code_guide(theta) = (table, guide, rows): born_table(theta), or the dephased table when
+        theta is None (`_theta`), its guide as trial codes, and their rows; the 128 last kept.
+
+        A trial word w keys guide cell ((w & 4·S − 1) << _BUCKET_BITS) |
+        (w >> _BUCKET_SHIFT): first its raw bits alice + 4·setting, the key of
+        table row rows[key] = alice·S + setting, then its u bucket. The cell
+        holds the code of every trial of that row and u bucket, uint16, or
+        _UNDECIDED where the table's guide holds a CDF step.
+        """
+        n_settings, n_outcomes = len(self.betas), len(self.outcomes)
+        key = np.arange(4 * n_settings)
+        rows = (key & 3) * n_settings + (key >> 2)
+        rows.setflags(write=False)
+
+        def code_guide(theta: float | None) -> tuple[BornTable, np.ndarray, np.ndarray]:
+            table = self.dephased if theta is None else self.born_table(theta)
+            cells = table.guide.reshape(-1, GUIDE_BUCKETS)[rows]
+            guide = (cells + (rows * (n_outcomes + 1))[:, None]).astype(np.uint16)
+            guide[cells == _STEP] = _UNDECIDED
+            guide = guide.ravel()
+            guide.setflags(write=False)  # shared by every session of the cache
+            return table, guide, rows
+        return lru_cache(maxsize=128)(code_guide)
+
+    @cached_property
     def resend(self) -> np.ndarray:
         """Eve's resend guide: the index − 1 she resends, uint8, per (key, u bucket), flat.
 
         key = w & 2^_EVE_BITS − 1 of the trial's word 0, the u bucket that of
-        her own uniform. A cell where the θ = 0 table's guide holds _STEP
-        holds _STEP too: there her outcome depends on u within the bucket.
-        Built on first use and kept.
+        her own uniform. The cell is what she resends after the θ = 0 table's
+        guide cell in her row: one lookup per cell in a table of resent(key,
+        outcome), whose _STEP column holds _STEP, since there her outcome
+        depends on u within the bucket. Built on first use and kept.
         """
         key = np.arange(2**_EVE_BITS)
+        after = np.full((len(key), _STEP + 1), _STEP, dtype=np.uint8)  # per key and guide cell
+        after[:, :len(self.outcomes)] = self.resent(key[:, None], np.arange(len(self.outcomes)))
         cells = self.table.guide.reshape(-1, GUIDE_BUCKETS)[self.eve_row(key)]
-        decided = cells != _STEP
-        guide = np.where(decided, self.resent(key[:, None], np.where(decided, cells, 0)), _STEP)
-        guide = guide.astype(np.uint8).ravel()
+        guide = after.take(key[:, None] * (_STEP + 1) + cells).ravel()
         guide.setflags(write=False)
         return guide
+
+    @cached_property
+    def fields(self) -> tuple[tuple, ...]:
+        """Per code: the TrialRecord fields after `trial`. Built when a record is first read."""
+        per_alice = len(self.slots) // 4
+        return tuple((code // per_alice + 1, self.labels[code % len(self.labels)],
+                      *self.sifted[code // per_alice, slot])
+                     for code, slot in enumerate(self.slots.tolist()))
+
+    @cached_property
+    def rows(self) -> tuple[str, ...]:
+        """Per code: its trace CSV row after "trial,", built when a trace is first read."""
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            _trace_fields(TrialRecord(0, *f))[1:] for f in self.fields)
+        buf.seek(0)
+        return tuple(buf.readlines())  # a StringIO ends a line only at "\n"
 
 
 def _trace_fields(r: TrialRecord) -> list:
@@ -380,33 +445,36 @@ def _kernel(scheme: SchemeId | str) -> _Kernel:
             phase_modulator(a.state, beta, photon=1, bin="L").amplitudes
             for a in alices for beta in betas
         ])
-        verdicts = [[classify_owa(o, beta) for o in outcomes] for beta in betas]
+        verdicts = [classify_owa(o, beta) for beta in betas for o in outcomes]
     else:
         betas, outcomes = (0.0,), DETECTION_BASIS if single else JOINT_BASIS
         signals = np.array([a.state.amplitudes for a in alices])
-        verdicts = [[(classify_fig1 if single else classify_combined)(o) for o in outcomes]]
-    announced = np.array([INDEX_FOR[v.basis, v.bit] if v.conclusive else 0
-                          for row in verdicts for v in row])
-    table = BornTable.from_amplitudes(_signal_rows(signals, 1.0))
-    fields = []
-    for alice in alices:
-        for row in verdicts:
-            for outcome, verdict in zip(outcomes, row):
-                result = sift(alice, verdict)
-                fields.append((
-                    alice.index, outcome.label, verdict.conclusive, verdict.basis or "",
-                    result.bit_alice, result.bit_bob, result.kept,
-                ))
-            fields.append((alice.index, "lost", False, "", None, None, False))
+        verdicts = [(classify_fig1 if single else classify_combined)(o) for o in outcomes]
+    announced = np.array([INDEX_FOR[v.basis, v.bit] if v.conclusive else 0 for v in verdicts])
+    # sift reads only a verdict's conclusive, basis and bit, which its slot fixes:
+    # one call per Alice index and slot
+    named = dict(zip(announced.tolist(), verdicts))
+    keep, wrong = np.zeros((2, 4, _LOST + 1), dtype=bool)
+    sifted = {}
+    for alice, signal in enumerate(alices):
+        for slot, verdict in named.items():
+            result = sift(signal, verdict)
+            sifted[alice, slot] = (verdict.conclusive, verdict.basis or "",
+                                   result.bit_alice, result.bit_bob, result.kept)
+            keep[alice, slot] = result.kept
+            wrong[alice, slot] = result.kept and result.bit_alice != result.bit_bob
+        sifted[alice, _LOST] = (False, "", None, None, False)
     labels = tuple(o.label for o in outcomes) + ("lost",)
-    sent = np.array([f[0] for f in fields])[:, None] == np.arange(1, 5)
-    kept = sent & np.array([f[6] for f in fields])[:, None]
-    outcome = np.arange(len(fields))[:, None] % len(labels) == np.arange(len(labels))
-    errors = [f[6] and f[4] != f[5] for f in fields]  # kept, with bit_alice != bit_bob
-    tally = np.column_stack([errors, sent, kept, outcome]).astype(np.intp)
-    rows = tuple(_csv_line(_trace_fields(TrialRecord(0, *f))[1:]) for f in fields)
-    return _Kernel(scheme_id, 1 if single else 2, betas, outcomes, signals, announced, table,
-                   labels, tuple(fields), rows, tally)
+    per_alice = np.column_stack([announced.reshape(len(betas), -1), np.full(len(betas), _LOST)])
+    slots = np.tile(per_alice.ravel(), 4)
+    code = np.arange(len(slots))
+    alice = code // per_alice.size
+    sent = alice[:, None] == np.arange(4)
+    outcome = code[:, None] % len(labels) == np.arange(len(labels))
+    tally = np.column_stack([wrong[alice, slots], sent, sent & keep[alice, slots][:, None], outcome])
+    return _Kernel(scheme_id, 1 if single else 2, betas, outcomes, signals, announced,
+                   BornTable.from_amplitudes(_signal_rows(signals, 1.0)), labels, slots, sifted,
+                   tally.astype(np.intp))
 
 
 def born_table(scheme_id: SchemeId, theta: float) -> BornTable:
@@ -415,15 +483,9 @@ def born_table(scheme_id: SchemeId, theta: float) -> BornTable:
     theta is the phase on the late bin of the last photon, with the
     interferometer at 0 (`_signal_rows`); the module docstring says which θ
     each trial has. At a wrapped theta of 0 this is the scheme's table held
-    once in `_kernel`; other tables are cached per (scheme, wrapped theta).
+    once in `_kernel`; other tables are cached in its record per wrapped theta.
     """
-    scheme_id, theta = SchemeId(scheme_id), wrap_phase(float(theta))
-    return _kernel(scheme_id).table if theta == 0.0 else _born_table(scheme_id, theta)
-
-
-@lru_cache(maxsize=128)
-def _born_table(scheme_id: SchemeId, theta: float) -> BornTable:
-    return BornTable.from_amplitudes(_signal_rows(_kernel(scheme_id).signals, np.exp(1j * theta)))
+    return _kernel(SchemeId(scheme_id)).born_table(wrap_phase(float(theta)))
 
 
 _thread = threading.local()  # .bits: the thread's Philox bit generator, made on its first session
@@ -475,31 +537,6 @@ def _uniform(words: np.ndarray) -> np.ndarray:
     return (words >> 11) * 2.0**-53
 
 
-@lru_cache(maxsize=128)
-def _code_guide(scheme_id: SchemeId, theta: float | None) -> tuple[BornTable, np.ndarray, np.ndarray]:
-    """(table, guide, rows): born_table(scheme_id, theta), or the scheme's dephased table when
-    theta is None (`_theta`), its guide as trial codes, and their rows.
-
-    A trial word w keys guide cell ((w & 4·S − 1) << _BUCKET_BITS) |
-    (w >> _BUCKET_SHIFT): first its raw bits alice + 4·setting, the key of
-    table row rows[key] = alice·S + setting, then its u bucket. The cell
-    holds the code of every trial of that row and u bucket, uint16, or
-    _UNDECIDED where the table's guide holds a CDF step.
-    """
-    kernel = _kernel(scheme_id)
-    n_settings, n_outcomes = len(kernel.betas), len(kernel.outcomes)
-    key = np.arange(4 * n_settings)
-    rows = (key & 3) * n_settings + (key >> 2)
-    table = kernel.dephased if theta is None else born_table(scheme_id, theta)
-    cells = table.guide.reshape(-1, GUIDE_BUCKETS)[rows]
-    guide = (cells + (rows * (n_outcomes + 1))[:, None]).astype(np.uint16)
-    guide[cells == _STEP] = _UNDECIDED
-    guide = guide.ravel()
-    for a in guide, rows:  # shared by every session of the cache
-        a.setflags(write=False)
-    return table, guide, rows
-
-
 def _resend(kernel: _Kernel, word: np.ndarray, eve_word: np.ndarray) -> np.ndarray:
     """The index − 1 Eve resends, uint8, from each trial's word 0 and her own word.
 
@@ -535,8 +572,9 @@ def _session_codes(config: SessionConfig, kernel: _Kernel) -> np.ndarray:
     words W·k .. W·k + W − 1, laid out as the module docstring says. Then
     every stage is a lookup keyed by the top and low bits of the trial's own
     words: Eve's resend (`_resend`); Bob's outcome in the code guide of the
-    session's table (`_code_guide`); and the loss, by one comparison of the
-    loss word. Only the few trials in undecided cells compare u with a CDF.
+    session's table (`_Kernel.code_guide`); and the loss, by one comparison
+    of the loss word. Only the few trials in undecided cells compare u with
+    a CDF.
 
     Each block writes its codes into the session's array in its own call,
     so its arrays are freed before the next block draws: past the codes, a
@@ -549,7 +587,7 @@ def _session_codes(config: SessionConfig, kernel: _Kernel) -> np.ndarray:
     eve, loss = config.eavesdropper == "intercept_resend", config.channel.kind == "loss"
     width = 1 + eve + loss  # word 0, then Eve's word and the loss word, each where it is drawn
     lost_from = _lost_from((1.0 - config.channel.loss) ** kernel.photons)
-    table, guide, rows = _code_guide(kernel.id, _theta(config, kernel.photons))
+    table, guide, rows = kernel.code_guide(_theta(config, kernel.photons))
     codes = np.empty(config.trials, dtype=np.uint16)
 
     def sample(start: int, stop: int) -> None:

@@ -4,13 +4,16 @@ The enumeration oracles expand the interferometer action term by term with
 plain dicts and loops, independently of the matrix/kron implementation
 under test. The session expectations, and the law of each trial code, are
 exact, and are built on the library's scalar ModeState path, the reference
-for the batched session kernel. The amplitude reference at the end samples
-each trial from its own Born law, the reference for the kernel's tables
-trial by trial.
+for the batched session kernel. The amplitude reference samples each
+trial from its own Born law, the reference for the kernel's tables trial by
+trial. The per-code lookups at the end are built code by code, with a sift
+call and a CSV row per code, the reference for the kernel's record.
 """
 from __future__ import annotations
 
 import cmath
+import csv
+import io
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -38,6 +41,7 @@ from timebin_qkd.protocols import (
     classify_combined,
     classify_fig1,
     classify_owa,
+    sift,
     signal_state,
 )
 from timebin_qkd.qstate import law_cdf
@@ -348,3 +352,52 @@ def law_sample_batch(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     # index = how many CDF entries lie at or below u·total (searchsorted, side="right")
     idx = np.count_nonzero(cdf <= u * total, axis=0)
     return np.minimum(idx, len(cdf) - 1)
+
+
+# --- the kernel's per-code lookups, code by code ------------------------------
+
+
+@dataclass(frozen=True)
+class CodeLookups:
+    """Per trial code (numbered as the session kernel numbers them): its record and trace row."""
+
+    announced: np.ndarray  # S·O, at setting·O + outcome: announced_index
+    labels: tuple  # per outcome, "lost" last
+    fields: tuple  # per code: the TrialRecord fields after `trial`
+    rows: tuple  # per code: its trace CSV row after "trial,"
+    tally: np.ndarray  # 0/1 per code: counts @ tally = errors, sent[4], kept[4], histogram[O + 1]
+
+
+def code_lookups(scheme) -> CodeLookups:
+    """One sift call, record and csv.writer row per code: Alice's index, then Bob's setting,
+    then each outcome and "lost"."""
+    scheme = SchemeId(scheme)
+    tables = scheme_tables(scheme)
+    fields = []
+    for index in (1, 2, 3, 4):
+        alice = signal_state(scheme, index)
+        for beta in tables.betas:
+            for outcome in tables.outcomes:
+                verdict = classify(scheme, outcome, beta)
+                result = sift(alice, verdict)
+                fields.append((
+                    index, outcome.label, verdict.conclusive, verdict.basis or "",
+                    result.bit_alice, result.bit_bob, result.kept,
+                ))
+            fields.append((index, "lost", False, "", None, None, False))
+    labels = tuple(o.label for o in tables.outcomes) + ("lost",)
+    rows = []
+    for index, label, conclusive, basis, bit_alice, bit_bob, kept in fields:
+        buf = io.StringIO()
+        verdict = "lost" if label == "lost" else "conclusive" if conclusive else "inconclusive"
+        csv.writer(buf, lineterminator="\n").writerow([
+            index, label, verdict, basis, "" if bit_alice is None else bit_alice,
+            "" if bit_bob is None else bit_bob, int(kept),
+        ])
+        rows.append(buf.getvalue())
+    sent = np.array([f[0] for f in fields])[:, None] == np.arange(1, 5)
+    kept = sent & np.array([f[6] for f in fields])[:, None]
+    outcome = np.arange(len(fields))[:, None] % len(labels) == np.arange(len(labels))
+    errors = [f[6] and f[4] != f[5] for f in fields]  # kept, with bit_alice != bit_bob
+    tally = np.column_stack([errors, sent, kept, outcome]).astype(np.intp)
+    return CodeLookups(tables.announced.ravel(), labels, tuple(fields), tuple(rows), tally)

@@ -3,11 +3,14 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from timebin_qkd import cli
+import timebin_qkd
+from timebin_qkd import cli, session
 from timebin_qkd.cli import main
 
 
@@ -37,15 +40,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def counted(monkeypatch, name: str) -> list:
-    """Count the calls `cli` makes to its function `name`; the list gets one entry per call."""
-    calls, function = [], getattr(cli, name)
+def counted(monkeypatch, module, name: str) -> list:
+    """Count the calls `cli` makes to `module`'s function `name`; the list gets one entry per
+    call. `cli` imports `session`'s functions when a command runs, so they are counted there."""
+    calls, function = [], getattr(module, name)
 
     def counting(*args):
         calls.append(args)
         return function(*args)
 
-    monkeypatch.setattr(cli, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -266,7 +270,7 @@ class TestRun:
             (tmp_path / trace).symlink_to(stats)
         if trace == "hard.json":
             os.link(stats, tmp_path / trace)
-        sessions = counted(monkeypatch, "run_session")
+        sessions = counted(monkeypatch, session, "run_session")
         code, out, err = run_cli(
             capsys, "run", "--protocol", "combined", "--trials", "10", "--seed", "1",
             "--out", "stats.json", "--trace", trace,
@@ -307,7 +311,7 @@ class TestChart:
         assert exc.value.code == 2
 
     def test_unwritable_out_exits_1_before_the_chart_is_made(self, capsys, tmp_path, monkeypatch):
-        charts = counted(monkeypatch, "generate_chart")
+        charts = counted(monkeypatch, cli, "generate_chart")
         code, out, err = run_cli(capsys, "chart", "--protocol", "fig1", "--out", str(tmp_path))
         assert code == 1 and out == "" and "I/O" in err and charts == []
 
@@ -343,6 +347,33 @@ class TestStates:
             "  amplitudes: (0, 0.707106781187, 0.707106781187i, 0)",
             "  amplitudes: (0, 0.707106781187, -0.707106781187i, 0)",
         ]
+
+
+#: A child process that runs cli.main on its arguments, then writes to stderr whether
+#: numpy.random and timebin_qkd.session were imported.
+IMPORTS_PROBE = """
+import sys
+from timebin_qkd.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+sys.stderr.write(repr([m in sys.modules for m in ("numpy.random", "timebin_qkd.session")]))
+"""
+
+
+@pytest.mark.parametrize("argv, imported", [
+    (["chart", "--protocol", "combined"], False),
+    (["states", "--protocol", "owa"], False),
+    (["--help"], False),
+    (["run", "--protocol", "fig1", "--trials", "10", "--seed", "1"], True),
+], ids=["chart", "states", "help", "run"])
+def test_only_commands_that_run_sessions_import_numpy_random(argv, imported):
+    # session imports numpy.random, ~15 ms of a process that draws nothing.
+    env = {**os.environ, "PYTHONPATH": str(Path(timebin_qkd.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", IMPORTS_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout and proc.stderr == repr([imported, imported])
 
 
 class TestSweep:
@@ -390,7 +421,7 @@ class TestSweep:
         assert "empty" in err
 
     def test_unwritable_out_exits_1_before_any_session(self, capsys, tmp_path, monkeypatch):
-        sessions = counted(monkeypatch, "run_session")
+        sessions = counted(monkeypatch, session, "run_session")
         code, out, err = run_cli(
             capsys, "sweep", "--protocol", "combined", "--phase-grid", "0,1,2",
             "--trials", "10", "--out", str(tmp_path / "missing" / "sweep.csv"),
@@ -404,7 +435,7 @@ class TestSweep:
     def test_bad_grid_exits_2_with_no_session_and_no_file(
         self, capsys, tmp_path, monkeypatch, argv
     ):
-        sessions = counted(monkeypatch, "run_session")
+        sessions = counted(monkeypatch, session, "run_session")
         path = tmp_path / "sweep.csv"
         code, out, err = run_cli(
             capsys, "sweep", "--protocol", "combined", *argv, "--out", str(path))

@@ -42,7 +42,6 @@ from timebin_qkd.session import (
     TRACE_COLUMNS,
     ChannelSpec,
     SessionConfig,
-    _born_table,
     born_table,
     run_session,
     trace_csv,
@@ -129,6 +128,42 @@ def test_kernel_tables_equal_scalar_path(scheme):
                     result.bit_alice, result.bit_bob, result.kept,
                 )
             assert kernel.fields[row + n_outcomes] == (index, "lost", False, "", None, None, False)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_kernel_lookups_equal_the_code_by_code_oracle(scheme):
+    # The record's lookups, built from one sift call per Alice index and
+    # verdict and one CSV pass, are those of a sift call and a csv.writer
+    # row per code.
+    kernel, expected = session._kernel(scheme), oracles.code_lookups(scheme)
+    np.testing.assert_array_equal(kernel.announced, expected.announced)
+    assert kernel.labels == expected.labels
+    assert kernel.fields == expected.fields
+    assert kernel.rows == expected.rows
+    assert kernel.tally.dtype == expected.tally.dtype
+    np.testing.assert_array_equal(kernel.tally, expected.tally)
+
+
+def test_kernel_build_sifts_per_verdict_and_renders_rows_when_read(monkeypatch):
+    # Building owa's record calls sift at most once per Alice index and
+    # verdict Bob can announce, and makes no record or trace row: a session
+    # whose stats alone are read makes none either, and the first trace does.
+    calls = {"sift": 0, "_trace_fields": 0}
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(session, name)):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(session, name, counted)
+    session._kernel.cache_clear()
+    kernel = session._kernel("owa")
+    verdicts = len(set(kernel.announced.tolist()))
+    assert verdicts == 5 and 0 < calls["sift"] <= 4 * verdicts
+    _, records = run_session(SessionConfig(SchemeId.OWA_FOUR_PHASE, 5000, 3, PHASE_RANDOM))
+    assert "fields" not in vars(kernel) and "rows" not in vars(kernel)
+    assert calls["_trace_fields"] == 0
+    trace_csv(records)
+    assert "rows" in vars(kernel) and calls["_trace_fields"] == len(kernel.fields)
+    assert calls["sift"] <= 4 * verdicts
 
 
 @pytest.mark.parametrize("name", ["owa", "fig1"])
@@ -309,6 +344,42 @@ def test_born_table_rejects_unnormalized_rows():
         BornTable.from_amplitudes(np.array([[np.nan], [0.0]], dtype=complex))
     with pytest.raises(UnnormalizedStateError):  # a law that sums to 1.2
         BornTable.from_probabilities(np.array([[0.6], [0.6]]))
+    with pytest.raises(UnnormalizedStateError):  # a law that sums to 1, with a negative entry
+        BornTable.from_probabilities(np.array([[1.2, 0.5], [-0.2, 0.5]]))
+    BornTable.from_probabilities(np.array([[-0.0], [1.0]]))  # -0.0 is no negative probability
+
+
+def counted_guide(table: BornTable) -> np.ndarray:
+    """The table's guide by counting every CDF entry but the last against every bucket edge."""
+    entries = table.cdf[:, :-1].T[..., None]
+    sure = (entries <= qstate._BUCKET_FIRST * table.total[:, None]).sum(axis=0)
+    maybe = (entries <= qstate._BUCKET_LAST * table.total[:, None]).sum(axis=0)
+    return np.where(sure == maybe, sure, qstate._STEP).ravel()
+
+
+@st.composite
+def edge_laws(draw):
+    """An outcomes × rows law whose CDF entries lie on, and a float either side of, bucket
+    edges b/GUIDE_BUCKETS, with zero outcomes, sure outcomes and totals short of 1."""
+    outcomes, n_rows = draw(st.integers(2, 36)), draw(st.integers(1, 4))
+    columns = []
+    for _ in range(n_rows):
+        edge = st.integers(0, GUIDE_BUCKETS).map(lambda b: b / GUIDE_BUCKETS)
+        entry = st.one_of(edge, edge.map(lambda x: np.nextafter(x, 0.0)),
+                          edge.map(lambda x: np.nextafter(x, 2.0)), st.floats(0.0, 1.0))
+        cdf = np.clip(sorted(draw(st.lists(entry, min_size=outcomes - 1, max_size=outcomes - 1))),
+                      0.0, 1.0)
+        p = np.diff(cdf, prepend=0.0, append=1.0)
+        columns.append(p * draw(st.sampled_from([1.0, 1 - 2.0**-52, 1 - 1e-12, 1 + 1e-12])))
+    return np.array(columns).T
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_laws())
+def test_guide_equals_counted_guide_on_edge_laws(p):
+    table = BornTable.from_probabilities(p)
+    assert table.guide.dtype == np.uint8
+    np.testing.assert_array_equal(table.guide, counted_guide(table))
 
 
 def test_theta_and_theta_plus_two_pi_share_one_table():
@@ -316,22 +387,24 @@ def test_theta_and_theta_plus_two_pi_share_one_table():
     assert wrap_phase(theta + TWO_PI) == theta
     for scheme in SCHEMES:
         first = born_table(scheme, theta)
-        size = _born_table.cache_info().currsize
+        cache = session._kernel(scheme)._tables
+        size = cache.cache_info().currsize
         assert born_table(scheme, theta + TWO_PI) is first
         assert born_table(scheme, theta - TWO_PI) is first
-        assert _born_table.cache_info().currsize == size
+        assert cache.cache_info().currsize == size
         assert born_table(scheme, theta + 1.1) is not first
 
 
 def test_theta_zero_is_the_kernel_table_and_never_cached_apart():
     # A θ that wraps to 0 (tiny negatives included) gets the kernel's own
-    # table; _born_table holds only θ ≠ 0.
+    # table; its cache of tables holds only θ ≠ 0.
     for scheme in SCHEMES:
-        misses = _born_table.cache_info().misses
+        cache = session._kernel(scheme)._tables
+        misses = cache.cache_info().misses
         zero = born_table(scheme, 0.0)
         for theta in (-0.0, TWO_PI, -TWO_PI, -1e-20, -5e-324):
             assert born_table(scheme, theta) is zero
-        assert _born_table.cache_info().misses == misses
+        assert cache.cache_info().misses == misses
 
 
 # --- the decoherence-free subspace, and the dephased table -----------------------
@@ -385,7 +458,7 @@ def test_kernel_tables_are_built_from_the_signal_rows(scheme):
     # session with a θ per trial samples.
     kernel = session._kernel(scheme)
     assert kernel.table is born_table(scheme, 0.0)
-    np.testing.assert_array_equal(session._code_guide(scheme, None)[0].cdf, kernel.dephased.cdf)
+    assert kernel.code_guide(None)[0] is kernel.dephased
     fresh = BornTable.from_amplitudes(session._signal_rows(kernel.signals, np.exp(0j)))
     np.testing.assert_array_equal(kernel.table.cdf, fresh.cdf)
     np.testing.assert_array_equal(kernel.table.total, fresh.total)
@@ -522,7 +595,7 @@ def test_theta_rule_gives_the_one_relative_phase(scheme, phase, channel):
     if (scheme, phase, channel) == (SchemeId.FIG1_SINGLE_PHOTON, 0.7, "collective=1.1"):
         assert theta == pytest.approx(0.4, abs=1e-15)
 
-    table = session._code_guide(scheme, theta)[0]
+    table = session._kernel(scheme).code_guide(theta)[0]
     roundoff = np.spacing(abs(spec.phi or 0.0)) if single and theta is not None else 0.0
     phases = oracles.PHASE_GRID if phase == PHASE_RANDOM else (phase,)
     betas = oracles.bob_betas(scheme)
@@ -675,7 +748,6 @@ LAZY_SESSIONS = {
 @pytest.mark.parametrize("name", list(LAZY_SESSIONS))
 def test_sessions_sharing_one_theta_build_no_dephased_table(name):
     session._kernel.cache_clear()
-    session._code_guide.cache_clear()
     for config in LAZY_SESSIONS[name]:
         run_session(config)
     for scheme in SCHEMES:
@@ -706,10 +778,9 @@ def test_sessions_with_a_theta_per_trial_sample_the_dephased_table(name):
     kernel = session._kernel(config.scheme)
     assert session._theta(config, kernel.photons) is None
     session._kernel.cache_clear()
-    session._code_guide.cache_clear()
     run_session(config)
     kernel = session._kernel(config.scheme)
-    assert session._code_guide(config.scheme, None)[0] is kernel.dephased
+    assert kernel.code_guide(None)[0] is kernel.dephased
     assert {s for s in SCHEMES if "dephased" in vars(session._kernel(s))} == {config.scheme}
 
 
@@ -776,7 +847,7 @@ def test_code_guide_is_the_table_guide_as_codes(scheme):
     kernel = session._kernel(scheme)
     n_settings, n_outcomes = len(kernel.betas), len(kernel.outcomes)
     for theta in [wrap_phase(t) for t in TABLE_THETAS] + [None]:
-        table, guide, rows = session._code_guide(scheme, theta)
+        table, guide, rows = kernel.code_guide(theta)
         expected = kernel.dephased if theta is None else born_table(scheme, theta)
         np.testing.assert_array_equal(table.cdf, expected.cdf)
         assert guide.dtype == np.uint16 and not guide.flags.writeable
