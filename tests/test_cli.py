@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -32,6 +33,12 @@ CHANNEL_FORMS = [
     ("collective=random", {"kind": "collective", "phi": "random"}),
     ("loss=0.2", {"kind": "loss", "loss": 0.2}),
 ]
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    """Run `python args` on this checkout's package to its exit; its stdout and stderr as bytes."""
+    env = {**os.environ, "PYTHONPATH": str(Path(timebin_qkd.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
 
 
 def run_cli(capsys, *argv):
@@ -370,10 +377,86 @@ sys.stderr.write(repr([m in sys.modules for m in ("numpy.random", "timebin_qkd.s
 ], ids=["chart", "states", "help", "run"])
 def test_only_commands_that_run_sessions_import_numpy_random(argv, imported):
     # session imports numpy.random, ~15 ms of a process that draws nothing.
-    env = {**os.environ, "PYTHONPATH": str(Path(timebin_qkd.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", IMPORTS_PROBE, *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.stdout and proc.stderr == repr([imported, imported])
+    proc = python("-c", IMPORTS_PROBE, *argv)
+    assert proc.stdout and proc.stderr == repr([imported, imported]).encode()
+
+
+#: The two ways a process runs the program: the code of the `timebin-qkd`
+#: console script, and `python -m`.
+PROGRAM = {
+    "script": ["-c", "import sys; from timebin_qkd.cli import main; sys.exit(main())"],
+    "module": ["-m", "timebin_qkd.cli"],
+}
+
+RUN_ARGV = ["run", "--protocol", "fig1", "--trials", "5000", "--seed", "3", "--phase", "0.4",
+            "--channel", "loss=0.1", "--eve"]
+
+
+@pytest.mark.parametrize("how", PROGRAM)
+def test_program_writes_the_bytes_of_main(how, tmp_path, capsys):
+    # The process, which freezes the collector before it ends, writes what main(argv) writes.
+    paths = {side: (tmp_path / f"{side}.json", tmp_path / f"{side}.csv") for side in "ab"}
+    code, out, err = run_cli(capsys, *RUN_ARGV, "--out", str(paths["a"][0]),
+                             "--trace", str(paths["a"][1]))
+    proc = python(*PROGRAM[how], *RUN_ARGV, "--out", str(paths["b"][0]),
+                  "--trace", str(paths["b"][1]))
+    assert code == proc.returncode == 0 and out == err == "" and proc.stdout == proc.stderr == b""
+    for a, b in zip(paths["a"], paths["b"]):
+        assert a.read_bytes() == b.read_bytes()
+    code, out, _ = run_cli(capsys, *RUN_ARGV)
+    proc = python(*PROGRAM[how], *RUN_ARGV)
+    assert code == proc.returncode == 0 and proc.stdout == out.encode() and proc.stderr == b""
+
+
+@pytest.mark.parametrize("how", PROGRAM)
+@pytest.mark.parametrize("argv, code, message", [
+    (["run", "--protocol", "fig1", "--trials", "10", "--seed", "-1"], 2, "error: "),
+    (["run", "--protocol", "fig1", "--trials", "10", "--frobnicate"], 2, "unrecognized"),
+    (["run", "--protocol", "fig1", "--trials", "10", "--seed", "1",
+      "--out", "{tmp}/missing/stats.json"], 1, "I/O error: "),
+    # 2^48 trials need 2^49 bytes of codes, more than a 48-bit address space
+    # can map, so the allocation fails at once and touches no memory.
+    (["run", "--protocol", "combined", "--trials", str(2**48), "--seed", "1"], 2,
+     "error: Unable to allocate"),
+], ids=["config-error", "argparse-error", "unwritable-out", "out-of-memory"])
+def test_program_exit_codes(how, argv, code, message, tmp_path):
+    proc = python(*PROGRAM[how], *(arg.format(tmp=tmp_path) for arg in argv))
+    err = proc.stderr.decode()
+    assert proc.returncode == code and proc.stdout == b""
+    assert message in err and "Traceback" not in err
+
+
+#: A child process that runs main() on its own arguments, then writes to stderr
+#: the exit code and whether the collector was frozen before and after.
+FREEZE_PROBE = """
+import gc, sys
+from timebin_qkd.cli import main
+frozen = gc.get_freeze_count() > 0
+try:
+    code = main()
+except SystemExit as exc:
+    code = exc.code
+sys.stderr.write(repr((code, frozen, gc.get_freeze_count() > 0)))
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["states", "--protocol", "owa"], 0),
+    (["run", "--protocol", "fig1", "--trials", "10", "--seed", "-1"], 2),
+    (["--help"], 0),
+], ids=["returns", "config-error", "help-exits"])
+def test_the_program_freezes_the_collector_as_it_ends(argv, code):
+    proc = python("-c", FREEZE_PROBE, *argv)
+    assert proc.stderr.endswith(repr((code, False, True)).encode())
+
+
+def test_main_with_argv_leaves_the_collector_as_it_was(capsys):
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, *RUN_ARGV)[0] == 0
+    assert run_cli(capsys, "run", "--protocol", "fig1", "--trials", "10", "--seed", "-1")[0] == 2
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert gc.get_freeze_count() == before
 
 
 class TestSweep:
