@@ -8,6 +8,7 @@ flags that need it, so that `chart`, `states` and `--help` start without it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import gc
 import io
@@ -128,18 +129,22 @@ def _run_config(args: argparse.Namespace) -> SessionConfig:
     return config_from_dict(doc)
 
 
-def _check_writable(*paths: str | None) -> None:
-    """Open each path but None to append, so that an unwritable one fails before any work
-    or output; the files made here for the paths before it are then removed."""
+@contextlib.contextmanager
+def _writable(*paths: str | None):
+    """Open each path but None to append before the block runs, so that an unwritable one fails
+    before any work or output. The files made here are removed if that or the block fails: a
+    session too large to allocate, say. A file that was there keeps its bytes until written."""
     made = []
     try:
         for path in [path for path in paths if path is not None]:
             new = not os.path.exists(path)
             open(path, "a", encoding="utf-8").close()
             made += [path] if new else []
-    except OSError:
+        yield
+    except BaseException:
         for path in made:
-            os.remove(path)
+            with contextlib.suppress(OSError):
+                os.remove(path)
         raise
 
 
@@ -155,22 +160,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _run_config(args)
     if args.out is not None and args.trace is not None and _same_file(args.out, args.trace):
         raise ConfigError(f"--out and --trace name the same file: {args.out!r}, {args.trace!r}")
-    _check_writable(args.out, args.trace)
-    stats, records = run_session(config)
-    out = _stats_csv(stats_document(stats)) if args.format == "csv" else stats_json(stats)
-    _write_output(out, args.out)
-    if args.trace is not None:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(trace_csv(records))
+    with _writable(args.out, args.trace):
+        stats, records = run_session(config)
+        out = _stats_csv(stats_document(stats)) if args.format == "csv" else stats_json(stats)
+        _write_output(out, args.out)
+        if args.trace is not None:
+            with open(args.trace, "w", encoding="utf-8") as fh:
+                fh.write(trace_csv(records))
     return 0
 
 
 def cmd_chart(args: argparse.Namespace) -> int:
     wrap_phase(args.phase)  # a phase that is not finite is a ValueError before --out is made
-    _check_writable(args.out)
-    chart = generate_chart(SchemeId(args.protocol), args.phase)
-    out = chart.render_text() if args.format == "text" else chart.to_json()
-    _write_output(out, args.out)
+    with _writable(args.out):
+        chart = generate_chart(SchemeId(args.protocol), args.phase)
+        out = chart.render_text() if args.format == "text" else chart.to_json()
+        _write_output(out, args.out)
     return 0
 
 
@@ -197,15 +202,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not grid:
         raise ConfigError("empty phase grid")
     configs = [SessionConfig(args.protocol, args.trials, args.seed, phi) for phi in grid]
-    _check_writable(args.out)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["phi", "sifted_rate", "qber"])
-    for phi, config in zip(grid, configs):
-        stats, _ = run_session(config)
-        qber = "" if stats.qber is None else _fmt(stats.qber)
-        writer.writerow([_fmt(phi), _fmt(stats.sifted_rate), qber])
-    _write_output(buf.getvalue(), args.out)
+    with _writable(args.out):
+        for phi, config in zip(grid, configs):
+            stats, _ = run_session(config)
+            qber = "" if stats.qber is None else _fmt(stats.qber)
+            writer.writerow([_fmt(phi), _fmt(stats.sifted_rate), qber])
+        _write_output(buf.getvalue(), args.out)
     return 0
 
 

@@ -5,9 +5,9 @@ arbitrary hashable objects (strings for time bins, detection-outcome records
 for interferometer outputs). Basis order is part of the state's identity and
 is preserved by every operation.
 
-States are sampled one at a time by `born_sample`, and fixed columns in
-batches by a `BornTable`: of amplitudes, or of probabilities such as a law
-averaged over a random phase.
+States are sampled one at a time by `born_sample`, and fixed columns of
+probabilities (Born laws, or laws mixed from them) in batches by a
+`BornTable`.
 """
 from __future__ import annotations
 
@@ -169,11 +169,6 @@ class BornTable:
     cdf: np.ndarray  # rows × outcomes
     total: np.ndarray  # rows
     guide: np.ndarray  # rows · GUIDE_BUCKETS, uint8
-
-    @classmethod
-    def from_amplitudes(cls, amps: np.ndarray) -> "BornTable":
-        """The table of the columns of a d×rows amplitude matrix, by their Born probabilities."""
-        return cls.from_probabilities(amps.real**2 + amps.imag**2)
 
     @classmethod
     def from_probabilities(cls, p: np.ndarray) -> "BornTable":

@@ -12,7 +12,7 @@ array operations over the block's trials on its scheme's tables
 (`_kernel`). Each trial leaves one small integer code that fixes Alice's
 index, Bob's modulator setting and the outcome ("lost" included). The
 statistics, the records and the trace are derived from the codes. Every
-trial is sampled from its own words alone, so the block size is not part
+trial is sampled from its own word alone, so the block size is not part
 of the RNG identity: it changes no code, only how many trials each array
 operation covers.
 
@@ -28,55 +28,57 @@ and θ = φ_c − φ, the channel's phase less the interferometer's, for
 `fig1`. Only θ mod 2π reaches the law. Where a phase is uniform per trial
 (a pair behind independent dephasing, `fig1` at a random φ or behind
 random or independent dephasing), so is θ mod 2π, and no output reports
-it: each outcome then has its θ-averaged law, the scheme's dephased table.
-So a session has one θ, or the dephased table; `_theta` applies this
-rule, and no other code does.
+it: each outcome then has its θ-averaged law, the scheme's dephased law.
+So a session has one θ, or the dephased law; `_theta` applies this rule,
+and no other code does.
+
+No output reports what Eve resent or which photon was lost either, only
+each trial's code. So every trial of a session draws its code from one
+law per table row (Alice's index and Bob's setting), `_Kernel.law`: Bob's
+law at the session's θ, or the dephased law; mixed, with Eve, over the
+index she resends after her own θ = 0 measurement; and scaled by the
+chance (1 − p)^photons that every photon survives a loss channel, the
+rest of the mass on the "lost" outcome.
 
 Each scheme has one record, `_kernel(scheme)`, built from `protocols`
 (signal states, classify_*, sift) and `optics`: its signal rows, the
-signal index each verdict names, its θ = 0 table, and its tally per trial
-code, from one sift call per Alice index and verdict. The rest is built on
-first use and kept in the record, so that `_kernel.cache_clear()` drops it
-all: the dephased table, a table and a code guide per θ, Eve's resend
-guide, and the records' fields and trace rows per code, which only a
-session whose records or trace are read builds. Each build is array work
-over its table, a few calls per row or per verdict, not a call per code or
-cell. A session is sampled from one table, `born_table(scheme, θ)` or the
-dephased one, by one lookup per trial in its guide as trial codes
-(`_Kernel.code_guide`), keyed by the trial's word 0 alone. Eve's resend
-is one lookup in her scheme's resend guide (`_resend`), and the loss one
-comparison of the loss word. A float u is made only for the few trials
-whose guide cell holds a CDF step.
+signal index each verdict names, and its tally per trial code, from one
+sift call per Alice index and verdict. The rest is built on first use and
+kept in the record, so that `_kernel.cache_clear()` drops it all: Eve's
+resend law, a table and a code guide per law (θ, Eve, survival), and the
+records' fields and trace rows per code, which only a session whose
+records or trace are read builds. Each build is array work over its
+table, a few calls per row or per verdict, not a call per code or cell.
+A session is sampled from the table of its law by one lookup per trial in
+its guide as trial codes (`_Kernel.code_guide`), keyed by the trial's
+word alone. A float u is made only for the few trials whose guide cell
+holds a CDF step.
 
 A trial in such a cell compares u·total with its row's CDF, as the
-inverse-CDF reference of `tests/oracles.py` does on the trial's own Born
-law (averaged over θ for the dephased table). The tables' CDFs differ
-from that one only by roundoff; the tests hold them to it. The kernel as
-a whole is checked against the scalar ModeState path through the exact
-session expectations of the same file.
+inverse-CDF reference of `tests/oracles.py` does on the trial's own law
+(its Born laws averaged over θ where θ is uniform, mixed over what Eve
+resends, and scaled by the survival). The tables' CDFs differ from that
+one only by roundoff; the tests hold them to it. The kernel's law as a
+whole is checked against the exact law of each trial code on the scalar
+ModeState path, in the same file.
 
 Determinism contract: chunk k draws from its own Philox4x64-10
 counter-based stream keyed by (seed, k), in the style of Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3" (SC'11). Each thread holds
 one Philox bit generator, made on its first session and re-keyed to
 (seed, k) by the state setter for every chunk; so sessions in different
-threads share no stream. A chunk of n trials makes one random_raw(W·n),
-and trial k's fields are cut from its own W words, k·W .. k·W + W − 1:
-
-- word 0: Bob's uniform u, its top 53 bits × 2⁻⁵³ (as numpy's next_double
-  takes them); its low bits give Alice's index − 1 (bits 0–1), Bob's
-  setting (bit 2, `owa`), Eve's setting (bit 3, `owa` with Eve) and Eve's
-  fallback index − 1 (bits 4–5, with Eve);
-- then, only where the config reads them, in this order: Eve's uniform,
-  and one loss uniform, the trial lost iff it is ≥ (1 − p)^photons.
-
-W = 1 + Eve + loss is fixed per config, and no draw is made that no trial
-reads. The stream rests only on random_raw and the state setter, whose
-output Philox's specification fixes. One config therefore gives
-byte-identical stats and traces.
+threads share no stream. A chunk of n trials makes one random_raw(n), and
+trial k's fields are cut from its own word k: Bob's uniform u, its top 53
+bits × 2⁻⁵³ (as numpy's next_double takes them), and from its low bits
+Alice's index − 1 (bits 0–1) and Bob's setting (bit 2, `owa`). Every
+config draws that one word per trial, Eve and loss included, and no other.
+The stream rests only on random_raw and the state setter, whose output
+Philox's specification fixes. One config therefore gives byte-identical
+stats and traces.
 """
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
@@ -103,14 +105,14 @@ from .qstate import _STEP, GUIDE_BUCKETS, BornTable
 #: the RNG identity: changing it changes every sampled number.
 CHUNK_TRIALS = 4096
 
-#: Chunks sampled together, after each has made its own draws
-#: (`_session_codes`). Not part of the RNG identity: every trial's words, and
-#: so its code, stay the same.
+#: Chunks sampled together, after each has drawn its trials' words
+#: (`_session_codes`). Not part of the RNG identity: every trial's word, and
+#: so its code, stays the same.
 BLOCK_CHUNKS = 4
 
 RNG_IDENTITY = (
-    f"philox4x64-10 keyed (seed, chunk), {CHUNK_TRIALS}-trial chunks, raw words per trial,"
-    " theta-averaged dephasing"
+    f"philox4x64-10 keyed (seed, chunk), {CHUNK_TRIALS}-trial chunks, one raw word per trial,"
+    " sampled from the session's code law"
 )
 
 #: Seeds are Philox key words: integers in [0, 2**64).
@@ -289,12 +291,13 @@ _LOST = 5
 
 @dataclass(frozen=True)
 class _Kernel:
-    """A scheme's one record: its tables, and lookups over its trial codes.
+    """A scheme's one record: its signal rows, the laws of its codes, and lookups over the codes.
 
     code = (alice·S + setting)·(O + 1) + outcome, with alice = index − 1, S
     Bob's modulator settings, O outcomes and outcome O meaning "lost"; so
-    code counts reshape to a 4 × S × (O + 1) grid. A verdict slot is the
-    index Bob's verdict names, 0 when inconclusive, or _LOST.
+    code counts reshape to a 4 × S × (O + 1) grid, one table row per
+    alice·S + setting. A verdict slot is the index Bob's verdict names, 0
+    when inconclusive, or _LOST.
     """
 
     id: SchemeId
@@ -303,50 +306,54 @@ class _Kernel:
     outcomes: tuple  # the O outcomes of the detection basis the interferometer maps onto
     signals: np.ndarray  # 4·S × d: row (index − 1)·S + setting, after Bob's (diagonal) modulator
     announced: np.ndarray  # S·O, at setting·O + outcome: the index Bob's verdict names, or 0
-    table: BornTable  # at θ = 0, the one Eve measures with
     labels: tuple[str, ...]  # per outcome, "lost" last
     slots: np.ndarray  # per code: its verdict slot
     sifted: dict  # per (alice, verdict slot): the TrialRecord fields after `outcome_label`
     tally: np.ndarray  # 0/1 per code: counts @ tally = errors, sent[4], kept[4], histogram[O + 1]
 
-    def eve_row(self, key: np.ndarray) -> np.ndarray:
-        """The table row Eve measures, from word 0's low bits: alice·S, plus her setting for owa."""
-        n_settings = len(self.betas)
-        return (key & 3) * n_settings + ((key >> 3) & 1 if n_settings > 1 else 0)
-
-    def resent(self, key: np.ndarray, outcome: np.ndarray) -> np.ndarray:
-        """The index − 1 Eve resends after `outcome` in row eve_row(key): the one her verdict
-        names, or her uniform fallback, key's bits 4–5."""
-        seen = outcome if len(self.betas) == 1 else ((key >> 3) & 1) * len(self.outcomes) + outcome
-        named = self.announced[seen]
-        return np.where(named > 0, named - 1, (key >> 4) & 3)
-
-    def born_table(self, theta: float) -> BornTable:
-        """The Born table at a wrapped theta: `table` at 0, else one of the 128 last built."""
-        return self.table if theta == 0.0 else self._tables(theta)
+    def born(self, late: complex) -> np.ndarray:
+        """The Born law of each signal row, 4·S × O, with the last photon's late bin times `late`
+        and the interferometer at 0 (`_signal_rows`), each |a|² as a.real**2 + a.imag**2."""
+        amps = _signal_rows(self.signals, late)
+        return (amps.real**2 + amps.imag**2).T
 
     @cached_property
-    def _tables(self):
-        def table(theta: float) -> BornTable:
-            return BornTable.from_amplitudes(_signal_rows(self.signals, np.exp(1j * theta)))
-        return lru_cache(maxsize=128)(table)
+    def resend_law(self) -> np.ndarray:
+        """Eve's resend matrix, 4 × 4: at [a, r], the chance that she resends index r + 1 when
+        Alice sent a + 1.
 
-    @cached_property
-    def dephased(self) -> BornTable:
-        """The Born table of the signal rows averaged over a uniform θ.
-
-        Each outcome probability is |x·e^{iθ} + y|², whose mean |x|² + |y|²
-        is the mean of the θ = 0 and θ = π laws; so the table is built from
-        those two exactly, at late = ±1.0. Built on first use and kept.
+        She measures at θ = 0 in a uniform one of Bob's settings, and resends
+        the index her verdict names, or a uniform one when it is
+        inconclusive. Built on first use and kept.
         """
-        rows = _signal_rows(self.signals, 1.0), _signal_rows(self.signals, -1.0)
-        p_zero, p_pi = (a.real**2 + a.imag**2 for a in rows)
-        return BornTable.from_probabilities((p_zero + p_pi) / 2)
+        seen = self.born(1.0).reshape(4, -1) / len(self.betas)  # per alice: P(setting, outcome)
+        named = seen @ (self.announced[:, None] == np.arange(5))  # per alice: P(verdict names v)
+        return named[:, 1:] + named[:, :1] / 4
+
+    def law(self, theta: float | None, eve: bool, survive: float) -> np.ndarray:
+        """Each table row's outcome law, 4·S × (O + 1), "lost" last: the law of a session's codes.
+
+        Bob's Born law at the wrapped theta, or the dephased law when theta
+        is None (`_theta`); with eve, mixed over what she resends
+        (`resend_law`); then scaled by the chance survive that every photon
+        survives, the rest lost. Each outcome probability at θ is
+        |x·e^{iθ} + y|², whose mean |x|² + |y|² is the mean of the θ = 0 and
+        θ = π laws, so the dephased law is taken from those two exactly, at
+        late = ±1.0. Without Eve and loss the first O columns are those Born
+        laws bit for bit, and "lost" is 0.
+        """
+        if theta is None:
+            p = (self.born(1.0) + self.born(-1.0)) / 2
+        else:
+            p = self.born(np.exp(1j * theta))
+        if eve:  # row a·S + s: the sum over r of resend_law[a, r] times row r·S + s
+            p = (self.resend_law @ p.reshape(4, -1)).reshape(p.shape)
+        return np.column_stack([survive * p, np.full(len(p), 1.0 - survive)])
 
     @cached_property
     def code_guide(self):
-        """code_guide(theta) = (table, guide, rows): born_table(theta), or the dephased table when
-        theta is None (`_theta`), its guide as trial codes, and their rows; the 128 last kept.
+        """code_guide(theta, eve, survive) = (table, guide, rows): the table of law(theta, eve,
+        survive), its guide as trial codes, and their rows; the 128 last kept.
 
         A trial word w keys guide cell ((w & 4·S − 1) << _BUCKET_BITS) |
         (w >> _BUCKET_SHIFT): first its raw bits alice + 4·setting, the key of
@@ -359,8 +366,9 @@ class _Kernel:
         rows = (key & 3) * n_settings + (key >> 2)
         rows.setflags(write=False)
 
-        def code_guide(theta: float | None) -> tuple[BornTable, np.ndarray, np.ndarray]:
-            table = self.dephased if theta is None else self.born_table(theta)
+        def code_guide(theta: float | None, eve: bool,
+                       survive: float) -> tuple[BornTable, np.ndarray, np.ndarray]:
+            table = BornTable.from_probabilities(self.law(theta, eve, survive).T)
             cells = table.guide.reshape(-1, GUIDE_BUCKETS)[rows]
             guide = (cells + (rows * (n_outcomes + 1))[:, None]).astype(np.uint16)
             guide[cells == _STEP] = _UNDECIDED
@@ -368,24 +376,6 @@ class _Kernel:
             guide.setflags(write=False)  # shared by every session of the cache
             return table, guide, rows
         return lru_cache(maxsize=128)(code_guide)
-
-    @cached_property
-    def resend(self) -> np.ndarray:
-        """Eve's resend guide: the index − 1 she resends, uint8, per (key, u bucket), flat.
-
-        key = w & 2^_EVE_BITS − 1 of the trial's word 0, the u bucket that of
-        her own uniform. The cell is what she resends after the θ = 0 table's
-        guide cell in her row: one lookup per cell in a table of resent(key,
-        outcome), whose _STEP column holds _STEP, since there her outcome
-        depends on u within the bucket. Built on first use and kept.
-        """
-        key = np.arange(2**_EVE_BITS)
-        after = np.full((len(key), _STEP + 1), _STEP, dtype=np.uint8)  # per key and guide cell
-        after[:, :len(self.outcomes)] = self.resent(key[:, None], np.arange(len(self.outcomes)))
-        cells = self.table.guide.reshape(-1, GUIDE_BUCKETS)[self.eve_row(key)]
-        guide = after.take(key[:, None] * (_STEP + 1) + cells).ravel()
-        guide.setflags(write=False)
-        return guide
 
     @cached_property
     def fields(self) -> tuple[tuple, ...]:
@@ -472,20 +462,8 @@ def _kernel(scheme: SchemeId | str) -> _Kernel:
     sent = alice[:, None] == np.arange(4)
     outcome = code[:, None] % len(labels) == np.arange(len(labels))
     tally = np.column_stack([wrong[alice, slots], sent, sent & keep[alice, slots][:, None], outcome])
-    return _Kernel(scheme_id, 1 if single else 2, betas, outcomes, signals, announced,
-                   BornTable.from_amplitudes(_signal_rows(signals, 1.0)), labels, slots, sifted,
-                   tally.astype(np.intp))
-
-
-def born_table(scheme_id: SchemeId, theta: float) -> BornTable:
-    """The Born table of a scheme's 4 × S signal rows at relative phase theta.
-
-    theta is the phase on the late bin of the last photon, with the
-    interferometer at 0 (`_signal_rows`); the module docstring says which θ
-    each trial has. At a wrapped theta of 0 this is the scheme's table held
-    once in `_kernel`; other tables are cached in its record per wrapped theta.
-    """
-    return _kernel(SchemeId(scheme_id)).born_table(wrap_phase(float(theta)))
+    return _Kernel(scheme_id, 1 if single else 2, betas, outcomes, signals, announced, labels,
+                   slots, sifted, tally.astype(np.intp))
 
 
 _thread = threading.local()  # .bits: the thread's Philox bit generator, made on its first session
@@ -508,7 +486,8 @@ def _theta(config: SessionConfig, photons: int) -> float | None:
 
     A pair has a θ per trial only behind independent dephasing, and else
     θ = 0; fig1 has one when its phase or its channel's is uniform per
-    trial, and else θ = φ_c − φ.
+    trial, and else θ = φ_c − φ, taken as the angle of e^{iφ_c}·e^{−iφ}:
+    the difference itself loses the low bits of a large φ_c.
     """
     channel = config.channel
     if photons == 2:
@@ -516,17 +495,21 @@ def _theta(config: SessionConfig, photons: int) -> float | None:
     if config.phase == PHASE_RANDOM or channel.kind == "independent" or (
             channel.kind == "collective" and channel.phi is None):
         return None
-    return wrap_phase((channel.phi or 0.0) - config.phase)
+    factor = cmath.exp(1j * (channel.phi or 0.0)) * cmath.exp(-1j * config.phase)
+    return wrap_phase(cmath.phase(factor))
+
+
+def _law_key(config: SessionConfig, photons: int) -> tuple[float | None, bool, float]:
+    """The arguments of the session's law (`_Kernel.law`): its θ (`_theta`), whether Eve
+    intercepts, and the chance that all its photons survive, 1.0 but behind a loss channel."""
+    return (_theta(config, photons), config.eavesdropper == "intercept_resend",
+            (1.0 - config.channel.loss) ** photons)
 
 
 #: A raw word's top bits are the bucket of its uniform u = (w >> 11)·2⁻⁵³:
 #: w >> _BUCKET_SHIFT is ⌊u·GUIDE_BUCKETS⌋.
 _BUCKET_BITS = GUIDE_BUCKETS.bit_length() - 1
 _BUCKET_SHIFT = 64 - _BUCKET_BITS
-
-#: Word 0's low bits that fix what Eve resends: Alice's index − 1 (bits 0–1),
-#: Bob's setting (bit 2, unread by Eve), Eve's setting (bit 3) and fallback (4–5).
-_EVE_BITS = 6
 
 #: A code guide's cell where the trial's code depends on u within the bucket.
 _UNDECIDED = np.iinfo(np.uint16).max
@@ -537,44 +520,15 @@ def _uniform(words: np.ndarray) -> np.ndarray:
     return (words >> 11) * 2.0**-53
 
 
-def _resend(kernel: _Kernel, word: np.ndarray, eve_word: np.ndarray) -> np.ndarray:
-    """The index − 1 Eve resends, uint8, from each trial's word 0 and her own word.
-
-    One lookup in kernel.resend, keyed by (word's _EVE_BITS low bits, her u
-    bucket); a trial in a _STEP cell compares her u with the θ = 0 table's CDF.
-    """
-    key = (word & (2**_EVE_BITS - 1)).view(np.int64)
-    key <<= _BUCKET_BITS
-    key |= (eve_word >> _BUCKET_SHIFT).view(np.int64)
-    sent = kernel.resend.take(key)
-    step = (sent == _STEP).nonzero()[0]
-    if len(step):
-        key = key[step] >> _BUCKET_BITS
-        outcome = kernel.table.search(kernel.eve_row(key), _uniform(eve_word[step]))
-        sent[step] = kernel.resent(key, outcome)
-    return sent
-
-
-def _lost_from(survive: float) -> int:
-    """The least w >> 11 of a lost trial's loss word w: ⌈survive·2⁵³⌉.
-
-    A trial is lost iff its loss uniform (w >> 11)·2⁻⁵³ is ≥ survive, so iff
-    w >> 11 ≥ survive·2⁵³, a product that is exact: none at survive 1, all at 0.
-    """
-    return math.ceil(survive * 2.0**53)
-
-
 def _session_codes(config: SessionConfig, kernel: _Kernel) -> np.ndarray:
     """The session's trial codes, uint16, sampled per block of BLOCK_CHUNKS chunks.
 
     Per chunk the thread's bit generator is re-keyed to (seed, chunk) and
-    makes one random_raw(W·n) into the block's buffer of words; trial k reads
-    words W·k .. W·k + W − 1, laid out as the module docstring says. Then
-    every stage is a lookup keyed by the top and low bits of the trial's own
-    words: Eve's resend (`_resend`); Bob's outcome in the code guide of the
-    session's table (`_Kernel.code_guide`); and the loss, by one comparison
-    of the loss word. Only the few trials in undecided cells compare u with
-    a CDF.
+    makes one random_raw(n) into the block's buffer, one word per trial (the
+    module docstring gives its fields). Each trial's code is then one lookup,
+    keyed by its word's low and top bits, in the code guide of the session's
+    law (`_Kernel.code_guide`); only the few trials in undecided cells
+    compare u with a CDF.
 
     Each block writes its codes into the session's array in its own call,
     so its arrays are freed before the next block draws: past the codes, a
@@ -583,43 +537,25 @@ def _session_codes(config: SessionConfig, kernel: _Kernel) -> np.ndarray:
     if not hasattr(_thread, "bits"):
         _thread.bits = Philox(key=np.zeros(2, dtype=np.uint64))
     bits, seed = _thread.bits, config.seed
-    n_settings, n_outcomes = len(kernel.betas), len(kernel.outcomes)
-    eve, loss = config.eavesdropper == "intercept_resend", config.channel.kind == "loss"
-    width = 1 + eve + loss  # word 0, then Eve's word and the loss word, each where it is drawn
-    lost_from = _lost_from((1.0 - config.channel.loss) ** kernel.photons)
-    table, guide, rows = kernel.code_guide(_theta(config, kernel.photons))
+    table, guide, rows = kernel.code_guide(*_law_key(config, kernel.photons))
+    mask, per_row = 4 * len(kernel.betas) - 1, len(kernel.outcomes) + 1
     codes = np.empty(config.trials, dtype=np.uint16)
 
     def sample(start: int, stop: int) -> None:
-        words = np.empty((stop - start, width), dtype=np.uint64)
+        word = np.empty(stop - start, dtype=np.uint64)
         for chunk in range(start // CHUNK_TRIALS, -(-stop // CHUNK_TRIALS)):
             _rekey(bits, seed, chunk)
             at = chunk * CHUNK_TRIALS - start
             n = min(CHUNK_TRIALS, stop - start - at)
-            words[at:at + n] = bits.random_raw(width * n).reshape(n, width)
-        word = words[:, 0]
-        low = word.view(np.int64)  # its low bits, as integers to index with
-        key = low & (4 * n_settings - 1)  # alice + 4·setting: the key of Bob's row
-        if eve:  # Bob's row is the one of the state she resends
-            sent = _resend(kernel, word, words[:, 1])
-            key &= ~3
-            key |= sent
+            word[at:at + n] = bits.random_raw(n)
+        key = word.view(np.int64) & mask  # alice + 4·setting: the key of the trial's row
         key <<= _BUCKET_BITS
         key |= (word >> _BUCKET_SHIFT).view(np.int64)
         code = guide.take(key, out=codes[start:stop])
         step = (code == _UNDECIDED).nonzero()[0]
         if len(step):
             row = rows[key[step] >> _BUCKET_BITS]
-            code[step] = row * (n_outcomes + 1) + table.search(row, _uniform(word[step]))
-        del key  # freed before the shift below: it bounds a block's working set
-        if eve:  # back to Alice's row: add the code of (alice, setting) less that of (sent, setting)
-            shift = low & 3
-            shift -= sent
-            shift *= n_settings * (n_outcomes + 1)
-            np.add(code, shift, out=code, casting="unsafe")  # the int64 sum is a code: it fits
-        if loss:
-            lost = (words[:, 1 + eve] >> 11 >= lost_from).nonzero()[0]
-            code[lost] += n_outcomes - code[lost] % (n_outcomes + 1)
+            code[step] = row * per_row + table.search(row, _uniform(word[step]))
 
     block = BLOCK_CHUNKS * CHUNK_TRIALS
     for start in range(0, config.trials, block):

@@ -426,6 +426,33 @@ def test_program_exit_codes(how, argv, code, message, tmp_path):
     assert message in err and "Traceback" not in err
 
 
+#: Each command's argv with a session too large to allocate (2^48 trials, as in
+#: test_program_exit_codes), and the output paths it names.
+UNALLOCATABLE = {
+    "run": (["run", "--protocol", "combined", "--trials", str(2**48), "--seed", "1",
+             "--out", "s.json", "--trace", "t.csv"], ["s.json", "t.csv"]),
+    "sweep": (["sweep", "--protocol", "combined", "--phase-grid", "0,1", "--trials", str(2**48),
+               "--out", "w.csv"], ["w.csv"]),
+}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-files", "existing-out"])
+@pytest.mark.parametrize("command", list(UNALLOCATABLE))
+def test_a_failed_session_removes_the_files_it_made(command, existing, tmp_path):
+    # The paths are opened before the session, which then fails: the files
+    # made for them are removed, and a file that was there keeps its bytes.
+    argv, paths = UNALLOCATABLE[command]
+    argv = [str(tmp_path / arg) if arg in paths else arg for arg in argv]
+    kept = tmp_path / paths[0]
+    if existing:
+        kept.write_bytes(b"written before\n")
+    proc = python(*PROGRAM["script"], *argv)
+    assert proc.returncode == 2 and b"error: Unable to allocate" in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([paths[0]] if existing else [])
+    if existing:
+        assert kept.read_bytes() == b"written before\n"
+
+
 #: A child process that runs main() on its own arguments, then writes to stderr
 #: the exit code and whether the collector was frozen before and after.
 FREEZE_PROBE = """

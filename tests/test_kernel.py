@@ -1,7 +1,7 @@
 """The batched session kernel against the scalar ModeState reference path."""
+import cmath
 import csv
 import dataclasses
-import fractions
 import hashlib
 import io
 import math
@@ -42,7 +42,6 @@ from timebin_qkd.session import (
     TRACE_COLUMNS,
     ChannelSpec,
     SessionConfig,
-    born_table,
     run_session,
     trace_csv,
 )
@@ -215,6 +214,18 @@ def test_born_sample_batch_rejects_unnormalized_columns():
 
 # --- Born tables: the fixed-amplitude sampling path -----------------------------
 
+
+def born_table(scheme, theta) -> BornTable:
+    """The table a session without Eve and loss samples at relative phase theta: the Born law
+    of the scheme's 4 × S signal rows at wrapped theta, and a "lost" outcome of 0 last."""
+    return session._kernel(scheme).code_guide(wrap_phase(float(theta)), False, 1.0)[0]
+
+
+def dephased_table(scheme) -> BornTable:
+    """The table a session without Eve and loss samples where θ is uniform per trial."""
+    return session._kernel(scheme).code_guide(None, False, 1.0)[0]
+
+
 TABLE_CHANNEL_PHASES = [None, 0.0, 0.9, 3.0, 5.5]  # fixed collective phase; None: no channel
 # θ = φ_c − φ over both grids: every relative phase a fig1 table is keyed by above.
 TABLE_THETAS = [(c or 0.0) - phi for phi in PHI_GRID for c in TABLE_CHANNEL_PHASES]
@@ -235,16 +246,16 @@ def table_columns(scheme, theta):
 
 def assert_rows_equal_scalar_path(born, scheme, channel, phi):
     """Each row of born is scalar_distribution's CDF of its signal through
-    channel and the interferometer at phi."""
+    channel and the interferometer at phi, then "lost", which adds nothing."""
     table = scheme_tables(scheme)
     n_settings = len(table.betas)
-    assert born.cdf.shape == (4 * n_settings, len(table.outcomes))
+    assert born.cdf.shape == (4 * n_settings, len(table.outcomes) + 1)
     for index in (1, 2, 3, 4):
         for setting, beta in enumerate(table.betas):
             p = scalar_distribution(scheme, index, channel, beta, phi)
             row = (index - 1) * n_settings + setting
-            np.testing.assert_allclose(born.cdf[row], np.cumsum(p), rtol=0, atol=1e-12)
-            assert born.total[row] == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(born.cdf[row, :-1], np.cumsum(p), rtol=0, atol=1e-12)
+            assert born.cdf[row, -1] == born.total[row] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -311,7 +322,7 @@ def test_born_table_sampler_on_arbitrary_columns(rng):
         amps[:, 1] = 0.0
         amps[-1, 1] = 1.0  # a column whose only outcome is the last
         amps /= np.linalg.norm(amps, axis=0)
-        table = BornTable.from_amplitudes(amps)
+        table = BornTable.from_probabilities(amps.real**2 + amps.imag**2)
         rows = np.concatenate([rng.integers(0, 9, 5000), step_draws(table)[0]])
         u = np.concatenate([rng.random(5000), step_draws(table)[1]])
         np.testing.assert_array_equal(table_sample(table, rows, u), born_sample_batch(amps[:, rows], u))
@@ -337,11 +348,11 @@ def test_born_table_sampler_on_arbitrary_laws(rng):
 
 
 def test_born_table_rejects_unnormalized_rows():
-    amps = np.array([[1.0, 0.6], [0.0, 0.6]], dtype=complex)  # second column has norm² 0.72
+    p = np.array([[1.0, 0.36], [0.0, 0.36]])  # second column sums to 0.72
     with pytest.raises(UnnormalizedStateError):
-        BornTable.from_amplitudes(amps)
+        BornTable.from_probabilities(p)
     with pytest.raises(UnnormalizedStateError):
-        BornTable.from_amplitudes(np.array([[np.nan], [0.0]], dtype=complex))
+        BornTable.from_probabilities(np.array([[np.nan], [0.0]]))
     with pytest.raises(UnnormalizedStateError):  # a law that sums to 1.2
         BornTable.from_probabilities(np.array([[0.6], [0.6]]))
     with pytest.raises(UnnormalizedStateError):  # a law that sums to 1, with a negative entry
@@ -387,7 +398,7 @@ def test_theta_and_theta_plus_two_pi_share_one_table():
     assert wrap_phase(theta + TWO_PI) == theta
     for scheme in SCHEMES:
         first = born_table(scheme, theta)
-        cache = session._kernel(scheme)._tables
+        cache = session._kernel(scheme).code_guide
         size = cache.cache_info().currsize
         assert born_table(scheme, theta + TWO_PI) is first
         assert born_table(scheme, theta - TWO_PI) is first
@@ -395,13 +406,12 @@ def test_theta_and_theta_plus_two_pi_share_one_table():
         assert born_table(scheme, theta + 1.1) is not first
 
 
-def test_theta_zero_is_the_kernel_table_and_never_cached_apart():
-    # A θ that wraps to 0 (tiny negatives included) gets the kernel's own
-    # table; its cache of tables holds only θ ≠ 0.
+def test_thetas_that_wrap_to_zero_share_one_table():
+    # A θ that wraps to 0, tiny negatives included, is one cache entry.
     for scheme in SCHEMES:
-        cache = session._kernel(scheme)._tables
-        misses = cache.cache_info().misses
+        cache = session._kernel(scheme).code_guide
         zero = born_table(scheme, 0.0)
+        misses = cache.cache_info().misses
         for theta in (-0.0, TWO_PI, -TWO_PI, -1e-20, -5e-324):
             assert born_table(scheme, theta) is zero
         assert cache.cache_info().misses == misses
@@ -429,7 +439,7 @@ def test_pair_rows_do_not_depend_on_phi_or_collective_phase(scheme):
                 diagonal = dephasing_diagonal(*[np.full(len(rows), channel_phi)] * 2)
             amps = detection_amplitudes(table, rows // n_settings, rows % n_settings, diagonal, phi)
             cdf, total = law_cdf(amps.real**2 + amps.imag**2)
-            np.testing.assert_allclose(cdf.T, base.cdf, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(cdf.T, base.cdf[:, :-1], rtol=0, atol=1e-15)
             np.testing.assert_allclose(total, base.total, rtol=0, atol=1e-15)
 
 
@@ -453,21 +463,28 @@ def test_pair_session_trace_does_not_depend_on_phi_or_collective_phase(scheme):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_kernel_tables_are_built_from_the_signal_rows(scheme):
-    # The θ = 0 table is the one summed at late = e^{i·0}, bit for bit, and
-    # the table born_table gives at 0; the dephased table is the one a
-    # session with a θ per trial samples.
+    # Without Eve and loss a session's table is the Born table of the signal
+    # rows at late = e^{iθ}, bit for bit, and the dephased one that of the
+    # mean of the laws at late = ±1.0; the "lost" outcome appended to each,
+    # of law 0, adds nothing to the CDF and leaves the guide as it was.
     kernel = session._kernel(scheme)
-    assert kernel.table is born_table(scheme, 0.0)
-    assert kernel.code_guide(None)[0] is kernel.dephased
-    fresh = BornTable.from_amplitudes(session._signal_rows(kernel.signals, np.exp(0j)))
-    np.testing.assert_array_equal(kernel.table.cdf, fresh.cdf)
-    np.testing.assert_array_equal(kernel.table.total, fresh.total)
-    np.testing.assert_array_equal(kernel.table.guide, fresh.guide)
+    for theta in (0.0, 0.7, None):
+        table = kernel.code_guide(theta, False, 1.0)[0]
+        if theta is None:
+            fresh = BornTable.from_probabilities(dephased_law(scheme))
+        else:
+            amps = session._signal_rows(kernel.signals, np.exp(1j * theta))
+            fresh = BornTable.from_probabilities(amps.real**2 + amps.imag**2)
+        np.testing.assert_array_equal(table.cdf[:, :-1], fresh.cdf)
+        np.testing.assert_array_equal(table.cdf[:, -1], fresh.total)
+        np.testing.assert_array_equal(table.total, fresh.total)
+        np.testing.assert_array_equal(table.guide, fresh.guide)
+        np.testing.assert_array_equal(kernel.law(theta, False, 1.0)[:, -1], 0.0)
 
 
 def dephased_law(scheme) -> np.ndarray:
-    """The dephased table's law as _Kernel.dephased takes it: the mean of the
-    signal rows' θ = 0 and θ = π Born laws, outcomes × rows."""
+    """The dephased law as _Kernel.law takes it: the mean of the signal rows'
+    θ = 0 and θ = π Born laws, outcomes × rows."""
     rows = [session._signal_rows(session._kernel(scheme).signals, late) for late in (1.0, -1.0)]
     return sum(a.real**2 + a.imag**2 for a in rows) / 2
 
@@ -476,7 +493,7 @@ def dephased_law(scheme) -> np.ndarray:
 def test_dephased_table_sampler_equals_law_sample_batch(scheme, rng):
     # Its guide and search sample, at every draw, what inverse CDF samples
     # from its law: at random, at u = 0, and on and either side of each step.
-    table = session._kernel(scheme).dephased
+    table = dephased_table(scheme)
     p = dephased_law(scheme)
     n_rows = len(table.cdf)
     random_rows = rng.integers(0, n_rows, 5000)
@@ -494,7 +511,7 @@ def test_dephased_table_sampler_equals_law_sample_batch(scheme, rng):
        draws=st.lists(st.tuples(st.integers(0, 2**16 - 1), st.integers(0, 2**53 - 1)),
                       min_size=1, max_size=64))
 def test_dephased_table_sampler_on_any_draws(scheme, draws):
-    table = session._kernel(scheme).dephased
+    table = dephased_table(scheme)
     row = np.array([r % len(table.cdf) for r, _ in draws])
     u = np.array([x * 2.0**-53 for _, x in draws])
     np.testing.assert_array_equal(table_sample(table, row, u),
@@ -512,15 +529,16 @@ def test_dephased_law_is_the_mean_of_any_two_opposite_phases(scheme, theta):
     # θ is: the dephased table's rows, built at θ = 0 and π.
     theta = wrap_phase(theta)
     near, far = born_table(scheme, theta), born_table(scheme, theta + math.pi)
-    dephased = session._kernel(scheme).dephased
+    dephased = dephased_table(scheme)
     np.testing.assert_allclose(dephased.cdf, (near.cdf + far.cdf) / 2, rtol=0, atol=1e-12)
     np.testing.assert_allclose(dephased.total, (near.total + far.total) / 2, rtol=0, atol=1e-12)
 
 
 # sha256 of each scheme's θ = 0 table guide, recorded before it was built by
-# counting, and of its dephased table guide. A build that turns a decided
-# cell into _STEP, or the reverse, samples the same outcomes and fails only
-# here.
+# counting, and of its dephased table guide; a session's table without Eve
+# and loss, whose "lost" outcome has law 0, keeps them. A build that turns a
+# decided cell into _STEP, or the reverse, samples the same outcomes and
+# fails only here.
 GUIDE_DIGESTS = {
     SchemeId.FIG1_SINGLE_PHOTON: (
         "6413bb08229beff6b293543dcb4589b94034d23933ae6f559d9cc57df76a18e0",
@@ -539,8 +557,7 @@ GUIDE_DIGESTS = {
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_guides_keep_their_digests(scheme):
-    kernel = session._kernel(scheme)
-    guides = kernel.table.guide, kernel.dephased.guide
+    guides = born_table(scheme, 0.0).guide, dephased_table(scheme).guide
     assert tuple(hashlib.sha256(g.tobytes()).hexdigest() for g in guides) == GUIDE_DIGESTS[scheme]
 
 
@@ -549,7 +566,7 @@ def test_guides_keep_their_digests(scheme):
 REFERENCE_CHANNELS = {
     "none": ChannelSpec("none"),
     "collective=1.1": ChannelSpec("collective", phi=1.1),
-    "collective=1e12": ChannelSpec("collective", phi=1e12),  # fig1's θ = φ_c − φ rounded
+    "collective=1e12": ChannelSpec("collective", phi=1e12),  # fig1's θ from e^{iφ_c}·e^{−iφ}
     "collective=random": ChannelSpec("collective", phi=None),
     "independent": ChannelSpec("independent"),
     "loss=0.2": ChannelSpec("loss", loss=0.2),
@@ -578,10 +595,10 @@ def test_rekey_equals_a_new_chunk_generator(prior):
 def test_theta_rule_gives_the_one_relative_phase(scheme, phase, channel):
     # A pair has a θ per trial only behind independent dephasing, and else
     # θ = 0: its φ and a collective phase are global. fig1 has one when φ or
-    # the channel's phase is uniform per trial, and else θ = φ_c − φ. The
-    # session's table at its θ has the scalar path's law, to the roundoff of
-    # φ_c − φ itself; the dephased table has the law averaged over the
-    # config's random phases.
+    # the channel's phase is uniform per trial, and else θ = φ_c − φ, taken
+    # as the angle of e^{iφ_c}·e^{−iφ}. The session's table at its θ has the
+    # scalar path's law, whatever the size of φ_c; the dephased table has the
+    # law averaged over the config's random phases.
     spec = REFERENCE_CHANNELS[channel]
     single = scheme is SchemeId.FIG1_SINGLE_PHOTON
     theta = session._theta(SessionConfig(scheme, 1, 0, phase, spec), 1 if single else 2)
@@ -591,46 +608,73 @@ def test_theta_rule_gives_the_one_relative_phase(scheme, phase, channel):
     elif random_channel or phase == PHASE_RANDOM:
         assert theta is None
     else:
-        assert theta == wrap_phase((spec.phi or 0.0) - phase)
+        assert theta == fig1_theta(spec.phi or 0.0, phase)
     if (scheme, phase, channel) == (SchemeId.FIG1_SINGLE_PHOTON, 0.7, "collective=1.1"):
         assert theta == pytest.approx(0.4, abs=1e-15)
+    assert_table_is_the_scalar_law(scheme, theta, phase, spec)
 
-    table = session._kernel(scheme).code_guide(theta)[0]
-    roundoff = np.spacing(abs(spec.phi or 0.0)) if single and theta is not None else 0.0
+
+def fig1_theta(channel_phi: float, phi: float) -> float:
+    """fig1's θ behind a fixed collective phase: the wrapped angle of e^{iφ_c}·e^{−iφ}."""
+    return wrap_phase(cmath.phase(cmath.exp(1j * channel_phi) * cmath.exp(-1j * phi)))
+
+
+def assert_table_is_the_scalar_law(scheme, theta, phase, spec):
+    """The table of the session's law at theta, without Eve and loss, has per row the CDF of
+    the scalar path's law behind spec at phase (averaged over the config's random phases)."""
+    single = scheme is SchemeId.FIG1_SINGLE_PHOTON
+    table = session._kernel(scheme).code_guide(theta, False, 1.0)[0]
     phases = oracles.PHASE_GRID if phase == PHASE_RANDOM else (phase,)
     betas = oracles.bob_betas(scheme)
     for index in (1, 2, 3, 4):
         states = oracles.channel_states(signal_state(scheme, index).state, spec, not single)
         for s, beta in enumerate(betas):
             expected = oracles.outcome_law(scheme, states, phases, beta)
-            np.testing.assert_allclose(table.cdf[(index - 1) * len(betas) + s], np.cumsum(expected),
-                                       rtol=0, atol=1e-12 + roundoff)
+            np.testing.assert_allclose(table.cdf[(index - 1) * len(betas) + s, :-1],
+                                       np.cumsum(expected), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("channel_phi", [1e6, 1e12, 1e15, -1e15])
+def test_fig1_theta_keeps_a_large_collective_phase(channel_phi):
+    # φ_c − φ in floats loses φ_c's low bits: 1.1e-2 of e^{iθ} at 1e15. The
+    # angle of e^{iφ_c}·e^{−iφ} holds e^{iθ} to roundoff, and the table at it
+    # is the scalar path's law.
+    spec = ChannelSpec("collective", phi=channel_phi)
+    theta = session._theta(SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 1, 0, 0.7, spec), 1)
+    assert abs(cmath.exp(1j * theta) - cmath.exp(1j * channel_phi) * cmath.exp(-0.7j)) <= 1e-15
+    assert_table_is_the_scalar_law(SchemeId.FIG1_SINGLE_PHOTON, theta, 0.7, spec)
 
 
 def reference_codes(config: SessionConfig) -> np.ndarray:
     """A session's trial codes from the documented layout of its raw words, with
-    every outcome sampled by inverse CDF from the trial's own Born law.
+    every outcome sampled by inverse CDF from the trial's own law.
 
-    Chunk k's words come from a new Philox keyed (seed, k), W per trial. Word w
-    gives Alice's index − 1 (w % 4), Bob's setting ((w >> 2) % 2, owa), Eve's
-    setting ((w >> 3) % 2, owa) and fallback index − 1 ((w >> 4) % 4), and
-    Bob's uniform ((w >> 11) / 2**53). Then come Eve's uniform and the loss
-    uniform, each only where the config reads it. A trial whose θ is uniform
-    has as its law the mean of its Born laws over θ ∈ PHASE_GRID. No session
-    helper is used.
+    Chunk k's words come from a new Philox keyed (seed, k), one per trial. Word
+    w gives Alice's index − 1 (w % 4), Bob's setting ((w >> 2) % 2, owa) and
+    Bob's uniform ((w >> 11) / 2**53). A trial's law is the Born law of the
+    signal Bob receives; where θ is uniform, its mean over θ ∈ PHASE_GRID. With
+    Eve it is the mixture over the signal she resends, weighed by her resend
+    law on the scalar path (`oracles.announced_distribution`: the index her
+    verdict names, or a uniform one when inconclusive). It is then scaled by
+    the chance that every photon survives the channel, with the lost mass
+    last. No session helper is used.
     """
     scheme = scheme_tables(config.scheme)
     n_settings, n_outcomes = len(scheme.betas), len(scheme.outcomes)
     channel, single = config.channel, scheme.photons == 1
     random_phase = config.phase == PHASE_RANDOM
-    eve, loss = config.eavesdropper == "intercept_resend", channel.kind == "loss"
     # A random phase reaches a pair's outcome only as independent dephasing;
     # any reaches fig1's, and there θ = φ_c − φ is uniform mod 2π.
     per_trial = channel.kind == "independent" or single and (
         random_phase or channel.kind == "collective" and channel.phi is None)
-    width = 1 + eve + loss
     fixed_channel = channel.phi if channel.kind == "collective" and channel.phi is not None else 0.0
     phi = 0.0 if random_phase else config.phase
+    survive = (1 - channel.loss) ** scheme.photons
+    resend = None  # [a, r]: the chance that Eve resends r + 1 when Alice sent a + 1
+    if config.eavesdropper == "intercept_resend":
+        eve = [oracles.announced_distribution(config.scheme, [signal_state(config.scheme, a).state],
+                                              (0.0,)) for a in (1, 2, 3, 4)]
+        resend = np.array([[p[r] + p[0] / 4 for r in (1, 2, 3, 4)] for p in eve])
 
     def field(w, shift, values):
         return ((w >> shift) % values).astype(np.intp)
@@ -639,34 +683,30 @@ def reference_codes(config: SessionConfig) -> np.ndarray:
     for chunk in range(-(-config.trials // CHUNK_TRIALS)):
         n = min(CHUNK_TRIALS, config.trials - chunk * CHUNK_TRIALS)
         philox = np.random.Philox(key=np.array([config.seed, chunk], dtype=np.uint64))
-        words = philox.random_raw(width * n).reshape(n, width)
-        w = words[:, 0]
-        uniforms = iter((words[:, j] >> 11) / 2**53 for j in range(width))
-        alice, setting, u = field(w, 0, 4), field(w, 2, n_settings), next(uniforms)
-        sent = alice
-        if eve:
-            eve_setting = field(w, 3, n_settings)
-            seen = born_sample_batch(
-                detection_amplitudes(scheme, alice, eve_setting, None, 0.0), next(uniforms)
-            )
-            named = scheme.announced[eve_setting, seen]
-            sent = np.where(named > 0, named - 1, field(w, 4, 4))
-        lost = next(uniforms) >= (1 - channel.loss) ** scheme.photons if loss else None
+        w = philox.random_raw(n)
+        alice, setting, u = field(w, 0, 4), field(w, 2, n_settings), (w >> 11) / 2**53
 
-        def law(*late):
-            """Each trial's Born law behind late-bin phases: fig1's θ = φ_c − φ with the
-            interferometer at 0, or a pair's (φ₁, φ₂) on its photons with φ as it is."""
+        def law(sent, *late):
+            """Each trial's Born law behind late-bin phases: fig1's θ with the interferometer
+            at 0, or a pair's (φ₁, φ₂) on its photons with φ as it is."""
             diagonal = dephasing_diagonal(*(np.full(n, p) for p in late))
             amps = detection_amplitudes(scheme, sent, setting, diagonal, 0.0 if single else phi)
             return amps.real**2 + amps.imag**2
 
-        if per_trial:  # θ on fig1's photon, or on a pair's second
-            p = np.mean([law(t) if single else law(0.0, t) for t in oracles.PHASE_GRID], axis=0)
-        else:  # the one θ, or the collective phase on both photons
-            p = law(fixed_channel - phi) if single else law(fixed_channel, fixed_channel)
-        outcome = law_sample_batch(p, u)
-        if lost is not None:
-            outcome[lost] = n_outcomes
+        def bob(sent):
+            """The Born law of each trial whose signal sent + 1 reaches Bob."""
+            if per_trial:  # θ on fig1's photon, or on a pair's second
+                return np.mean([law(sent, t) if single else law(sent, 0.0, t)
+                                for t in oracles.PHASE_GRID], axis=0)
+            # the one θ, or the collective phase on both photons
+            return law(sent, fig1_theta(fixed_channel, phi)) if single else law(
+                sent, fixed_channel, fixed_channel)
+
+        if resend is None:
+            p = bob(alice)
+        else:
+            p = sum(resend[alice, r] * bob(np.full(n, r)) for r in range(4))
+        outcome = law_sample_batch(np.vstack([survive * p, np.full(n, 1 - survive)]), u)
         parts.append((alice * n_settings + setting) * (n_outcomes + 1) + outcome)
     return np.concatenate(parts)
 
@@ -674,11 +714,10 @@ def reference_codes(config: SessionConfig) -> np.ndarray:
 @pytest.mark.parametrize("channel", list(REFERENCE_CHANNELS))
 @pytest.mark.parametrize("scheme", SCHEMES, ids=[s.value for s in SCHEMES])
 def test_kernel_equals_amplitude_reference(scheme, channel):
-    # Every config, trial by trial: the table at the session's θ, or the
-    # dephased table, gives what each trial's own Born law gives, and the
-    # kernel cuts each trial's fields from the words the documented layout
-    # names. Two chunks,
-    # the second odd-sized; and one short odd chunk.
+    # Every config, trial by trial: the table of the session's law gives what
+    # each trial's own law gives, with Eve and loss too, and the kernel cuts
+    # each trial's fields from the word the documented layout names. Two
+    # chunks, the second odd-sized; and one short odd chunk.
     for trials in (CHUNK_TRIALS + 300, CHUNK_TRIALS + 301, 7):
         for phase in (0.7, PHASE_RANDOM):
             for eve in ("off", "intercept_resend"):
@@ -745,17 +784,30 @@ LAZY_SESSIONS = {
 }
 
 
-@pytest.mark.parametrize("name", list(LAZY_SESSIONS))
-def test_sessions_sharing_one_theta_build_no_dephased_table(name):
+def law_calls(monkeypatch) -> list:
+    """The (scheme, theta, eve, survive) of each _Kernel.law call from here on, the record
+    cache cleared first so that every session builds the tables it samples."""
+    calls, law = [], session._Kernel.law
+
+    def spy(kernel, *args):
+        calls.append((kernel.id, *args))
+        return law(kernel, *args)
+
+    monkeypatch.setattr(session._Kernel, "law", spy)
     session._kernel.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("name", list(LAZY_SESSIONS))
+def test_sessions_sharing_one_theta_build_no_dephased_table(name, monkeypatch):
+    calls = law_calls(monkeypatch)
     for config in LAZY_SESSIONS[name]:
         run_session(config)
-    for scheme in SCHEMES:
-        assert "dephased" not in vars(session._kernel(scheme))
+    assert calls and all(theta is not None for _, theta, _, _ in calls)
     # A trial-by-trial θ builds its scheme's dephased table, and only that one.
+    del calls[:]
     run_session(SessionConfig(SchemeId.OWA_FOUR_PHASE, 10, 4, channel=ChannelSpec("independent")))
-    built = {s for s in SCHEMES if "dephased" in vars(session._kernel(s))}
-    assert built == {SchemeId.OWA_FOUR_PHASE}
+    assert calls == [(SchemeId.OWA_FOUR_PHASE, None, False, 1.0)]
 
 
 PER_TRIAL_SESSIONS = {
@@ -771,17 +823,14 @@ PER_TRIAL_SESSIONS = {
 
 
 @pytest.mark.parametrize("name", list(PER_TRIAL_SESSIONS))
-def test_sessions_with_a_theta_per_trial_sample_the_dephased_table(name):
+def test_sessions_with_a_theta_per_trial_sample_the_dephased_table(name, monkeypatch):
     # θ uniform per trial: no one θ, and the session samples its scheme's
-    # dephased table, the only one it builds.
+    # dephased law (with Eve where she intercepts), the only one it builds.
     config = PER_TRIAL_SESSIONS[name]
-    kernel = session._kernel(config.scheme)
-    assert session._theta(config, kernel.photons) is None
-    session._kernel.cache_clear()
+    assert session._theta(config, session._kernel(config.scheme).photons) is None
+    calls = law_calls(monkeypatch)
     run_session(config)
-    kernel = session._kernel(config.scheme)
-    assert kernel.code_guide(None)[0] is kernel.dephased
-    assert {s for s in SCHEMES if "dephased" in vars(session._kernel(s))} == {config.scheme}
+    assert calls == [(config.scheme, None, config.eavesdropper != "off", 1.0)]
 
 
 # --- blocks: draws per chunk, sampling per block of chunks ----------------------
@@ -806,7 +855,7 @@ def test_kernel_equals_amplitude_reference_at_block_edges(scheme, trials):
 @pytest.mark.parametrize("scheme", SCHEMES, ids=[s.value for s in SCHEMES])
 def test_block_size_changes_no_code(scheme, channel, monkeypatch):
     # Nine chunks, in blocks of 1, 4 and 7 chunks: 9 blocks, 4 + 4 + 1 and 7 + 2,
-    # for every config, one word per trial or up to three.
+    # for every config, with Eve or not.
     trials = 8 * CHUNK_TRIALS + 1
     for phase in (0.7, PHASE_RANDOM):
         for eve in ("off", "intercept_resend"):
@@ -843,118 +892,99 @@ def test_word_top_bits_are_the_u_bucket(words):
 def test_code_guide_is_the_table_guide_as_codes(scheme):
     # Cell (alice + 4·setting, u bucket) holds the code of the table's outcome
     # for row alice·S + setting, and _UNDECIDED exactly where it holds _STEP:
-    # for the table at each θ, and for the dephased table (θ None).
+    # for the law at each θ and the dephased law (θ None), with Eve and loss
+    # or not; the table is the law's.
     kernel = session._kernel(scheme)
     n_settings, n_outcomes = len(kernel.betas), len(kernel.outcomes)
     for theta in [wrap_phase(t) for t in TABLE_THETAS] + [None]:
-        table, guide, rows = kernel.code_guide(theta)
-        expected = kernel.dephased if theta is None else born_table(scheme, theta)
-        np.testing.assert_array_equal(table.cdf, expected.cdf)
-        assert guide.dtype == np.uint16 and not guide.flags.writeable
-        assert guide.shape == (4 * n_settings * GUIDE_BUCKETS,)
-        cells = guide.reshape(4 * n_settings, GUIDE_BUCKETS)
-        steps = table.guide.reshape(4 * n_settings, GUIDE_BUCKETS).astype(np.intp)
-        for key in range(4 * n_settings):
-            row = (key % 4) * n_settings + key // 4
-            assert rows[key] == row
-            undecided = cells[key] == session._UNDECIDED
-            np.testing.assert_array_equal(undecided, steps[row] == qstate._STEP)
-            np.testing.assert_array_equal(cells[key][~undecided],
-                                          row * (n_outcomes + 1) + steps[row][~undecided])
+        for eve, survive in [(False, 1.0), (True, 1.0), (False, 0.64), (True, 0.8)]:
+            table, guide, rows = kernel.code_guide(theta, eve, survive)
+            expected = BornTable.from_probabilities(kernel.law(theta, eve, survive).T)
+            np.testing.assert_array_equal(table.cdf, expected.cdf)
+            np.testing.assert_array_equal(table.guide, expected.guide)
+            assert guide.dtype == np.uint16 and not guide.flags.writeable
+            assert guide.shape == (4 * n_settings * GUIDE_BUCKETS,)
+            cells = guide.reshape(4 * n_settings, GUIDE_BUCKETS)
+            steps = table.guide.reshape(4 * n_settings, GUIDE_BUCKETS).astype(np.intp)
+            for key in range(4 * n_settings):
+                row = (key % 4) * n_settings + key // 4
+                assert rows[key] == row
+                undecided = cells[key] == session._UNDECIDED
+                np.testing.assert_array_equal(undecided, steps[row] == qstate._STEP)
+                np.testing.assert_array_equal(cells[key][~undecided],
+                                              row * (n_outcomes + 1) + steps[row][~undecided])
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_resend_guide_is_eves_rule(scheme):
-    # Cell (key, u bucket), key word 0's 6 low bits: _STEP exactly where the
-    # θ = 0 table's guide holds _STEP in the row Eve measures, and elsewhere
-    # the index − 1 she resends: the one her verdict names, or her fallback.
+def test_resend_law_is_eves_rule_on_the_scalar_path(scheme):
+    # Row a: what Eve resends when Alice sent a + 1, from her θ = 0 law in a
+    # uniform setting: the index her verdict names, or a uniform one when it
+    # is inconclusive.
+    resend = session._kernel(scheme).resend_law
+    for a in (1, 2, 3, 4):
+        p = oracles.announced_distribution(scheme, [signal_state(scheme, a).state], (0.0,))
+        np.testing.assert_allclose(resend[a - 1], p[1:] + p[0] / 4, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(resend.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7, None])
+@pytest.mark.parametrize("scheme", SCHEMES, ids=[s.value for s in SCHEMES])
+def test_law_is_bobs_law_mixed_over_eve_and_scaled_by_survival(scheme, theta):
+    # With Eve, row a·S + s is the sum of resend_law[a, r] times Bob's row
+    # r·S + s; then every photon survives, or the trial is lost. Loss 0 gives
+    # a "lost" of 0 and leaves the law; loss 1 gives only "lost".
     kernel = session._kernel(scheme)
-    n_settings, n_outcomes = len(kernel.betas), len(kernel.outcomes)
-    guide = kernel.resend
-    assert guide.dtype == np.uint8 and not guide.flags.writeable
-    cells = guide.reshape(2**session._EVE_BITS, GUIDE_BUCKETS)
-    table_cells = kernel.table.guide.reshape(4 * n_settings, GUIDE_BUCKETS)
-    for key in range(2**session._EVE_BITS):
-        eve_setting = (key >> 3) % 2 if n_settings > 1 else 0
-        row = table_cells[(key % 4) * n_settings + eve_setting]
-        step = row == qstate._STEP
-        np.testing.assert_array_equal(cells[key] == qstate._STEP, step)
-        named = kernel.announced[eve_setting * n_outcomes + row[~step]]
-        np.testing.assert_array_equal(cells[key][~step], np.where(named > 0, named - 1, (key >> 4) % 4))
+    n_settings = len(kernel.betas)
+    bob = kernel.law(theta, False, 1.0)
+    mixed = np.einsum("ar,rso->aso", kernel.resend_law, bob.reshape(4, n_settings, -1))
+    for eve, expected in [(False, bob), (True, mixed.reshape(bob.shape))]:
+        law = kernel.law(theta, eve, 1.0)
+        np.testing.assert_allclose(law, expected, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(law[:, -1], 0.0)
+        for survive in (0.8, 0.64):
+            scaled = kernel.law(theta, eve, survive)
+            np.testing.assert_array_equal(scaled[:, :-1], survive * law[:, :-1])
+            np.testing.assert_array_equal(scaled[:, -1], 1.0 - survive)
+        lost = np.zeros_like(law)
+        lost[:, -1] = 1.0
+        np.testing.assert_array_equal(kernel.law(theta, eve, 0.0), lost)
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_resend_equals_eves_rule_on_her_table(scheme, rng):
-    # Every key, with Eve's word on each CDF step of her row, on the u-bucket
-    # edges, a 53-bit unit either side, and at random: what she resends is what
-    # the θ = 0 table samples for her, then the rule, undecided cells included.
-    kernel = session._kernel(scheme)
-    table = kernel.table
-    n_settings, n_outcomes = len(kernel.betas), len(kernel.outcomes)
-    key = np.repeat(np.arange(2**session._EVE_BITS), 40)
-    eve_setting = (key >> 3) % 2 if n_settings > 1 else np.zeros_like(key)
-    row = (key % 4) * n_settings + eve_setting
-    on = [table.cdf[row, j] / table.total[row] for j in range(n_outcomes - 1)]
-    on.append(rng.integers(0, GUIDE_BUCKETS + 1, len(key)) / GUIDE_BUCKETS)
-    units = np.concatenate([np.floor(u * 2.0**53) + d for u in on for d in (-1, 0, 1)]
-                           + [rng.integers(0, 2**53, len(key)).astype(float)])
-    n = len(units) // len(key)
-    keep = (units >= 0) & (units < 2.0**53)
-    key, eve_setting, row = (np.tile(a, n)[keep] for a in (key, eve_setting, row))
-    eve_word = units[keep].astype(np.uint64) << np.uint64(11)
-    word = rng.integers(0, 2**64, len(key), dtype=np.uint64) & ~np.uint64(63) | key.astype(np.uint64)
-    seen = table_sample(table, row, session._uniform(eve_word))
-    named = kernel.announced[eve_setting * n_outcomes + seen]
-    np.testing.assert_array_equal(session._resend(kernel, word, eve_word),
-                                  np.where(named > 0, named - 1, (key >> 4) % 4))
-
-
-@pytest.mark.parametrize("photons", [1, 2])
-@pytest.mark.parametrize("loss", [0.0, 0.2, 1.0, 0.7])
-def test_loss_threshold_is_the_loss_uniforms(loss, photons):
-    # A trial is lost iff its loss uniform (w >> 11)·2⁻⁵³ is ≥ survive: the
-    # session compares w >> 11 with ⌈survive·2⁵³⌉ instead. At that threshold
-    # << 11, a word either side, and the ends of the range, both give the
-    # same verdict, in exact fractions and in doubles.
-    survive = (1.0 - loss) ** photons
-    first = session._lost_from(survive)
-    exact = fractions.Fraction(survive) * 2**53
-    assert first == math.ceil(exact)
-    edge = first << 11
-    words = [w for w in (edge - 2049, edge - 1, edge, edge + 1, 0, 2**64 - 1) if 0 <= w < 2**64]
-    w = np.array(words, dtype=np.uint64)
-    lost = (w >> 11 >= first).tolist()
-    assert lost == [fractions.Fraction(x >> 11) >= exact for x in words]
-    assert lost == (session._uniform(w) >= survive).tolist()
-    if loss == 0.0:
-        assert not any(lost)
-    if loss == 1.0:
-        assert all(lost)
-    # survive·2⁵³ is an integer for one photon at p = 0.2, and not for a pair
-    # at p = 0.7: the ceiling is tested on both kinds.
-    if (loss, photons) in ((0.2, 1), (0.7, 2)):
-        assert (exact.denominator == 1) == (photons == 1)
+@pytest.mark.parametrize("eve", ["off", "intercept_resend"])
+@pytest.mark.parametrize("scheme", SCHEMES, ids=[s.value for s in SCHEMES])
+def test_no_loss_leaves_no_lost(scheme, eve):
+    # A loss channel at p = 0: every trial survives, and the session has the
+    # codes of one behind no channel.
+    lossless = SessionConfig(scheme, trials=20_000, seed=3, phase="random",
+                             channel=ChannelSpec("loss", loss=0.0), eavesdropper=eve)
+    stats, records = run_session(lossless)
+    assert "lost" not in stats.histogram
+    plain = dataclasses.replace(lossless, channel=ChannelSpec("none"))
+    np.testing.assert_array_equal(records._codes, run_session(plain)[1]._codes)
 
 
 @pytest.mark.parametrize("config", [
-    # Measured: 5.0 arrays (two words: owa + independent + Eve).
+    # Measured: 3.1 arrays (owa + independent + Eve; 5.0 when Eve drew a word of her own).
     SessionConfig(SchemeId.OWA_FOUR_PHASE, 1_000_000, 12, PHASE_RANDOM, ChannelSpec("independent"),
                   "intercept_resend"),
-    # Measured: 3.0 arrays (one word per trial).
+    # Measured: 3.0 arrays (owa at a fixed θ, as before).
     SessionConfig(SchemeId.OWA_FOUR_PHASE, 1_000_000, 12, 0.7),
-    # Measured: 5.0 arrays (two words: fig1 at a random φ + collective=random + Eve).
+    # Measured: 3.0 arrays (fig1 at a random φ + collective=random + Eve; 5.0 with her word).
     SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 1_000_000, 12, PHASE_RANDOM,
                   ChannelSpec("collective", phi=None), "intercept_resend"),
-    # Measured: 6.0 arrays (three words: fig1 at a random φ + loss=0.2 + Eve).
+    # Measured: 3.0 arrays (fig1 at a random φ + loss=0.2 + Eve; 6.0 with hers and a loss word).
     SessionConfig(SchemeId.FIG1_SINGLE_PHOTON, 1_000_000, 12, PHASE_RANDOM,
                   ChannelSpec("loss", loss=0.2), "intercept_resend"),
-], ids=["independent-eve", "one-word", "fig1-collective-eve", "fig1-loss-eve"])
+    # Measured: 3.9 arrays (combined + loss=0.2 + Eve, the law with the most undecided cells).
+    SessionConfig(SchemeId.COMBINED, 1_000_000, 12, PHASE_RANDOM, ChannelSpec("loss", loss=0.2),
+                  "intercept_resend"),
+], ids=["independent-eve", "one-word", "fig1-collective-eve", "fig1-loss-eve", "combined-loss-eve"])
 def test_session_working_set_is_bounded_by_a_block(config):
     # numpy reports its buffers to tracemalloc. Past the 2 B/trial of the codes
     # a session holds one block's arrays at a time, whatever its length: here
     # under 8 arrays of 8 B per trial of a 4-chunk block (1 MiB), stated apart
-    # from BLOCK_CHUNKS so that a larger block fails. The words alone take W
-    # arrays; each case's measured count is above it.
+    # from BLOCK_CHUNKS so that a larger block fails. The words alone take one
+    # array, the guide's keys another; each case's measured count is above them.
     kernel = session._kernel(config.scheme)
     session._session_codes(dataclasses.replace(config, trials=10), kernel)  # builds the guides
     block_bytes = 8 * 4 * CHUNK_TRIALS

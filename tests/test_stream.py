@@ -8,7 +8,7 @@ plain Python; so they do not depend on the numpy version.
 Each trial of a config is i.i.d. over the 4 × S × (O + 1) code cells, with
 the law `oracles.code_law` computes on the scalar path. A G-test of each
 config's code counts against that law checks the whole stream at once:
-which words a trial takes, how its fields are cut from them, and how the
+which word a trial takes, how its fields are cut from it, and how the
 kernel samples. To print each config's G and its bound, run from the
 repository root:
 
@@ -128,6 +128,21 @@ def test_the_law_sums_to_one_and_gives_the_exact_expectation():
         assert law @ tally[:, 0] == pytest.approx(errors, abs=1e-12)
 
 
+def session_law(config: SessionConfig) -> np.ndarray:
+    """P(code) of each of the session's codes, as its kernel's law (`_Kernel.law`) gives it:
+    the row's law over the 4·S equally likely rows."""
+    kernel = session._kernel(config.scheme)
+    law = kernel.law(*session._law_key(config, kernel.photons))
+    return law.ravel() / len(law)
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_kernel_law_is_the_exact_law(name):
+    # The law the session samples is the scalar path's, Eve and loss included.
+    np.testing.assert_allclose(session_law(CONFIGS[name]), oracles.code_law(CONFIGS[name]),
+                               rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_code_counts_fit_the_exact_law(name):
     law = oracles.code_law(CONFIGS[name])
@@ -143,6 +158,50 @@ def test_the_g_test_sees_a_phase_off_by_a_tenth():
     g, bound, impossible = g_test(code_counts(config, len(law)), law)
     assert not impossible.any()
     assert g > bound
+
+
+def no_eve(kernel) -> np.ndarray:
+    """A resend law under which Eve resends what Alice sent: the law keeps the no-Eve table."""
+    return np.eye(4)
+
+
+def no_spread(kernel) -> np.ndarray:
+    """A resend law under which Eve, when inconclusive, resends Alice's own signal."""
+    seen = kernel.born(1.0).reshape(4, -1) / len(kernel.betas)
+    named = seen @ (kernel.announced[:, None] == np.arange(5))
+    return named[:, 1:] + np.diag(named[:, 0])
+
+
+def blind(wrong, config: SessionConfig) -> bool:
+    """Whether a wrong resend law leaves an Eve config's law as it is. Behind
+    independent dephasing every owa signal has one law, whatever Eve resends;
+    and fig1's verdicts are all conclusive, so no_spread changes none of its laws."""
+    return (config.scheme is SchemeId.OWA_FOUR_PHASE and config.channel.kind == "independent"
+            or wrong is no_spread and config.scheme is SchemeId.FIG1_SINGLE_PHOTON)
+
+
+@pytest.fixture
+def fresh_kernels():
+    session._kernel.cache_clear()
+    yield
+    session._kernel.cache_clear()
+
+
+@pytest.mark.parametrize("wrong, fails", [(no_eve, 28), (no_spread, 18)],
+                         ids=["no_eve", "no_spread"])
+def test_the_g_test_sees_a_wrong_resend_law(wrong, fails, monkeypatch, fresh_kernels):
+    # Sampled with a wrong resend law, the codes fail the G-test against the
+    # exact law on every Eve config whose law it changes: 28 and 18 of 30.
+    monkeypatch.setattr(session._Kernel, "resend_law", property(wrong))
+    eve = {name: config for name, config in CONFIGS.items() if config.eavesdropper != "off"}
+    failed = []
+    for name, config in eve.items():
+        law = oracles.code_law(config)
+        g, bound, impossible = g_test(code_counts(config, len(law)), law)
+        if impossible.any() or g > bound:
+            failed.append(name)
+    assert len(eve) == 30 and len(failed) == fails
+    assert failed == [name for name, config in eve.items() if not blind(wrong, config)]
 
 
 if __name__ == "__main__":
