@@ -155,7 +155,7 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .session import ConfigError, run_session, stats_document, stats_json, trace_csv
+    from .session import TRACE_HEADER, ConfigError, run_session, stats_document, stats_json
 
     config = _run_config(args)
     if args.out is not None and args.trace is not None and _same_file(args.out, args.trace):
@@ -164,9 +164,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         stats, records = run_session(config)
         out = _stats_csv(stats_document(stats)) if args.format == "csv" else stats_json(stats)
         _write_output(out, args.out)
-        if args.trace is not None:
+        if args.trace is not None:  # the bytes of trace_csv(records), one chunk of rows at a time
             with open(args.trace, "w", encoding="utf-8") as fh:
-                fh.write(trace_csv(records))
+                fh.write(TRACE_HEADER)
+                for chunk in records.csv_chunks():
+                    fh.write(chunk)
     return 0
 
 

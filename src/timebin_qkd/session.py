@@ -11,10 +11,13 @@ runs once per block of BLOCK_CHUNKS chunks, whatever the config: a few
 array operations over the block's trials on its scheme's tables
 (`_kernel`). Each trial leaves one small integer code that fixes Alice's
 index, Bob's modulator setting and the outcome ("lost" included). The
-statistics, the records and the trace are derived from the codes. Every
-trial is sampled from its own word alone, so the block size is not part
-of the RNG identity: it changes no code, only how many trials each array
-operation covers.
+statistics are counted per block as its codes are made. The session keeps
+its codes, uint16, and the records and the trace are derived from them
+when read: the trace one chunk of rows at a time (`TrialRecords.csv_chunks`),
+so that `timebin-qkd run --trace` holds its codes, one block's arrays and
+one chunk of rows. Every trial is sampled from its own word alone, so the
+block size is not part of the RNG identity: it changes no code, only how
+many trials each array operation covers.
 
 Every trial's outcome law depends on one relative phase θ: the phase on
 the late bin of the last photon, with the interferometer at 0. Every `owa`
@@ -81,11 +84,10 @@ from __future__ import annotations
 import cmath
 import csv
 import io
-import json
 import math
 import numbers
 import threading
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii as _quote
@@ -408,12 +410,6 @@ def _trace_fields(r: TrialRecord) -> list:
     ]
 
 
-def _csv_line(fields: list) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
-    return buf.getvalue()
-
-
 def _signal_rows(signals: np.ndarray, late: complex) -> np.ndarray:
     """Detection amplitudes of signal rows at φ = 0, the last photon's late bin times `late`."""
     photons = signals.shape[1] // 2
@@ -520,15 +516,16 @@ def _uniform(words: np.ndarray) -> np.ndarray:
     return (words >> 11) * 2.0**-53
 
 
-def _session_codes(config: SessionConfig, kernel: _Kernel) -> np.ndarray:
-    """The session's trial codes, uint16, sampled per block of BLOCK_CHUNKS chunks.
+def _session_codes(config: SessionConfig, kernel: _Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """The session's trial codes, uint16, sampled per block of BLOCK_CHUNKS chunks, and the
+    count of each code.
 
     Per chunk the thread's bit generator is re-keyed to (seed, chunk) and
     makes one random_raw(n) into the block's buffer, one word per trial (the
     module docstring gives its fields). Each trial's code is then one lookup,
     keyed by its word's low and top bits, in the code guide of the session's
     law (`_Kernel.code_guide`); only the few trials in undecided cells
-    compare u with a CDF.
+    compare u with a CDF. The block's codes are counted as they are made.
 
     Each block writes its codes into the session's array in its own call,
     so its arrays are freed before the next block draws: past the codes, a
@@ -540,8 +537,9 @@ def _session_codes(config: SessionConfig, kernel: _Kernel) -> np.ndarray:
     table, guide, rows = kernel.code_guide(*_law_key(config, kernel.photons))
     mask, per_row = 4 * len(kernel.betas) - 1, len(kernel.outcomes) + 1
     codes = np.empty(config.trials, dtype=np.uint16)
+    counts = np.zeros(len(kernel.tally), dtype=np.intp)
 
-    def sample(start: int, stop: int) -> None:
+    def sample(start: int, stop: int) -> np.ndarray:
         word = np.empty(stop - start, dtype=np.uint64)
         for chunk in range(start // CHUNK_TRIALS, -(-stop // CHUNK_TRIALS)):
             _rekey(bits, seed, chunk)
@@ -556,11 +554,12 @@ def _session_codes(config: SessionConfig, kernel: _Kernel) -> np.ndarray:
         if len(step):
             row = rows[key[step] >> _BUCKET_BITS]
             code[step] = row * per_row + table.search(row, _uniform(word[step]))
+        return np.bincount(code, minlength=len(counts))
 
     block = BLOCK_CHUNKS * CHUNK_TRIALS
     for start in range(0, config.trials, block):
-        sample(start, min(start + block, config.trials))
-    return codes
+        counts += sample(start, min(start + block, config.trials))
+    return codes, counts
 
 
 class TrialRecords(Sequence):
@@ -584,17 +583,20 @@ class TrialRecords(Sequence):
         for trial, code in enumerate(self._codes.tolist()):
             yield TrialRecord(trial, *fields[code])
 
-    def csv_rows(self) -> str:
-        """The trace CSV body: one row per trial, without the header."""
+    def csv_chunks(self) -> Iterator[str]:
+        """The trace CSV body, without the header: its rows of each CHUNK_TRIALS trials in
+        turn, so that a writer holds one chunk of rows at a time."""
         rows = self._kernel.rows
-        return "".join([f"{t},{rows[c]}" for t, c in enumerate(self._codes.tolist())])
+        for start in range(0, len(self._codes), CHUNK_TRIALS):
+            codes = self._codes[start:start + CHUNK_TRIALS].tolist()
+            yield "".join([f"{t},{rows[c]}" for t, c in enumerate(codes, start)])
 
 
 def run_session(config: SessionConfig) -> tuple[SessionStats, TrialRecords]:
     """Run a full session; deterministic for a given config."""
     kernel = _kernel(config.scheme)
-    codes = _session_codes(config, kernel)
-    sums = (np.bincount(codes, minlength=len(kernel.tally)) @ kernel.tally).tolist()
+    codes, counts = _session_codes(config, kernel)
+    sums = (counts @ kernel.tally).tolist()
     errors, sent, kept, histogram = sums[0], sums[1:5], sums[5:9], sums[9:]
     stats = SessionStats(
         config=config,
@@ -636,30 +638,57 @@ def stats_document(stats: SessionStats) -> dict:
     }
 
 
-def _json(value, newline: str = "\n") -> str:
-    """json.dumps(value, indent=2, sort_keys=True) with each "\n" replaced by `newline`.
+def _scalar(value) -> str:
+    """A str, an int, a finite float or None, as json.dumps writes it."""
+    if value is None:
+        return "null"
+    return _quote(value) if type(value) is str else repr(value)
 
-    Dicts with str keys, strs, ints and finite floats are written as the
-    stdlib writes them; any other value is handed to json.dumps.
-    """
-    kind = type(value)
-    if kind is str:
-        return _quote(value)
-    if kind is int or kind is float and math.isfinite(value):
-        return repr(value)
-    if kind is dict and value:
-        inner = newline + "  "
-        try:  # _quote raises on a key that is not a str, and the dict is handed on
-            items = [f"{inner}{_quote(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
-            return "{" + ",".join(items) + newline + "}"
-        except TypeError:
-            pass
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+
+def _entries(doc: dict, indent: str) -> str:
+    """A dict of str keys and scalar values, nested at `indent`, as json.dumps(indent=2,
+    sort_keys=True) writes it."""
+    if not doc:
+        return "{}"
+    items = f",\n{indent}  ".join([f"{_quote(k)}: {_scalar(v)}" for k, v in sorted(doc.items())])
+    return f"{{\n{indent}  {items}\n{indent}}}"
 
 
 def stats_json(stats: SessionStats) -> str:
-    """The stats document, byte for byte as json.dumps(doc, indent=2, sort_keys=True) writes it."""
-    return _json(stats_document(stats))
+    """The stats document, byte for byte as json.dumps(doc, indent=2, sort_keys=True) writes it.
+
+    One f-string of the document's fixed shape, its keys laid out in sorted
+    order: each string written by json's own quoting, each int and finite
+    float by repr, as json.dumps writes them.
+    """
+    doc = stats_document(stats)
+    config = doc["config"]
+    per_signal = ",\n    ".join([
+        f'{_quote(i)}: {{\n      "kept": {s["kept"]!r},\n      "sent": {s["sent"]!r},\n'
+        f'      "success_rate": {s["success_rate"]!r}\n    }}'
+        for i, s in doc["per_signal"].items()])
+    return f"""{{
+  "config": {{
+    "channel": {_entries(config["channel"], "    ")},
+    "eavesdropper": {_quote(config["eavesdropper"])},
+    "phase": {_scalar(config["phase"])},
+    "scheme": {_quote(config["scheme"])},
+    "seed": {config["seed"]!r},
+    "trials": {config["trials"]!r}
+  }},
+  "errors": {doc["errors"]!r},
+  "histogram": {_entries(doc["histogram"], "  ")},
+  "per_signal": {{
+    {per_signal}
+  }},
+  "qber": {_scalar(doc["qber"])},
+  "rng": {_quote(doc["rng"])},
+  "scheme": {_quote(doc["scheme"])},
+  "sifted": {doc["sifted"]!r},
+  "sifted_rate": {doc["sifted_rate"]!r},
+  "trials": {doc["trials"]!r},
+  "version": {_quote(doc["version"])}
+}}"""
 
 
 TRACE_COLUMNS = (
@@ -672,11 +701,13 @@ TRACE_COLUMNS = (
     "bit_bob",
     "kept",
 )
+#: The trace CSV's first line; no column name needs quoting.
+TRACE_HEADER = ",".join(TRACE_COLUMNS) + "\n"
 
 
 def trace_csv(records: TrialRecords) -> str:
     """The per-trial CSV trace of a session: a header, then one row per trial."""
-    return _csv_line(list(TRACE_COLUMNS)) + records.csv_rows()
+    return TRACE_HEADER + "".join(records.csv_chunks())
 
 
 #: The keys of a config document: the required ones, then the optional ones.

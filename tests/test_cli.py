@@ -1,3 +1,4 @@
+import errno
 import gc
 import json
 import math
@@ -6,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -292,6 +294,95 @@ class TestRun:
         )
         assert code == 1 and out == ""
 
+
+
+# --- the streamed trace ----------------------------------------------------------
+
+#: Trial counts at the edges of a chunk (4096 trials) and of a block (16 384),
+#: and five blocks with a trial over.
+TRACE_TRIALS = [1, 4095, 4096, 4097, 16_383, 16_384, 16_385, 70_001]
+
+
+def assert_trace_file_is_trace_csv(tmp_path, *argv):
+    """`run argv --trace` writes the bytes of trace_csv of the same config's records."""
+    trace = tmp_path / "t.csv"
+    assert main(["run", *argv, "--out", str(tmp_path / "s.json"), "--trace", str(trace)]) == 0
+    config = cli._run_config(cli.build_parser().parse_args(["run", *argv]))
+    assert trace.read_bytes() == session.trace_csv(session.run_session(config)[1]).encode()
+
+
+@pytest.mark.parametrize("trials", TRACE_TRIALS)
+@pytest.mark.parametrize("scheme", cli.SCHEME_CHOICES)
+def test_trace_file_equals_trace_csv(tmp_path, scheme, trials):
+    assert_trace_file_is_trace_csv(
+        tmp_path, "--protocol", scheme, "--trials", str(trials), "--seed", "11", "--phase", "0.7")
+
+
+@pytest.mark.parametrize("eve", [False, True], ids=["eve-off", "eve-on"])
+@pytest.mark.parametrize("channel", [form for form, _ in CHANNEL_FORMS])
+@pytest.mark.parametrize("scheme", cli.SCHEME_CHOICES)
+def test_trace_file_equals_trace_csv_behind_each_channel(tmp_path, scheme, channel, eve):
+    assert_trace_file_is_trace_csv(
+        tmp_path, "--protocol", scheme, "--trials", "16385", "--seed", "11", "--phase", "random",
+        "--channel", channel, *(["--eve"] if eve else []))
+
+
+def test_a_trace_write_that_fails_exits_1_and_removes_the_files_made(capsys, tmp_path, monkeypatch):
+    # The disk fills as the second chunk of rows is written, after the stats
+    # and the first chunk: exit 1, and neither file the run made is left.
+    trace, written = tmp_path / "t.csv", []
+
+    class Full:
+        """The trace file, whose write fails from the second chunk's first row on."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            if text.startswith(f"{session.CHUNK_TRIALS},"):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            written.append(text)
+            return self.fh.write(text)
+
+    def opening(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        return Full(fh) if path == str(trace) and mode == "w" else fh
+
+    monkeypatch.setattr(cli, "open", opening, raising=False)
+    code, out, err = run_cli(
+        capsys, "run", "--protocol", "combined", "--trials", "10000", "--seed", "1",
+        "--out", str(tmp_path / "s.json"), "--trace", str(trace),
+    )
+    assert code == 1 and out == "" and "No space left on device" in err
+    assert list(tmp_path.iterdir()) == []
+    assert written[0] == session.TRACE_HEADER
+    assert sum(text.count("\n") for text in written[1:]) == session.CHUNK_TRIALS
+
+
+def test_a_trace_is_written_one_chunk_of_rows_at_a_time(tmp_path):
+    # numpy reports its buffers to tracemalloc, and Python its strings. A
+    # 200 000-trial run whose trace goes to a discarding sink holds its
+    # 2 B/trial codes and one chunk of rows: measured 180-218 B per trial of
+    # a chunk (the rows, their join, the chunk's codes as ints), bounded here
+    # by 256 B. The sampling's block arrays stay under that. The whole trace
+    # rendered as one string held ≈150 B per trial of the session.
+    trials = 200_000
+    argv = ["run", "--protocol", "owa", "--channel", "independent", "--eve", "--seed", "5",
+            "--out", str(tmp_path / "s.json"), "--trace", os.devnull]
+    assert main(argv + ["--trials", "10"]) == 0  # builds the kernel's guide and rows
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--trials", str(trials)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * trials + 256 * session.CHUNK_TRIALS
 
 class TestChart:
     def test_json_chart_phase_invariant_for_combined(self, capsys):

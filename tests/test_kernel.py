@@ -981,21 +981,24 @@ def test_no_loss_leaves_no_lost(scheme, eve):
 ], ids=["independent-eve", "one-word", "fig1-collective-eve", "fig1-loss-eve", "combined-loss-eve"])
 def test_session_working_set_is_bounded_by_a_block(config):
     # numpy reports its buffers to tracemalloc. Past the 2 B/trial of the codes
-    # a session holds one block's arrays at a time, whatever its length: here
+    # a session, its stats counted per block, holds one block's arrays at a
+    # time, whatever its length: here
     # under 8 arrays of 8 B per trial of a 4-chunk block (1 MiB), stated apart
     # from BLOCK_CHUNKS so that a larger block fails. The words alone take one
     # array, the guide's keys another; each case's measured count is above them.
-    kernel = session._kernel(config.scheme)
-    session._session_codes(dataclasses.replace(config, trials=10), kernel)  # builds the guides
+    # The whole of run_session is measured, so that a copy of the codes made
+    # to count them (an intp bincount, 8 B/trial) fails; each count above is
+    # the same for run_session as for _session_codes alone.
+    run_session(dataclasses.replace(config, trials=10))  # builds the guides
     block_bytes = 8 * 4 * CHUNK_TRIALS
     tracemalloc.start()
     try:
-        codes = session._session_codes(config, kernel)
+        _, records = run_session(config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert codes.nbytes == 2 * config.trials
-    assert peak < codes.nbytes + 8 * block_bytes
+    assert records._codes.nbytes == 2 * config.trials
+    assert peak < records._codes.nbytes + 8 * block_bytes
 
 
 # --- sampled sessions against the exact expectation ----------------------------

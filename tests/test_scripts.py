@@ -1,4 +1,5 @@
 """The study scripts run, and print what their docstrings claim."""
+import gc
 import runpy
 from pathlib import Path
 
@@ -8,9 +9,15 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 def run_script(name: str, capsys) -> dict[str, dict[str, tuple[float, str]]]:
     """Run a script as __main__; per scheme, each printed row as {first column: (rate, qber)}.
 
-    The QBER is kept as printed, so that a zero reads "0.0000".
+    The QBER is kept as printed, so that a zero reads "0.0000". The script
+    must freeze the collector as it ends; this process's is then unfrozen.
     """
-    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    assert gc.get_freeze_count() == 0
+    try:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
     tables: dict = {}
     for line in capsys.readouterr().out.splitlines():
         if ":" in line:  # "combined: 50000 trials ..." opens a scheme's table

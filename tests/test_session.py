@@ -1,7 +1,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +10,11 @@ from timebin_qkd.protocols import INDEX_FOR, SchemeId, classify_combined, signal
 from timebin_qkd import session
 from timebin_qkd.session import (
     CHUNK_TRIALS,
+    PHASE_RANDOM,
     ChannelSpec,
     ConfigError,
     SessionConfig,
+    SessionStats,
     config_from_dict,
     run_session,
     stats_document,
@@ -249,40 +250,35 @@ class TestStats:
         assert len(records) == 2000
 
 
-# Keys and strings: any text, and some that surely hold quotes, backslashes,
-# control characters and non-ASCII characters.
-_text = st.text() | st.sampled_from(['"', 'a"b\\', "\x00\x1f\x7f\n\t", "é\u2028\U0001f600", "ключ"])
-_json_values = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(2**63, 2**200).flatmap(lambda n: st.sampled_from([n, -n]))
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | st.sampled_from([-0.0, 0.0, 1e-300, 1e16, 5e-324, -1e16, 1.5e300])
-    | st.sampled_from([math.nan, math.inf, -math.inf])  # beyond a stats document, still equal
-    | _text,
-    lambda children: st.dictionaries(_text, children, max_size=4),
-    max_leaves=20,
-)
+# A stats document of any valid config and any counts: phases at the float
+# extremes, a collective phase random or fixed, loss 0, 0.2 and 1, the seed
+# range's ends, and counts that leave "lost" out of the histogram (or every
+# label but "lost"), and nothing sifted, so that qber is None. Histogram
+# labels are the scheme's own, and any text, whose quoting json must agree on.
+_phases = st.sampled_from([0.0, 0.7, 5e-324, 1e16, -1e15, PHASE_RANDOM]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+_channels = st.sampled_from([
+    ChannelSpec("none"), ChannelSpec("independent"), ChannelSpec("loss", loss=0.0),
+    ChannelSpec("loss", loss=0.2), ChannelSpec("loss", loss=1.0),
+]) | st.builds(ChannelSpec, st.just("collective"), _phases)
+_counts = st.integers(0, 2**64)
 
 
-@settings(max_examples=200, deadline=None)
-@given(doc=st.dictionaries(_text, _json_values, max_size=6))
-def test_stats_writer_equals_json_dumps(doc):
-    assert session._json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+@st.composite
+def _stats(draw) -> SessionStats:
+    scheme = draw(st.sampled_from(list(SchemeId)))
+    seed = draw(st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1))
+    config = SessionConfig(scheme, draw(st.integers(1, 2**64)), seed, draw(_phases),
+                           draw(_channels), draw(st.sampled_from(["off", "intercept_resend"])))
+    labels = st.sampled_from(session._kernel(scheme).labels) | st.text()
+    sent = draw(st.dictionaries(st.sampled_from([1, 2, 3, 4]), _counts.filter(bool)))
+    kept = {i: k for i, n in sent.items() if (k := draw(st.integers(0, n)))}
+    sifted = sum(kept.values())
+    return SessionStats(config, config.trials, sifted, draw(st.integers(0, sifted)),
+                        draw(st.dictionaries(labels, _counts)), sent, kept)
 
 
-@pytest.mark.parametrize("doc", [
-    {}, {"a": {}}, {1: 2, 3: {"a": 1}}, {"a": {True: None, False: 1.5}}, {"x": {"y": {2.5: "z"}}},
-    {"a": [{"b": 1}, [], 2]}, {"a": np.float64(0.1), "c": ["x", None]},
-])
-def test_stats_writer_hands_other_values_to_json_dumps(doc):
-    assert session._json(doc) == json.dumps(doc, indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize("doc", [{"a": 1, 2: 3}, {"a": {"b": 1, 2: 3}}, {"a": np.int64(3)}])
-def test_stats_writer_raises_where_json_dumps_raises(doc):
-    with pytest.raises(TypeError):
-        json.dumps(doc, indent=2, sort_keys=True)
-    with pytest.raises(TypeError):
-        session._json(doc)
+@settings(max_examples=300, deadline=None)
+@given(stats=_stats())
+def test_stats_json_equals_json_dumps_of_its_document(stats):
+    assert stats_json(stats) == json.dumps(stats_document(stats), indent=2, sort_keys=True)
